@@ -111,8 +111,8 @@ int run_figures(const std::vector<std::string>& figure_ids, int argc,
 
   // With a worker pool requested, per-point benchmark registration would
   // serialize the sweep again; run each figure through run_figure, which
-  // fans the series out over run_all_series' pool and produces bitwise
-  // the same points and JSON results as the sequential path.
+  // fans the points out over the point pool and produces bitwise the same
+  // points and JSON results as the sequential path.
   if (options.threads > 1) {
     options.json_dir = json_dir;
     for (const std::string& id : figure_ids) {

@@ -17,9 +17,9 @@
 // --json[=dir] flag, default results/json) writes one schema-versioned
 // JSON result per figure with seed/git-revision/cycles-per-second
 // provenance (see src/telemetry/result_writer.hpp).  --threads=<n> (or
-// WORMSIM_THREADS=<n>) with n > 1 runs the figures through
-// run_all_series' worker pool instead of per-point benchmarks; points and
-// JSON output are bitwise identical to the sequential run.
+// WORMSIM_THREADS=<n>) with n > 1 runs the figures through the point
+// pool (experiment/scheduler.hpp) instead of per-point benchmarks; points
+// and JSON output are bitwise identical to the sequential run.
 #pragma once
 
 #include <benchmark/benchmark.h>

@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   bool csv = false;
   std::int64_t seed = 20250707;
   std::int64_t threads = 0;
-  std::int64_t engine_threads = 0;
   bool implicit_topology = false;
   std::string shard;
   std::string cache_dir;
@@ -60,10 +59,6 @@ int main(int argc, char** argv) {
                "worker threads for the point-granular sweep pool (0 = "
                "WORMSIM_THREADS env or sequential); results match the "
                "sequential run bitwise");
-  cli.add_flag("engine-threads", &engine_threads,
-               "advance-team width inside each simulated point (0 = "
-               "WORMSIM_ENGINE_THREADS env or sequential); bitwise "
-               "neutral, useful for single large simulations");
   cli.add_flag("implicit-topology", &implicit_topology,
                "compute topology records on the fly instead of "
                "materializing the graph (bitwise neutral; the million-node "
@@ -129,9 +124,6 @@ int main(int argc, char** argv) {
   options.quick = options.quick || quick;
   options.seed = static_cast<std::uint64_t>(seed);
   if (threads > 0) options.threads = static_cast<unsigned>(threads);
-  if (engine_threads > 0) {
-    options.engine_threads = static_cast<std::uint32_t>(engine_threads);
-  }
   options.implicit_topology = options.implicit_topology || implicit_topology;
   if (!cache_dir.empty()) options.cache_dir = cache_dir;
   if (!json_dir.empty()) options.json_dir = json_dir;

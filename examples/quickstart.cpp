@@ -7,8 +7,7 @@
 //
 // Usage:  quickstart [--load=0.4] [--seed=1] [--cycles=100000]
 //                    [--buffer-depth=4] [--flow-control=credit]
-//                    [--credit-delay=2] [--engine-threads=4]
-//                    [--implicit-topology]
+//                    [--credit-delay=2] [--implicit-topology]
 
 #include <iostream>
 #include <memory>
@@ -31,7 +30,6 @@ int main(int argc, char** argv) {
   std::int64_t buffer_depth = 1;
   std::string flow_control = "credit";
   std::int64_t credit_delay = 0;
-  std::int64_t engine_threads = 1;
   bool implicit_topology = false;
   util::CliParser cli(
       "quickstart: simulate the paper's four wormhole MINs at one load");
@@ -44,9 +42,6 @@ int main(int argc, char** argv) {
                "backpressure scheme: credit, onoff, or vct");
   cli.add_flag("credit-delay", &credit_delay,
                "credit/signal return delay in cycles");
-  cli.add_flag("engine-threads", &engine_threads,
-               "advance-team width inside the simulation (0 = one domain "
-               "per hardware thread); results are identical at any width");
   cli.add_flag("implicit-topology", &implicit_topology,
                "compute topology records on the fly instead of "
                "materializing the graph; results are identical");
@@ -59,11 +54,6 @@ int main(int argc, char** argv) {
   if (!scheme || buffer_depth < 1 || credit_delay < 0) {
     std::cerr << "bad flow-control knobs; expected --flow-control=credit|"
                  "onoff|vct, --buffer-depth>=1, --credit-delay>=0\n";
-    return 1;
-  }
-  if (engine_threads < 0) {
-    std::cerr << "bad --engine-threads; expected >= 0 (0 = one domain per "
-                 "hardware thread)\n";
     return 1;
   }
 
@@ -111,7 +101,6 @@ int main(int argc, char** argv) {
     sim_config.buffer_depth = static_cast<std::uint32_t>(buffer_depth);
     sim_config.flow_control = *scheme;
     sim_config.credit_delay = static_cast<std::uint32_t>(credit_delay);
-    sim_config.engine_threads = static_cast<std::uint32_t>(engine_threads);
     sim_config.implicit_topology = implicit_topology;
 
     sim::Engine engine(network, *router, &traffic, sim_config);

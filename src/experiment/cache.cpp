@@ -184,12 +184,9 @@ std::string ResultCache::fingerprint(const SeriesSpec& spec, double load,
   key.field("sim.fault_seed", sim_config.fault_seed);
   key.field("sim.fault_at_cycle", sim_config.fault_at_cycle);
   key.field("sim.fault_repair_cycle", sim_config.fault_repair_cycle);
-  // engine_threads / engine_threads_exact are deliberately NOT keyed:
-  // the advance team is bitwise neutral (tests/golden_test.cpp pins it),
-  // so points computed at any width answer for every width.  The same
-  // holds for implicit_topology: both backends produce bitwise-identical
-  // results (tests/implicit_test.cpp pins it), so a point computed on
-  // either backend answers for both.
+  // implicit_topology is deliberately NOT keyed: both backends produce
+  // bitwise-identical results (tests/implicit_test.cpp pins it), so a
+  // point computed on either backend answers for both.
 
   // Resolve the workload exactly as run_point will: the factory may
   // depend on the built network (clusterings need its address space).

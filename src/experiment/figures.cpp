@@ -46,7 +46,6 @@ sim::SimConfig RunOptions::sim_config() const {
   config.buffer_depth = buffer_depth;
   config.flow_control = flow_control;
   config.credit_delay = credit_delay;
-  config.engine_threads = engine_threads;
   config.implicit_topology = implicit_topology;
   config.fault_fraction = fault_fraction;
   config.fault_seed = fault_seed;
@@ -90,18 +89,22 @@ RunOptions RunOptions::from_env() {
     const std::uint32_t n = util::env_u32_or("WORMSIM_BUFFER_DEPTH", 0);
     if (n >= 1) options.buffer_depth = n;
   }
-  if (const char* scheme = std::getenv("WORMSIM_FLOW_CONTROL")) {
-    if (auto parsed = sim::parse_flow_control(scheme)) {
-      options.flow_control = *parsed;
+  if (const char* scheme = std::getenv("WORMSIM_FLOW_CONTROL");
+      scheme != nullptr && scheme[0] != '\0') {
+    // Like the integer knobs: an unparseable value kills the run rather
+    // than silently falling back to the credit scheme.
+    const auto parsed = sim::parse_flow_control(scheme);
+    if (!parsed) {
+      std::fprintf(stderr,
+                   "WORMSIM_FLOW_CONTROL: expected credit, onoff, or vct, "
+                   "got '%s'\n",
+                   scheme);
+      std::abort();
     }
+    options.flow_control = *parsed;
   }
   options.credit_delay =
       util::env_u32_or("WORMSIM_CREDIT_DELAY", options.credit_delay);
-  // The Engine constructor reads the same variable itself; resolving it
-  // here as well keeps the value visible in sweep fingerprints and JSON
-  // manifests rather than appearing only inside the engine.
-  options.engine_threads =
-      util::env_u32_or("WORMSIM_ENGINE_THREADS", options.engine_threads);
   if (const char* implicit = std::getenv("WORMSIM_IMPLICIT_TOPOLOGY")) {
     options.implicit_topology = implicit[0] != '\0' && implicit[0] != '0';
   }
@@ -836,9 +839,6 @@ FigureResult run_figure(const std::string& id, const RunOptions& options) {
     manifest.points_computed = pool_stats.computed;
     manifest.points_cached = pool_stats.cache_hits;
     manifest.points_speculated = pool_stats.speculated;
-    manifest.engine_threads = pool_stats.engine_threads;
-    manifest.engine_domain_busy_seconds =
-        pool_stats.engine_domain_busy_seconds;
     manifest.peak_rss_mib = util::peak_rss_mib();
     manifest.profile = pool_stats.engine_profile;
     manifest.cache_used = result.cache_used;

@@ -17,9 +17,9 @@ namespace wormsim::experiment {
 struct RunOptions {
   bool quick = false;          ///< smoke-test mode: tiny sims, few loads
   std::uint64_t seed = 20250707;
-  /// Worker threads for run_all_series; results are bitwise identical to
-  /// the sequential run (each series owns its RNG; see
-  /// experiment/parallel.hpp and tests/parallel_test.cpp).
+  /// Point-pool worker threads (experiment/scheduler.hpp); results are
+  /// bitwise identical to the sequential run (each point owns its RNG;
+  /// pinned by tests/scheduler_test.cpp).
   unsigned threads = 1;
   /// When non-empty, run_figure also writes a schema-versioned JSON
   /// result (seed, git revision, wall time, cycles/sec, all points) as
@@ -38,13 +38,6 @@ struct RunOptions {
   std::uint32_t buffer_depth = 1;
   sim::FlowControlScheme flow_control = sim::FlowControlScheme::kCredit;
   std::uint32_t credit_delay = 0;
-
-  /// Advance-team width WITHIN each simulated point (SimConfig::
-  /// engine_threads; bitwise neutral at every width), as opposed to
-  /// `threads` above, which parallelizes ACROSS points.  The paper-sized
-  /// 64-node figures clamp back to sequential; the knob exists for
-  /// large-N studies.
-  std::uint32_t engine_threads = 1;
 
   /// Compute topology records on the fly instead of materializing the
   /// graph (SimConfig::implicit_topology; bitwise neutral).  The
@@ -83,11 +76,11 @@ struct RunOptions {
   /// Honors WORMSIM_QUICK=1, WORMSIM_SEED=<n>, WORMSIM_THREADS=<n>,
   /// WORMSIM_JSON_DIR=<dir>, WORMSIM_CACHE_DIR=<dir>,
   /// WORMSIM_BUFFER_DEPTH=<flits>, WORMSIM_FLOW_CONTROL=<scheme>,
-  /// WORMSIM_CREDIT_DELAY=<cycles>, WORMSIM_ENGINE_THREADS=<n>,
-  /// WORMSIM_IMPLICIT_TOPOLOGY=1, WORMSIM_FAULT_FRACTION=<f>,
-  /// WORMSIM_FAULT_SEED=<n>, WORMSIM_FAULT_AT_CYCLE=<n>,
-  /// WORMSIM_HEARTBEAT=<cycles>, WORMSIM_HEARTBEAT_DIR=<dir>, and
-  /// WORMSIM_PROFILE=1.
+  /// WORMSIM_CREDIT_DELAY=<cycles>, WORMSIM_IMPLICIT_TOPOLOGY=1,
+  /// WORMSIM_FAULT_FRACTION=<f>, WORMSIM_FAULT_SEED=<n>,
+  /// WORMSIM_FAULT_AT_CYCLE=<n>, WORMSIM_HEARTBEAT=<cycles>,
+  /// WORMSIM_HEARTBEAT_DIR=<dir>, and WORMSIM_PROFILE=1.  A malformed
+  /// number or scheme name aborts with a diagnostic.
   static RunOptions from_env();
 };
 

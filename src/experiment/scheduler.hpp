@@ -1,10 +1,10 @@
 // Point-granular sweep scheduler.
 //
-// run_all_series() used to fan out whole series, so one saturated series
-// (long drains at every load) pinned a core while finished workers idled.
-// This scheduler schedules individual (series, load) points instead: a
-// work-stealing pool where each worker owns a deque of points in load
-// order and steals from other workers once its own deque drains.
+// Fanning out whole series would let one saturated series (long drains at
+// every load) pin a core while finished workers idle.  This scheduler
+// schedules individual (series, load) points instead: a work-stealing
+// pool where each worker owns a deque of points in load order and steals
+// from other workers once its own deque drains.
 //
 // The sequential contract is preserved exactly.  run_series stops a
 // series after SweepOptions::stop_after_unsustainable consecutive
@@ -57,15 +57,6 @@ struct PoolStats {
                ? busy_seconds / (wall_seconds * threads)
                : 0.0;
   }
-  /// Widest advance team any computed point actually ran with (1 when
-  /// every point was sequential — small nets clamp, BMIN falls back).
-  /// Orthogonal to `threads` above: the pool parallelizes ACROSS points,
-  /// the advance team WITHIN one.
-  unsigned engine_threads = 1;
-  /// Element-wise sum over computed points of each advance domain's busy
-  /// time in the parallel decide phase; empty when every point ran
-  /// sequentially.
-  std::vector<double> engine_domain_busy_seconds;
   /// Summed engine phase attribution over computed points
   /// (telemetry/profiler.hpp); enabled only when the sweep ran with
   /// SimConfig::telemetry.profile or WORMSIM_PROFILE=1.

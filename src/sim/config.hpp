@@ -78,19 +78,6 @@ struct SimConfig {
   /// SimResult::telemetry_counters / telemetry_samples.
   telemetry::TelemetryConfig telemetry;
 
-  /// Advance-team width for THIS simulation point (distinct from the
-  /// sweep scheduler's worker pool, which parallelizes across points).
-  /// 1 = sequential (default); 0 = one domain per hardware thread; N > 1
-  /// is clamped to the hardware concurrency.  Results are bitwise
-  /// identical at every width (DESIGN.md §12); networks that are not
-  /// feed-forward in channel ids (BMIN) silently fall back to
-  /// sequential.  Also settable via WORMSIM_ENGINE_THREADS /
-  /// --engine-threads.
-  std::uint32_t engine_threads = 1;
-  /// Testing hook: skip the hardware-concurrency clamp so determinism
-  /// tests exercise real multi-domain teams on any host.
-  bool engine_threads_exact = false;
-
   /// Runtime invariant checking (src/sim/validate.hpp): a read-only
   /// structural sweep every cycle plus an end-of-run reconcile, aborting
   /// with a precise diagnostic on the first violation.  Also enabled by
@@ -103,11 +90,10 @@ struct SimConfig {
   /// (src/topology/implicit.hpp, DESIGN.md §13) — the 2M-node memory
   /// lever.  Simulation results are bitwise identical to the
   /// materialized backend (pinned by tests/implicit_test.cpp), so this
-  /// knob is excluded from result-cache fingerprints like
-  /// engine_threads.  Networks the implicit backend cannot express
-  /// (random multibutterfly wiring) silently fall back to the
-  /// materialized graph.  Also settable via WORMSIM_IMPLICIT_TOPOLOGY /
-  /// --implicit-topology.
+  /// knob is excluded from result-cache fingerprints.  Networks the
+  /// implicit backend cannot express (random multibutterfly wiring)
+  /// silently fall back to the materialized graph.  Also settable via
+  /// WORMSIM_IMPLICIT_TOPOLOGY / --implicit-topology.
   bool implicit_topology = false;
 
   // ---- Runtime fault injection (src/sim/fault_injection/) -------------

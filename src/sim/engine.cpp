@@ -6,13 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <thread>
 
 #include "sim/fault_injection/plan.hpp"
 #include "sim/validate.hpp"
 #include "telemetry/worm_trace.hpp"
 #include "util/check.hpp"
-#include "util/cli.hpp"
 
 namespace wormsim::sim {
 
@@ -27,10 +25,6 @@ namespace {
 /// First integer cycle at which `next_arrival <= cycle` holds.
 std::uint64_t fire_cycle(double next_arrival) {
   return static_cast<std::uint64_t>(std::ceil(next_arrival));
-}
-
-std::uint32_t hardware_threads() {
-  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 }  // namespace
@@ -115,72 +109,6 @@ Engine::Engine(const topology::NetView& network,
   cand_pkt_.assign(lanes, kNoPacket);
   cand_len_.assign(lanes, 0);
   cand_store_.assign(lanes * cand_stride_, kInvalidId);
-
-  // Feed-forward check for the parallel advance: every switch's incoming
-  // channel ids must all be lower than its outgoing ones, so a move can
-  // only unblock a strictly lower channel (DESIGN.md §12).  The
-  // unidirectional MIN builders lay channels out stage by stage and
-  // satisfy this; BMIN's turnaround wiring does not and falls back to the
-  // sequential path.  The implicit backend allocates channel ids stage
-  // by stage in closed form, so the property holds by construction for
-  // every unidirectional layout and the O(channels) scan is skipped.
-  if (!network_.materialized()) {
-    feed_forward_ = !network_.bidirectional();
-  } else {
-    const std::size_t switches = network_.switch_count();
-    std::vector<std::int64_t> in_max(switches, -1);
-    std::vector<std::int64_t> out_min(switches,
-                                      static_cast<std::int64_t>(channels));
-    network_.for_each_channel([&](const PhysChannel& ch) {
-      if (ch.dst.is_switch()) {
-        in_max[ch.dst.id] =
-            std::max(in_max[ch.dst.id], static_cast<std::int64_t>(ch.id));
-      }
-      if (ch.src.is_switch()) {
-        out_min[ch.src.id] =
-            std::min(out_min[ch.src.id], static_cast<std::int64_t>(ch.id));
-      }
-    });
-    feed_forward_ = true;
-    for (std::size_t sw = 0; sw < switches; ++sw) {
-      if (in_max[sw] >= out_min[sw]) {
-        feed_forward_ = false;
-        break;
-      }
-    }
-  }
-
-  // Environment override, lowest-friction knob for existing drivers.
-  // Exact-width engines (determinism tests) pin their width in config.
-  if (!config_.engine_threads_exact) {
-    config_.engine_threads =
-        util::env_u32_or("WORMSIM_ENGINE_THREADS", config_.engine_threads);
-  }
-  std::uint32_t threads = config_.engine_threads;
-  if (threads == 0) threads = hardware_threads();
-  if (!config_.engine_threads_exact) {
-    threads = std::min(threads, hardware_threads());
-  }
-  if (!feed_forward_) threads = 1;
-  // Domains are word-aligned slices of the channel-id bitsets; more
-  // domains than words cannot be given disjoint words.
-  threads = std::min<std::uint32_t>(
-      threads,
-      std::max<std::uint32_t>(1, static_cast<std::uint32_t>(
-                                     seed_bits_.word_count())));
-  engine_threads_ = std::max(1u, threads);
-  if (engine_threads_ > 1) {
-    const std::uint64_t words = seed_bits_.word_count();
-    domain_begin_.resize(engine_threads_ + 1);
-    for (std::uint32_t d = 0; d <= engine_threads_; ++d) {
-      domain_begin_[d] = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(channels, words * d / engine_threads_ * 64));
-    }
-    domain_begin_[engine_threads_] = static_cast<std::uint32_t>(channels);
-    domain_moves_.resize(engine_threads_);
-    domain_busy_seconds_.assign(engine_threads_, 0.0);
-    team_ = std::make_unique<AdvanceTeam>(engine_threads_);
-  }
 
   result_.measure_cycles = config_.measure_cycles;
   result_.node_count = network_.node_count();
@@ -1054,14 +982,10 @@ void Engine::advance_flits() {
   // yet) and in the *next* pass otherwise.  Readiness only ever arises
   // from such unblocks — every other state change during advance removes
   // readiness — so skipping never-seeded channels drops no move.
-  if (engine_threads_ > 1) {
-    while (cur_pass_.any()) advance_pass_parallel();
-  } else {
-    while (cur_pass_.any()) advance_pass_sequential();
-  }
+  while (cur_pass_.any()) advance_pass();
 }
 
-void Engine::advance_pass_sequential() {
+void Engine::advance_pass() {
   cur_pass_.consume([&](std::uint32_t ch) {
     unblocked_ = kInvalidId;
     if (!try_channel(ch)) return;
@@ -1083,60 +1007,6 @@ void Engine::advance_pass_sequential() {
     }
   });
   cur_pass_.swap(next_pass_);
-}
-
-void Engine::advance_pass_parallel() {
-  // Profiler attribution: everything before the team run (bitmap scans,
-  // pass bookkeeping) is generic advance work; the team run itself is
-  // phase A, the sequential replay below is phase B.
-  if (prof_ != nullptr) prof_->lap(telemetry::EnginePhase::kAdvance);
-  // Phase A: every domain records the transmit decision for each worklist
-  // channel in its own channel-id slice, against the immutable pre-pass
-  // state (no move has been applied; see DESIGN.md §12 for why each
-  // decision sees exactly what the sequential ascending scan would).
-  // Writes are confined to the domain's own channels (vc_rr_, recs) and
-  // own lanes (starve_since), so domains never race.
-  team_->run([this](unsigned d) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<MoveRec>& recs = domain_moves_[d];
-    recs.clear();
-    cur_pass_.for_each_in(domain_begin_[d], domain_begin_[d + 1],
-                          [this, &recs](std::uint32_t ch) {
-                            const int pick = decide_channel(ch);
-                            if (pick >= 0) {
-                              recs.push_back(
-                                  {ch, static_cast<std::uint8_t>(pick)});
-                            }
-                          });
-    domain_busy_seconds_[d] +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  });
-  if (prof_ != nullptr) prof_->lap(telemetry::EnginePhase::kAdvanceDecide);
-  // Phase B: apply the recorded moves sequentially in canonical ascending
-  // channel order (domains are id-contiguous and each domain's records are
-  // in scan order), merging boundary effects — buffer pops that re-arm an
-  // upstream domain's channel, header arrivals, telemetry — exactly as
-  // the sequential pass would.  Feed-forward topology guarantees a move
-  // only unblocks a strictly lower channel, so the current pass's bitmap
-  // never changes mid-scan and every re-arm lands in the next pass.
-  cur_pass_.reset();
-  for (std::uint32_t d = 0; d < engine_threads_; ++d) {
-    for (const MoveRec& rec : domain_moves_[d]) {
-      unblocked_ = kInvalidId;
-      apply_move(rec.channel, rec.pick);
-      schedule_channel(rec.channel);
-      const ChannelId u = unblocked_;
-      if (u == kInvalidId || channel_sources_[u] == 0 ||
-          channel_used_epoch_[u] == epoch_) {
-        continue;
-      }
-      WORMSIM_DCHECK(u < rec.channel);
-      next_pass_.set(u);
-    }
-  }
-  cur_pass_.swap(next_pass_);
-  if (prof_ != nullptr) prof_->lap(telemetry::EnginePhase::kAdvanceApply);
 }
 
 void Engine::record_sample() {
@@ -1307,8 +1177,6 @@ SimResult Engine::run() {
           ? (last_resolved > measure_end ? last_resolved - measure_end : 0)
           : config_.drain_cycles;
   result_.telemetry_samples = sampler_.ordered();
-  result_.engine_threads_used = engine_threads_;
-  result_.engine_domain_busy_seconds = domain_busy_seconds_;
   if (monitor_ != nullptr) {
     monitor_->finalize(heartbeat_snapshot(cycle_), result_.drained,
                        static_cast<double>(result_.time_to_drain_cycles) /

@@ -5,7 +5,7 @@
 // and an optional repair cycle.  Plans are built *before* the run from a
 // dedicated seed — never from the engine's traffic RNG — so the same
 // (topology, fraction, seed) triple names the same dead-channel set on
-// every engine, thread width, and backend, and the static
+// every engine and backend, and the static
 // `analysis::fault_coverage` cross-check can be computed from the very
 // same channel list the engines kill at runtime.
 //

@@ -2,10 +2,10 @@
 //
 // The engines own the actual kill mechanics (truncating in-flight worms,
 // releasing allocations, crediting drained buffer slots); FaultState only
-// tracks *when* the plan's two transitions fire so both engines and every
-// thread width agree on the cycle boundaries: the kill lands at the start
-// of plan.at_cycle (before arrivals, after the backpressure calendar
-// drains), the repair at the start of plan.repair_cycle.
+// tracks *when* the plan's two transitions fire so both engines agree on
+// the cycle boundaries: the kill lands at the start of plan.at_cycle
+// (before arrivals, after the backpressure calendar drains), the repair
+// at the start of plan.repair_cycle.
 #pragma once
 
 #include <cstdint>

@@ -26,11 +26,6 @@
 // Like the rest of the engine's hot state, everything here is lane-major
 // structure-of-arrays (DESIGN.md §12): parallel flat vectors indexed by
 // LaneId, with the extension slots flattened lane-major behind them.
-// Under the domain-partitioned parallel advance each entry belongs to
-// exactly one channel's domain (a lane's owning channel decides its
-// writes), so phase-A threads never share a cache line's worth of
-// *logical* state — and mutation stays confined to phase B's canonical
-// sequential merge plus the domain-owned starvation clocks.
 #pragma once
 
 #include <cstdint>

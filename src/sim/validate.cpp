@@ -644,75 +644,6 @@ void EngineValidator::check_active_sets() {
                   ch_id);
     }
   }
-
-  check_domain_partition();
-}
-
-void EngineValidator::check_domain_partition() {
-  const std::uint64_t cycle = e_.cycle_;
-  const std::size_t channels = e_.network_.channel_count();
-  if (e_.engine_threads_ <= 1) return;
-
-  // The domain boundaries must tile [0, channels) in nondecreasing,
-  // word-aligned slices — the parallel decide phase relies on each domain
-  // owning whole bitset words.
-  if (e_.domain_begin_.size() != e_.engine_threads_ + 1 ||
-      e_.domain_begin_.front() != 0 ||
-      e_.domain_begin_.back() != channels) {
-    engine_fail("domain-boundary", cycle, kInvalidId,
-                "domain table does not tile the %zu channels", channels);
-  }
-  for (std::size_t d = 0; d + 1 < e_.domain_begin_.size(); ++d) {
-    if (e_.domain_begin_[d] > e_.domain_begin_[d + 1]) {
-      engine_fail("domain-boundary", cycle, kInvalidId,
-                  "domain %zu boundary %u exceeds domain %zu's %u", d,
-                  e_.domain_begin_[d], d + 1, e_.domain_begin_[d + 1]);
-    }
-    if (e_.domain_begin_[d] % 64 != 0) {
-      engine_fail("domain-boundary", cycle, kInvalidId,
-                  "domain %zu starts at channel %u, not word-aligned", d,
-                  e_.domain_begin_[d]);
-    }
-  }
-
-  // Re-derive the feed-forward property the two-phase merge depends on:
-  // every switch's incoming channel ids strictly below its outgoing ones,
-  // so a phase-B move can only unblock a strictly lower channel and the
-  // current pass's bitmap stays immutable during phase A.  Also check it
-  // on the live allocation state: every held route must cross upward.
-  const std::size_t switches = e_.network_.switch_count();
-  std::vector<std::int64_t> in_max(switches, -1);
-  std::vector<std::int64_t> out_min(switches,
-                                    static_cast<std::int64_t>(channels));
-  e_.network_.for_each_channel([&](const PhysChannel& ch) {
-    if (ch.dst.is_switch()) {
-      in_max[ch.dst.id] =
-          std::max(in_max[ch.dst.id], static_cast<std::int64_t>(ch.id));
-    }
-    if (ch.src.is_switch()) {
-      out_min[ch.src.id] =
-          std::min(out_min[ch.src.id], static_cast<std::int64_t>(ch.id));
-    }
-  });
-  for (std::size_t sw = 0; sw < switches; ++sw) {
-    if (in_max[sw] >= out_min[sw]) {
-      engine_fail("domain-boundary", cycle, kInvalidId,
-                  "switch %zu breaks the feed-forward order: incoming "
-                  "channel %lld >= outgoing channel %lld (parallel advance "
-                  "requires the sequential fallback)",
-                  sw, static_cast<long long>(in_max[sw]),
-                  static_cast<long long>(out_min[sw]));
-    }
-  }
-  for (LaneId in = 0; in < e_.route_out_.size(); ++in) {
-    const LaneId out = e_.route_out_[in];
-    if (out == kInvalidId) continue;
-    if (e_.lane_channel_[in] >= e_.lane_channel_[out]) {
-      engine_fail("domain-boundary", cycle, in,
-                  "held route crosses downward from channel %u to %u",
-                  e_.lane_channel_[in], e_.lane_channel_[out]);
-    }
-  }
 }
 
 void EngineValidator::check_fault_state() {

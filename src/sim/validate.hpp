@@ -92,12 +92,6 @@ class EngineValidator {
   ///     header sits starved with every legal candidate faulty for two
   ///     consecutive sweeps (fault-routability: serve() must terminate
   ///     such worms, not stall them);
-  ///   * domain partition (engine_threads > 1): the domain table tiles
-  ///     the channel ids in word-aligned slices, the topology is
-  ///     feed-forward (every switch's incoming channel ids strictly below
-  ///     its outgoing ones), and every held route crosses channel ids
-  ///     upward — the properties the two-phase parallel advance's
-  ///     determinism proof rests on;
   ///   * deadlock watchdog: halfway to the engine's watchdog, build the
   ///     wait-for graph and abort early on a true cycle.
   void check_cycle_end();
@@ -124,7 +118,6 @@ class EngineValidator {
   void check_routing_legality();
   void check_active_sets();
   void check_fault_state();
-  void check_domain_partition();
   void maybe_probe_deadlock();
 
   const Engine& e_;

@@ -3,11 +3,8 @@
 // Attributes a run's wall time to the step() phases: flow-control event
 // drain, fault transitions, arrival generation (calendar maintenance
 // included), transmission starts, routing/allocation, the advance
-// fixpoint (split into the parallel decide phase A and the sequential
-// apply phase B when --engine-threads > 1), telemetry emission
-// (sampling + heartbeats), and validator sweeps.  Per-domain busy time
-// and imbalance for thread teams ride along from the engine's existing
-// domain_busy_seconds counters.
+// fixpoint, telemetry emission (sampling + heartbeats), and validator
+// sweeps.
 //
 // Same contract as every other telemetry hook: null-gated (one
 // predictable branch per phase boundary when off) and zero-feedback —
@@ -33,9 +30,10 @@ enum class EnginePhase : std::uint8_t {
   kArrivals,         ///< arrival calendar drain + message creation
   kStartTx,          ///< source port transmission starts
   kRouting,          ///< header routing + lane allocation
-  kAdvance,          ///< advance fixpoint, sequential passes + scan
-  kAdvanceDecide,    ///< parallel phase A (per-domain transmit decisions)
-  kAdvanceApply,     ///< sequential phase B (canonical-order applies)
+  kAdvance,          ///< advance fixpoint, passes + scan
+  // Always 0; kept because perfbench/runner/workloads.cpp reads them.
+  kAdvanceDecide,
+  kAdvanceApply,
   kTelemetry,        ///< interval sampling + heartbeat emission
   kValidate,         ///< invariant sweeps (WORMSIM_VALIDATE)
 };
@@ -100,12 +98,6 @@ class PhaseProfiler {
         std::chrono::duration<double>(now - last_).count();
     last_ = now;
   }
-  /// Adds externally measured time to a phase (phase-A team time is
-  /// already bracketed inside the advance fixpoint).
-  void add(EnginePhase phase, double seconds) {
-    profile_.seconds[static_cast<std::size_t>(phase)] += seconds;
-  }
-
   void set_total_seconds(double seconds) {
     profile_.total_seconds = seconds;
   }

@@ -13,7 +13,6 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "telemetry/json.hpp"
 #include "telemetry/profiler.hpp"
@@ -62,15 +61,6 @@ struct RunManifest {
                ? pool_busy_seconds / (wall_seconds * pool_threads)
                : 0.0;
   }
-
-  // Intra-simulation advance-team stats (sim/advance_team.hpp): the
-  // engine-thread count used for single points and the summed busy time
-  // each domain spent in the parallel decide phase.  engine_threads <= 1
-  // means the points ran sequentially; the "engine" object is then
-  // omitted from the JSON (additive, no version bump) — distinct from
-  // the "pool" object, which counts workers ACROSS points.
-  unsigned engine_threads = 0;
-  std::vector<double> engine_domain_busy_seconds;
 
   // Engine phase attribution (telemetry/profiler.hpp), emitted as a
   // "profile" object only when profile.enabled (SimConfig::telemetry

@@ -14,8 +14,8 @@
 // reference.  `const PhysChannel& ch = view.lane_channel(l);` still works
 // at call sites via const-ref lifetime extension.
 //
-// The per-call `materialized()` branch costs one predictable-branch test
-// on cold/warm paths only; the engines' hot loops run entirely on their
+// The per-call backend branch costs one predictable-branch test on
+// cold/warm paths only; the engines' hot loops run entirely on their
 // flattened SoA copies (DESIGN.md §12) and never touch this view.
 #pragma once
 
@@ -38,7 +38,6 @@ class NetView {
     WORMSIM_CHECK(implicit_ != nullptr);
   }
 
-  bool materialized() const { return net_ != nullptr; }
   /// The underlying graph; only for materialized-only consumers (heatmap
   /// grouping, partition analyses, multicast) — aborts on the implicit
   /// backend.

@@ -16,10 +16,7 @@
 // is idempotent dedup, and `consume()` re-reads the current word after
 // every callback, so a bit set ahead of the cursor — in the same word or
 // a later one — is picked up in exactly the position the old sorted
-// insert would have given it.  The word array also doubles as the
-// domain-partition interface for the parallel engine: a contiguous
-// channel-id range is a contiguous word range, scanned without touching
-// any other domain's words.
+// insert would have given it.
 #pragma once
 
 #include <bit>
@@ -43,7 +40,6 @@ class DenseBitset {
   }
 
   std::size_t size() const { return bits_; }
-  std::size_t word_count() const { return words_.size(); }
 
   void set(std::size_t i) {
     WORMSIM_DCHECK(i < bits_);
@@ -101,9 +97,9 @@ class DenseBitset {
   }
 
   /// Visits every set bit in [first, last) in ascending order without
-  /// clearing.  Safe while other positions are concurrently read; the
-  /// caller must not mutate this range during the walk (each word is
-  /// snapshotted once).  This is the parallel engine's per-domain scan.
+  /// clearing.  Each word is read once, when the walk reaches it, so
+  /// bits `fn` changes in the current word do not affect this walk while
+  /// changes to later words do.  Routing's rotated header scan uses it.
   template <typename Fn>
   void for_each_in(std::size_t first, std::size_t last, Fn&& fn) const {
     if (first >= last) return;

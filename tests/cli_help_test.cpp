@@ -63,10 +63,20 @@ TEST(CliExitStatus, OverflowingIntFlagFails) {
 }
 
 TEST(CliExitStatus, GarbageEngineThreadsEnvDies) {
-  // The knob is read by RunOptions::from_env before any simulation; a
-  // garbage value must kill the run (abort -> shell exit 134), never be
-  // half-parsed as 4.
-  EXPECT_NE(run(std::string("WORMSIM_ENGINE_THREADS=4x ") +
+  // WORMSIM_THREADS is read by RunOptions::from_env through
+  // util::env_u32_or before any simulation; a garbage value must kill the
+  // run (abort -> shell exit 134), never be half-parsed as 4.
+  EXPECT_NE(run(std::string("WORMSIM_THREADS=4x ") +
+                WORMSIM_FIGURES_CLI_PATH +
+                " --quick --figure=fig18a > /dev/null 2>&1"),
+            0);
+}
+
+// Regression: an unknown WORMSIM_FLOW_CONTROL scheme was silently ignored
+// and the run printed the credit-scheme table, while --flow-control=bogus
+// already exited 1.  The env knob must fail as loudly as the flag.
+TEST(CliExitStatus, UnknownFlowControlEnvDies) {
+  EXPECT_NE(run(std::string("WORMSIM_FLOW_CONTROL=bogus ") +
                 WORMSIM_FIGURES_CLI_PATH +
                 " --quick --figure=fig18a > /dev/null 2>&1"),
             0);

@@ -21,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "routing/router.hpp"
@@ -142,8 +141,7 @@ traffic::WorkloadSpec golden_workload() {
   return workload;
 }
 
-SimResult run_case(const GoldenCase& gc, bool worm_trace = false,
-                   std::uint32_t engine_threads = 1) {
+SimResult run_case(const GoldenCase& gc, bool worm_trace = false) {
   const topology::Network net = topology::build_network(golden_network(gc.kind));
   const auto router = routing::make_router(net);
   traffic::WorkloadSpec workload = golden_workload();
@@ -156,7 +154,6 @@ SimResult run_case(const GoldenCase& gc, bool worm_trace = false,
     config.measure_cycles = 4'000;
     config.drain_cycles = 1'500;
     config.telemetry.worm_trace = worm_trace;
-    config.engine_threads = engine_threads;  // accepted and ignored
     StoreForwardEngine engine(net, *router, &traffic, config);
     return engine.run();
   }
@@ -172,10 +169,6 @@ SimResult run_case(const GoldenCase& gc, bool worm_trace = false,
   config.telemetry.sample_interval_cycles = 256;
   config.telemetry.sample_capacity = 64;
   config.telemetry.worm_trace = worm_trace;
-  config.engine_threads = engine_threads;
-  // Real multi-domain teams even on small CI hosts: the determinism
-  // claim is about domain count, not about physical parallelism.
-  config.engine_threads_exact = engine_threads > 1;
   Engine engine(net, *router, &traffic, config);
   return engine.run();
 }
@@ -229,94 +222,6 @@ TEST(Golden, TraceOnDigestsBitwiseUnchanged) {
               kExpected[i].delivered_messages_total);
     EXPECT_EQ(bits_of(r.latency_cycles.mean()),
               kExpected[i].latency_mean_bits);
-  }
-}
-
-// Requesting a wider advance team must never change results: on these
-// small nets (one bitset word) every width clamps back to one domain,
-// BMIN additionally exercises the not-feed-forward fallback, and the
-// store-and-forward engine ignores the knob outright — all digests must
-// still match the committed snapshot bit for bit.
-TEST(Golden, ThreadWidthsMatchCommittedSnapshot) {
-  ASSERT_EQ(std::size(kExpected), std::size(kCases));
-  for (std::uint32_t threads : {2u, 4u, 8u}) {
-    for (std::size_t i = 0; i < std::size(kCases); ++i) {
-      SCOPED_TRACE(std::string(kCases[i].name) + " threads=" +
-                   std::to_string(threads));
-      const SimResult r = run_case(kCases[i], /*worm_trace=*/false, threads);
-      EXPECT_EQ(digest(r), kExpected[i].digest);
-      EXPECT_EQ(r.delivered_messages_total,
-                kExpected[i].delivered_messages_total);
-      EXPECT_EQ(bits_of(r.latency_cycles.mean()),
-                kExpected[i].latency_mean_bits);
-    }
-  }
-}
-
-// The real determinism claim (DESIGN.md §12): on a network large enough
-// for genuine multi-word domains, every advance-team width produces the
-// same bits as the sequential engine, for every flow-control scheme.
-// engine_threads_used proves each width actually ran that many domains.
-SimResult run_multidomain(FlowControlScheme scheme, std::uint32_t depth,
-                          std::uint32_t credit_delay,
-                          std::uint32_t engine_threads) {
-  topology::NetworkConfig nc;
-  nc.kind = topology::NetworkKind::kTMIN;
-  nc.topology = "cube";
-  nc.radix = 4;
-  nc.stages = 4;
-  nc.dilation = 1;
-  nc.vcs = 2;
-  const topology::Network net = topology::build_network(nc);
-  const auto router = routing::make_router(net);
-  traffic::WorkloadSpec workload = golden_workload();
-  traffic::StandardTraffic traffic(net, workload);
-  SimConfig config;
-  config.seed = 11;
-  config.warmup_cycles = 300;
-  config.measure_cycles = 2'000;
-  config.drain_cycles = 900;
-  config.flow_control = scheme;
-  config.buffer_depth = depth;
-  config.credit_delay = credit_delay;
-  config.record_channel_utilization = true;
-  config.telemetry.counters = true;
-  config.engine_threads = engine_threads;
-  config.engine_threads_exact = engine_threads > 1;
-  Engine engine(net, *router, &traffic, config);
-  return engine.run();
-}
-
-TEST(Golden, MultiDomainWidthsBitwiseIdentical) {
-  struct SchemeCase {
-    const char* name;
-    FlowControlScheme scheme;
-    std::uint32_t depth;
-    std::uint32_t credit_delay;
-  };
-  // VCT needs room for a whole worm (workload length <= 64 flits).
-  constexpr SchemeCase kSchemes[] = {
-      {"credit", FlowControlScheme::kCredit, 4, 2},
-      {"onoff", FlowControlScheme::kOnOff, 8, 2},
-      {"vct", FlowControlScheme::kVirtualCutThrough, 64, 0},
-  };
-  for (const SchemeCase& sc : kSchemes) {
-    SCOPED_TRACE(sc.name);
-    const SimResult base =
-        run_multidomain(sc.scheme, sc.depth, sc.credit_delay, 1);
-    ASSERT_EQ(base.engine_threads_used, 1u);
-    for (std::uint32_t threads : {2u, 4u, 8u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      const SimResult r =
-          run_multidomain(sc.scheme, sc.depth, sc.credit_delay, threads);
-      // The 1280-channel net spans 20 bitset words, so no width here
-      // clamps: the parallel decide/merge path genuinely ran.
-      ASSERT_EQ(r.engine_threads_used, threads);
-      EXPECT_EQ(digest(r), digest(base));
-      EXPECT_EQ(r.delivered_messages_total, base.delivered_messages_total);
-      EXPECT_EQ(bits_of(r.latency_cycles.mean()),
-                bits_of(base.latency_cycles.mean()));
-    }
   }
 }
 

@@ -336,26 +336,9 @@ TEST(ImplicitBackend, FlowControlSchemesBitwiseIdentical) {
   }
 }
 
-// Multi-domain advance over the implicit backend: the feed-forward
-// property holds by construction for unidirectional networks, so wider
-// teams must still match the sequential materialized run bit for bit.
-TEST(ImplicitBackend, EngineThreadsBitwiseIdentical) {
-  const NetworkConfig net = base_config(NetworkKind::kTMIN);
-  const SimResult sequential =
-      run_backend(net, test_sim_config(), Backend::kMaterialized);
-  for (std::uint32_t threads : {2u, 4u}) {
-    sim::SimConfig config = test_sim_config();
-    config.engine_threads = threads;
-    config.engine_threads_exact = true;
-    SCOPED_TRACE(threads);
-    EXPECT_EQ(digest(run_backend(net, config, Backend::kImplicit)),
-              digest(sequential));
-  }
-}
-
 // A mid-size implicit run under the full runtime validator: every
 // invariant the validator checks (active sets, lane states, credit
-// conservation, domain partition) must hold when topology records are
+// conservation) must hold when topology records are
 // recomputed on the fly rather than read from the graph.
 TEST(ImplicitBackend, ValidatorCleanOnMidSizeNetwork) {
   NetworkConfig net;

@@ -91,11 +91,29 @@ TEST(Scheduler, PoolMatchesSequentialBitwise) {
   PoolOptions sequential;
   sequential.threads = 1;
   const auto base = run_series_pool(specs, options, sequential);
-  for (unsigned threads : {2u, 3u, 8u, 16u}) {
+  // 0 = one worker per hardware thread; 16 is more workers than points.
+  for (unsigned threads : {0u, 2u, 3u, 8u, 16u}) {
     SCOPED_TRACE(threads);
     PoolOptions pool;
     pool.threads = threads;
     expect_series_eq(base, run_series_pool(specs, options, pool));
+  }
+}
+
+// A real registered figure, run through the same entry point figures_cli
+// and the bench harness use (--threads), must produce bitwise-identical
+// points in every field whether the series run sequentially or fanned out
+// over the worker pool.
+TEST(Scheduler, FigureSubsetBitwiseEqual) {
+  for (const char* id : {"fig16a", "fig18a"}) {
+    SCOPED_TRACE(id);
+    RunOptions options;
+    options.quick = true;
+    options.seed = 99;
+    options.threads = 1;
+    const FigureResult sequential = run_figure(id, options);
+    options.threads = 3;
+    expect_series_eq(sequential.series, run_figure(id, options).series);
   }
 }
 

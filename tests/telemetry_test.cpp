@@ -568,27 +568,6 @@ TEST(ResultWriter, ManifestEmbedsPoolAndCacheInstrumentation) {
   EXPECT_EQ(cache.at("stores").as_uint(), 10u);
 }
 
-TEST(ResultWriter, ManifestEmbedsEngineInstrumentation) {
-  RunManifest manifest;
-  manifest.id = "fig18a";
-  manifest.engine_threads = 4;
-  manifest.engine_domain_busy_seconds = {1.0, 2.0, 0.5, 0.25};
-
-  const JsonValue doc = manifest_to_json(manifest);
-  const JsonValue& engine = doc.at("engine");
-  EXPECT_EQ(engine.at("threads").as_uint(), 4u);
-  const auto& per_domain = engine.at("domain_busy_seconds").items();
-  ASSERT_EQ(per_domain.size(), 4u);
-  EXPECT_DOUBLE_EQ(per_domain[1].as_number(), 2.0);
-  EXPECT_DOUBLE_EQ(engine.at("busy_seconds").as_number(), 3.75);
-
-  // A sequential run (width 0 or 1) omits the object entirely — the
-  // "engine" key's presence is itself the signal telemetry_report --dir
-  // keys its column on.
-  manifest.engine_threads = 1;
-  EXPECT_EQ(manifest_to_json(manifest).find("engine"), nullptr);
-}
-
 TEST(ResultWriter, WritesAndReadsBackThroughTheFilesystem) {
   const std::string dir = testing::TempDir() + "wormsim_result_writer";
   const ResultWriter writer(dir);

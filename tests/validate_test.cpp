@@ -1,15 +1,17 @@
 // Fault-injection tests for the runtime invariant checkers
 // (src/sim/validate.hpp).  Each test builds a healthy simulation, steps it
 // until the interesting state exists, corrupts ONE piece of the engine's
-// incrementally maintained bookkeeping through the test-peer backdoor, and
-// expects the matching checker to abort naming exactly that invariant.
-// The corruption happens inside the death-test child process, so the
-// parent engine stays intact.
+// incrementally maintained bookkeeping through the test-peer backdoor (or
+// hands the checker one bogus transfer or doctored result), and expects
+// the matching checker to abort naming exactly that invariant.  The
+// corruption happens inside the death-test child process, so the parent
+// engine stays intact.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "routing/router.hpp"
@@ -41,8 +43,9 @@ struct EngineTestPeer {
     return e.channel_sources_;
   }
   static util::DenseBitset& seed_bits(Engine& e) { return e.seed_bits_; }
-  static std::vector<std::uint32_t>& domain_begin(Engine& e) {
-    return e.domain_begin_;
+  static util::DenseBitset& next_pass(Engine& e) { return e.next_pass_; }
+  static std::vector<std::uint8_t>& tx_pending_flag(Engine& e) {
+    return e.tx_pending_flag_;
   }
   static std::vector<PacketState>& packets(Engine& e) { return e.packets_; }
   static std::int64_t& occupied(Engine& e) { return e.occupied_; }
@@ -75,6 +78,10 @@ struct StoreForwardTestPeer {
   }
   static bool& lane_transmitting(StoreForwardEngine& e, topology::LaneId l) {
     return e.lanes_[l].transmitting;
+  }
+  static std::uint32_t& lane_incoming(StoreForwardEngine& e,
+                                      topology::LaneId l) {
+    return e.lanes_[l].incoming;
   }
   static StoreForwardValidator& validator(StoreForwardEngine& e) {
     return *e.validator_;
@@ -326,34 +333,29 @@ TEST_F(EngineCorruption, DroppedSeedBitCaught) {
       "invariant 'event-frontier'.*not scheduled");
 }
 
-TEST(DomainCorruption, MisalignedDomainBoundaryCaught) {
-  // The engine under test owns a live worker team, so the default
-  // fork-style death test can deadlock if the fork lands while a worker
-  // holds a libc-internal lock; fork+exec re-runs the test fresh in the
-  // child instead.
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // A 64-node TMIN has 256 channels (4 bitset words), enough for two
-  // word-aligned advance domains; engine_threads_exact forces a real
-  // team regardless of the host's core count.
-  const Network net = topology::build_network(
-      net_config(NetworkKind::kTMIN, "cube", 4, 3));
-  const auto router = routing::make_router(net);
-  SimConfig config = validating_config();
-  config.engine_threads = 2;
-  config.engine_threads_exact = true;
-  Engine engine(net, *router, nullptr, config);
-  ASSERT_EQ(engine.engine_threads(), 2u);
-  engine.inject_message(0, 7, 8);
-  for (int i = 0; i < 4; ++i) engine.step();
+TEST_F(EngineCorruption, LeftoverAdvanceWorklistBitCaught) {
+  step_until([&] { return buffered_lane() != kInvalidId; });
   EXPECT_DEATH(
       {
-        // Shift the interior boundary off its word: two domains would
-        // scan overlapping words and the merge order would no longer be
-        // canonical.
-        ++EngineTestPeer::domain_begin(engine)[1];
-        EngineTestPeer::validator(engine).check_cycle_end();
+        // advance_pass() must drain both fixpoint worklists before the
+        // cycle ends; a surviving bit would replay a move next cycle.
+        EngineTestPeer::next_pass(engine_).set(0);
+        EngineTestPeer::validator(engine_).check_cycle_end();
       },
-      "invariant 'domain-boundary'.*not word-aligned");
+      "invariant 'event-frontier'.*survived past the fixpoint");
+}
+
+TEST_F(EngineCorruption, UnlistedTxPendingFlagCaught) {
+  step_until([&] { return buffered_lane() != kInvalidId; });
+  EXPECT_DEATH(
+      {
+        // Node 3 has nothing to send.  Flagging it pending without
+        // listing it means mark_tx_pending() would never list it again,
+        // so start_transmissions() would skip its next message forever.
+        EngineTestPeer::tx_pending_flag(engine_)[3] = 1;
+        EngineTestPeer::validator(engine_).check_cycle_end();
+      },
+      "invariant 'tx-pending'.*node 3 flagged pending but not listed");
 }
 
 TEST(BminCorruption, SkippedTurnTripsRoutingLegality) {
@@ -527,6 +529,106 @@ TEST(OnOffCorruption, StuckStopBitTripsLiveness) {
       "invariant 'onoff-liveness'.*no GO in flight");
 }
 
+TEST(FifoCorruption, ReorderedSlotTripsFifoOrder) {
+  // Two 16-flit worms from the same first-stage switch to the same
+  // destination: the loser waits for the shared output, and flits of one
+  // worm stack up in its 4-deep fifos.
+  const Network net = topology::build_network(
+      net_config(NetworkKind::kTMIN, "cube", 2, 3));
+  const auto router = routing::make_router(net);
+  SimConfig config = validating_config();
+  config.buffer_depth = 4;
+  Engine engine(net, *router, nullptr, config);
+  engine.inject_message(0, 7, 16);
+  engine.inject_message(1, 7, 16);
+  const FlowControlState& fc = engine.flow_control();
+  // First lane whose head slot and the slot behind it hold one worm.
+  const auto stacked_lane = [&]() -> LaneId {
+    for (LaneId lane = 0; lane < fc.count.size(); ++lane) {
+      if (fc.count[lane] >= 2 &&
+          fc.ext_packet[fc.ext_base(lane)] == engine.buffered_packet(lane)) {
+        return lane;
+      }
+    }
+    return kInvalidId;
+  };
+  for (int i = 0; i < 50 && stacked_lane() == kInvalidId; ++i) engine.step();
+  ASSERT_NE(stacked_lane(), kInvalidId);
+  EXPECT_DEATH(
+      {
+        // Swap the head flit with the one queued behind it.  The worm
+        // still holds the same seqs, so only the fifo order is wrong.
+        const LaneId lane = stacked_lane();
+        FlowControlState& state = EngineTestPeer::fc(engine);
+        std::swap(EngineTestPeer::buf_seq(engine)[lane],
+                  state.ext_seq[state.ext_base(lane)]);
+        EngineTestPeer::validator(engine).check_cycle_end();
+      },
+      "invariant 'fifo-order'.*does not follow");
+}
+
+// ---- End-of-run reconciliation --------------------------------------------
+
+/// A short validated run with counters on.  Two 8-flit worms are delivered
+/// inside the measurement window, and run() has already reconciled the
+/// result once.  Each test doctors one field of a copy of that result.
+class FinalCorruption : public ::testing::Test {
+ protected:
+  FinalCorruption()
+      : net_(topology::build_network(
+            net_config(NetworkKind::kTMIN, "cube", 2, 3))),
+        router_(routing::make_router(net_)),
+        engine_(net_, *router_, nullptr, config()) {
+    engine_.inject_message(0, 7, 8);
+    engine_.inject_message(3, 4, 8);
+    result_ = engine_.run();
+  }
+
+  static SimConfig config() {
+    SimConfig config = validating_config();
+    config.measure_cycles = 400;
+    config.drain_cycles = 100;
+    config.telemetry.counters = true;
+    return config;
+  }
+
+  Network net_;
+  std::unique_ptr<routing::Router> router_;
+  Engine engine_;
+  SimResult result_;
+};
+
+TEST_F(FinalCorruption, DeliveryCountTripsResultReconcile) {
+  ASSERT_EQ(result_.delivered_messages_total, 2u);
+  EXPECT_DEATH(
+      {
+        SimResult doctored = result_;
+        ++doctored.delivered_messages_total;
+        EngineTestPeer::validator(engine_).check_final(doctored);
+      },
+      "invariant 'result-reconcile'.*2 packets delivered but the result "
+      "says 3");
+}
+
+TEST_F(FinalCorruption, EjectionCounterTripsTelemetryReconcile) {
+  ASSERT_EQ(result_.delivered_flits_in_window, 16u);
+  EXPECT_DEATH(
+      {
+        // One extra crossing on the first ejection lane: the per-lane
+        // counters no longer add up to the window's deliveries.
+        SimResult doctored = result_;
+        for (LaneId lane = 0; lane < net_.lane_count(); ++lane) {
+          if (net_.lane_channel(lane).dst.is_node()) {
+            ++doctored.telemetry_counters.lane_flits[lane];
+            break;
+          }
+        }
+        EngineTestPeer::validator(engine_).check_final(doctored);
+      },
+      "invariant 'telemetry-reconcile'.*counted 17 flit crossings but the "
+      "window delivered 16");
+}
+
 // ---- Store-and-forward corruptions ----------------------------------------
 
 StoreForwardConfig sf_validating_config() {
@@ -593,6 +695,55 @@ TEST_F(StoreForwardCorruption, PhantomTransmitFlagCaught) {
         StoreForwardTestPeer::validator(engine_).check_event_end();
       },
       "invariant 'sf-transfer-accounting'.*transmit flag");
+}
+
+TEST_F(StoreForwardCorruption, OverfullLaneBufferCaught) {
+  EXPECT_DEATH(
+      {
+        // Reserve two slots in node 1's idle one-packet injection buffer.
+        const LaneId lane =
+            net_.channel(net_.injection_channel(1)).first_lane;
+        StoreForwardTestPeer::lane_incoming(engine_, lane) = 2;
+        StoreForwardTestPeer::validator(engine_).check_event_end();
+      },
+      "invariant 'sf-buffer-overflow'.*exceed the 1-packet buffer");
+}
+
+TEST_F(StoreForwardCorruption, OverlappingTransferTripsChannelExclusivity) {
+  EXPECT_DEATH(
+      {
+        // Start packet 0 across node 0's link a second time while its
+        // first transfer still holds the wires.
+        const LaneId lane =
+            net_.channel(net_.injection_channel(0)).first_lane;
+        StoreForwardTestPeer::validator(engine_).on_transfer_start(
+            0, kInvalidId, lane);
+      },
+      "invariant 'sf-channel-exclusivity'.*busy until");
+}
+
+TEST_F(StoreForwardCorruption, UnqueuedPacketTransferTripsQueueOrder) {
+  // The packet exists but only enters node 1's queue at time 100.
+  const PacketId later = engine_.inject_message(1, 6, 4, /*when=*/100);
+  EXPECT_DEATH(
+      {
+        const LaneId lane =
+            net_.channel(net_.injection_channel(1)).first_lane;
+        StoreForwardTestPeer::validator(engine_).on_transfer_start(
+            later, kInvalidId, lane);
+      },
+      "invariant 'sf-queue-order'.*not its idle queue head");
+}
+
+TEST_F(StoreForwardCorruption, DeliveryCountTripsResultReconcile) {
+  ASSERT_TRUE(engine_.run_until_idle(1'000));
+  EXPECT_DEATH(
+      {
+        // The packet was delivered; a result claiming none must not pass.
+        StoreForwardTestPeer::validator(engine_).check_final(SimResult{});
+      },
+      "invariant 'result-reconcile'.*1 packets delivered but the result "
+      "says 0");
 }
 
 // The validator must be a pure observer: the same run with and without it
