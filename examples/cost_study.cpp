@@ -5,7 +5,7 @@
 // rank the designs by throughput per cost unit — quantifying the paper's
 // conclusion that the two-dilated MIN is "the most cost effective design".
 //
-// Usage: cost_study [--quick] [--seed=3]
+// Usage: cost_study [--quick] [--seed=3] [--buffer-depth=4] ...
 
 #include <iostream>
 
@@ -19,20 +19,18 @@
 int main(int argc, char** argv) {
   using namespace wormsim;
 
-  bool quick = false;
-  std::int64_t seed = 3;
+  experiment::RunOptions options;
+  options.seed = 3;
   util::CliParser cli("cost_study: hardware cost vs delivered performance");
-  cli.add_flag("quick", &quick, "smoke mode (short simulations)");
-  cli.add_flag("seed", &seed, "random seed");
+  experiment::bind_run_knobs(cli, &options,
+                             experiment::knob::kQuick |
+                                 experiment::knob::kSeed |
+                                 experiment::knob::kScenario);
   switch (cli.parse(argc, argv)) {
     case util::CliParser::Status::kHelp: return 0;
     case util::CliParser::Status::kError: return 1;
     case util::CliParser::Status::kOk: break;
   }
-
-  experiment::RunOptions options = experiment::RunOptions::from_env();
-  options.quick = options.quick || quick;
-  options.seed = static_cast<std::uint64_t>(seed);
 
   const std::vector<topology::NetworkConfig> configs = {
       experiment::tmin_config(), experiment::dmin_config(),

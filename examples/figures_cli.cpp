@@ -9,11 +9,13 @@
 //
 // --shard=i/n runs the i-th of n deterministic, figure-aligned partitions
 // of the full suite's figure x point work list (CI fans the suite out over
-// a matrix; the union of all shards is exactly --all).  --cache-dir (or
-// WORMSIM_CACHE_DIR) replays content-addressed point results from disk —
-// outputs stay byte-identical to an uncached sequential run.  --out-dir
-// writes each figure's table to <dir>/<id>.txt (or .csv with --csv)
-// instead of stdout, the exact bytes committed under results/.
+// a matrix; the union of all shards is exactly --all).  --cache-dir
+// replays content-addressed point results from disk — outputs stay
+// byte-identical to an uncached sequential run.  --out-dir writes each
+// figure's table to <dir>/<id>.txt (or .csv with --csv) instead of
+// stdout, the exact bytes committed under results/.  Every shared run
+// knob (experiment/run_options.hpp) is a flag here, defaulting to its
+// WORMSIM_* variable.
 
 #include <algorithm>
 #include <filesystem>
@@ -30,83 +32,22 @@ int main(int argc, char** argv) {
   std::string figure = "fig18a";
   bool list = false;
   bool all = false;
-  bool quick = false;
   bool csv = false;
-  std::int64_t seed = 20250707;
-  std::int64_t threads = 0;
-  bool implicit_topology = false;
   std::string shard;
-  std::string cache_dir;
   std::string out_dir;
-  std::string json_dir;
-  std::int64_t buffer_depth = 0;
-  std::string flow_control;
-  std::int64_t credit_delay = -1;
-  double fault_fraction = -1.0;
-  std::int64_t fault_seed = -1;
-  std::int64_t fault_at_cycle = -1;
-  std::int64_t heartbeat_cycles = 0;
-  std::string heartbeat_dir;
-  bool profile = false;
+  experiment::RunOptions options;
   util::CliParser cli("figures_cli: run a paper figure reproduction");
   cli.add_flag("figure", &figure, "figure id (see --list)");
   cli.add_flag("list", &list, "list registered figure ids");
   cli.add_flag("all", &all, "run every registered figure");
-  cli.add_flag("quick", &quick, "smoke-test mode (tiny simulations)");
   cli.add_flag("csv", &csv, "emit machine-readable CSV instead of tables");
-  cli.add_flag("seed", &seed, "random seed");
-  cli.add_flag("threads", &threads,
-               "worker threads for the point-granular sweep pool (0 = "
-               "WORMSIM_THREADS env or sequential); results match the "
-               "sequential run bitwise");
-  cli.add_flag("implicit-topology", &implicit_topology,
-               "compute topology records on the fly instead of "
-               "materializing the graph (bitwise neutral; the million-node "
-               "memory lever — see DESIGN.md §13)");
   cli.add_flag("shard", &shard,
                "with --all: run shard i of n (\"i/n\", 0-based) of the "
                "deterministic figure partition");
-  cli.add_flag("cache-dir", &cache_dir,
-               "content-addressed sweep-point cache directory (default "
-               "WORMSIM_CACHE_DIR env; empty = no cache)");
   cli.add_flag("out-dir", &out_dir,
                "write each figure to <dir>/<id>.txt (or .csv) instead of "
                "stdout");
-  cli.add_flag("json-dir", &json_dir,
-               "also write <dir>/<id>.json results (default "
-               "WORMSIM_JSON_DIR env)");
-  cli.add_flag("buffer-depth", &buffer_depth,
-               "per-lane input fifo depth in flits (0 = "
-               "WORMSIM_BUFFER_DEPTH env or 1)");
-  cli.add_flag("flow-control", &flow_control,
-               "backpressure scheme: credit, onoff, or vct (default "
-               "WORMSIM_FLOW_CONTROL env or credit)");
-  cli.add_flag("credit-delay", &credit_delay,
-               "credit/signal return delay in cycles (-1 = "
-               "WORMSIM_CREDIT_DELAY env or 0)");
-  cli.add_flag("fault-fraction", &fault_fraction,
-               "kill this fraction of interior channels mid-run "
-               "(DESIGN.md §14; -1 = WORMSIM_FAULT_FRACTION env or 0); "
-               "dedicated fault figures override it per series");
-  cli.add_flag("fault-seed", &fault_seed,
-               "fault-plan RNG seed, independent of --seed (-1 = "
-               "WORMSIM_FAULT_SEED env or 1)");
-  cli.add_flag("fault-at-cycle", &fault_at_cycle,
-               "cycle the fault plan lands (-1 = WORMSIM_FAULT_AT_CYCLE "
-               "env or 0)");
-  cli.add_flag("heartbeat-cycles", &heartbeat_cycles,
-               "append an NDJSON heartbeat snapshot every N simulated "
-               "cycles (DESIGN.md §15; 0 = WORMSIM_HEARTBEAT env or off); "
-               "results stay bitwise identical either way");
-  cli.add_flag("heartbeat-dir", &heartbeat_dir,
-               "heartbeat stream root; each figure writes "
-               "<dir>/<id>/<point>.ndjson + .status.json (default "
-               "WORMSIM_HEARTBEAT_DIR env or .); watch live with "
-               "telemetry_report --watch <dir>");
-  cli.add_flag("profile", &profile,
-               "attribute engine wall time to advance/routing/... phase "
-               "buckets in the JSON manifest (default WORMSIM_PROFILE "
-               "env; diagnostics only)");
+  experiment::bind_run_knobs(cli, &options, experiment::knob::kAll);
   switch (cli.parse(argc, argv)) {
     case util::CliParser::Status::kHelp: return 0;
     case util::CliParser::Status::kError: return 1;
@@ -119,41 +60,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-
-  experiment::RunOptions options = experiment::RunOptions::from_env();
-  options.quick = options.quick || quick;
-  options.seed = static_cast<std::uint64_t>(seed);
-  if (threads > 0) options.threads = static_cast<unsigned>(threads);
-  options.implicit_topology = options.implicit_topology || implicit_topology;
-  if (!cache_dir.empty()) options.cache_dir = cache_dir;
-  if (!json_dir.empty()) options.json_dir = json_dir;
-  if (buffer_depth > 0) {
-    options.buffer_depth = static_cast<std::uint32_t>(buffer_depth);
-  }
-  if (!flow_control.empty()) {
-    const auto scheme = sim::parse_flow_control(flow_control);
-    if (!scheme) {
-      std::cerr << "bad --flow-control '" << flow_control
-                << "'; expected credit, onoff, or vct\n";
-      return 1;
-    }
-    options.flow_control = *scheme;
-  }
-  if (credit_delay >= 0) {
-    options.credit_delay = static_cast<std::uint32_t>(credit_delay);
-  }
-  if (fault_fraction >= 0.0) options.fault_fraction = fault_fraction;
-  if (fault_seed >= 0) {
-    options.fault_seed = static_cast<std::uint64_t>(fault_seed);
-  }
-  if (fault_at_cycle >= 0) {
-    options.fault_at_cycle = static_cast<std::uint64_t>(fault_at_cycle);
-  }
-  if (heartbeat_cycles > 0) {
-    options.heartbeat_cycles = static_cast<std::uint64_t>(heartbeat_cycles);
-  }
-  if (!heartbeat_dir.empty()) options.heartbeat_dir = heartbeat_dir;
-  options.profile = options.profile || profile;
 
   unsigned shard_index = 0;
   unsigned shard_count = 1;

@@ -21,12 +21,13 @@
 //       additionally writes one Perfetto per-worm trace per series into
 //       DIR (and implies --stalls).
 //   telemetry_report --figure=fig18a --load=0.5 --profile
-//       Adds the engine phase-attribution table (DESIGN.md §15) to the
-//       per-series report: wall seconds per engine phase and the
-//       coverage of the attribution against total engine wall time.
+//       Profiles the runs and adds the engine phase-attribution table
+//       (DESIGN.md §15) to the per-series report: wall seconds per engine
+//       phase and the coverage of the attribution against total engine
+//       wall time.
 //   telemetry_report --watch=DIR [--watch-iterations=N]
 //                    [--watch-interval-ms=M]
-//       Live view of a heartbeat directory (WORMSIM_HEARTBEAT /
+//       Live view of a heartbeat directory (--heartbeat-cycles /
 //       --heartbeat-dir on figures_cli): polls every *.status.json under
 //       DIR and renders one row per run until all runs finish (or N
 //       iterations elapse).  Status files are rewritten atomically, so
@@ -106,7 +107,7 @@ void print_phase_profile(const telemetry::PhaseProfile& profile,
 }
 
 int report_figure(const std::string& figure, double load,
-                  const experiment::RunOptions& options, bool profile) {
+                  const experiment::RunOptions& options) {
   if (!experiment::figure_exists(figure)) {
     std::cerr << "unknown figure '" << figure << "'\n";
     return 1;
@@ -117,11 +118,10 @@ int report_figure(const std::string& figure, double load,
   for (const experiment::SeriesSpec& series : spec.series) {
     experiment::SeriesSpec tweaked = series;
     auto base_tweak = series.tweak_sim;
-    tweaked.tweak_sim = [base_tweak, profile](sim::SimConfig& config) {
+    tweaked.tweak_sim = [base_tweak](sim::SimConfig& config) {
       if (base_tweak) base_tweak(config);
       config.telemetry.counters = true;
       config.telemetry.sampling = true;
-      config.telemetry.profile = config.telemetry.profile || profile;
     };
     sim::SimResult result;
     const experiment::SweepPoint point = experiment::run_point(
@@ -613,19 +613,13 @@ int main(int argc, char** argv) {
   std::string chrome;
   double load = 0.5;
   std::int64_t messages = 8;
-  bool quick = false;
   bool stalls = false;
-  bool profile = false;
   std::string watch;
   std::int64_t watch_iterations = 0;
   std::int64_t watch_interval_ms = 1000;
   std::string check_stream_path;
   std::string worm_trace_dir;
-  std::int64_t seed = 20250707;
-  std::int64_t buffer_depth = 0;
-  std::string flow_control;
-  std::int64_t credit_delay = -1;
-  bool implicit_topology = false;
+  experiment::RunOptions options;
   util::CliParser cli(
       "telemetry_report: channel heatmaps, trace export, results summary");
   cli.add_flag("figure", &figure, "figure id to run with telemetry on");
@@ -635,9 +629,6 @@ int main(int argc, char** argv) {
   cli.add_flag("messages", &messages, "worms to record for --chrome");
   cli.add_flag("stalls", &stalls,
                "per-worm stall attribution view for --figure");
-  cli.add_flag("profile", &profile,
-               "engine phase-attribution table for --figure (DESIGN.md "
-               "§15)");
   cli.add_flag("watch", &watch,
                "live view of a heartbeat directory: poll every "
                "*.status.json under DIR until all runs finish");
@@ -651,20 +642,11 @@ int main(int argc, char** argv) {
                "any violation");
   cli.add_flag("worm-trace", &worm_trace_dir,
                "write per-worm Perfetto traces here (implies --stalls)");
-  cli.add_flag("quick", &quick, "smoke-test simulation sizes");
-  cli.add_flag("seed", &seed, "random seed");
-  cli.add_flag("buffer-depth", &buffer_depth,
-               "per-lane input fifo depth in flits (0 = "
-               "WORMSIM_BUFFER_DEPTH env or 1)");
-  cli.add_flag("flow-control", &flow_control,
-               "backpressure scheme: credit, onoff, or vct (default "
-               "WORMSIM_FLOW_CONTROL env or credit)");
-  cli.add_flag("credit-delay", &credit_delay,
-               "credit/signal return delay in cycles (-1 = "
-               "WORMSIM_CREDIT_DELAY env or 0)");
-  cli.add_flag("implicit-topology", &implicit_topology,
-               "compute topology records on the fly instead of "
-               "materializing the graph (bitwise neutral)");
+  experiment::bind_run_knobs(
+      cli, &options,
+      experiment::knob::kQuick | experiment::knob::kSeed |
+          experiment::knob::kScenario | experiment::knob::kHeartbeat |
+          experiment::knob::kProfile);
   switch (cli.parse(argc, argv)) {
     case util::CliParser::Status::kHelp: return 0;
     case util::CliParser::Status::kError: return 1;
@@ -677,32 +659,9 @@ int main(int argc, char** argv) {
                            std::max<std::int64_t>(1, watch_interval_ms));
   }
   if (!dir.empty()) return report_directory(dir);
-  if (!chrome.empty()) {
-    return export_chrome(chrome, messages,
-                         static_cast<std::uint64_t>(seed));
-  }
-  experiment::RunOptions options = experiment::RunOptions::from_env();
-  options.quick = options.quick || quick;
-  options.seed = static_cast<std::uint64_t>(seed);
-  if (buffer_depth > 0) {
-    options.buffer_depth = static_cast<std::uint32_t>(buffer_depth);
-  }
-  if (!flow_control.empty()) {
-    const auto scheme = sim::parse_flow_control(flow_control);
-    if (!scheme) {
-      std::cerr << "bad --flow-control '" << flow_control
-                << "'; expected credit, onoff, or vct\n";
-      return 1;
-    }
-    options.flow_control = *scheme;
-  }
-  if (credit_delay >= 0) {
-    options.credit_delay = static_cast<std::uint32_t>(credit_delay);
-  }
-  options.implicit_topology = options.implicit_topology || implicit_topology;
-  options.json_dir.clear();  // reporting only; never writes results
+  if (!chrome.empty()) return export_chrome(chrome, messages, options.seed);
   if (stalls || !worm_trace_dir.empty()) {
     return report_stalls(figure, load, options, worm_trace_dir);
   }
-  return report_figure(figure, load, options, profile);
+  return report_figure(figure, load, options);
 }

@@ -97,13 +97,18 @@ int main(int argc, char** argv) {
   util::Table table({"channel", "role", "level", "address", "from", "to",
                      "lanes"});
   auto endpoint_name = [&](const topology::Endpoint& ep) {
-    if (ep.is_node()) return "node " + addr.format(ep.id);
+    std::string name = ep.is_node() ? "node " : "G";
+    if (ep.is_node()) {
+      name += addr.format(ep.id);
+      return name;
+    }
     const topology::Switch& sw = net.switch_ref(ep.id);
-    return "G" + std::to_string(sw.stage) + "." +
-           std::to_string(sw.index) + (ep.side == topology::Side::kLeft
-                                           ? ".l"
-                                           : ".r") +
-           std::to_string(ep.port);
+    name += std::to_string(sw.stage);
+    name += '.';
+    name += std::to_string(sw.index);
+    name += ep.side == topology::Side::kLeft ? ".l" : ".r";
+    name += std::to_string(ep.port);
+    return name;
   };
   for (const topology::PhysChannel& ch : net.channels()) {
     table.row()

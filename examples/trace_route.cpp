@@ -90,16 +90,21 @@ int main(int argc, char** argv) {
     if (lane == topology::kInvalidId) return std::string("-");
     const topology::PhysChannel& ch = net.lane_channel(lane);
     std::string out = analysis::role_name(ch.role);
-    out += " ch" + std::to_string(ch.id);
+    out += " ch";
+    out += std::to_string(ch.id);
     if (ch.num_lanes > 1) {
-      out += "." + std::to_string(net.lane(lane).lane_in_channel);
+      out += '.';
+      out += std::to_string(net.lane(lane).lane_in_channel);
     }
     if (ch.dst.is_node()) {
-      out += " ->node " + addr.format(ch.dst.id);
+      out += " ->node ";
+      out += addr.format(ch.dst.id);
     } else {
       const topology::Switch& sw = net.switch_ref(ch.dst.id);
-      out += " ->G" + std::to_string(sw.stage) + "." +
-             std::to_string(sw.index);
+      out += " ->G";
+      out += std::to_string(sw.stage);
+      out += '.';
+      out += std::to_string(sw.index);
     }
     return out;
   };

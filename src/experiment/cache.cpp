@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -332,12 +331,6 @@ ResultCache::Stats ResultCache::stats() const {
   stats.rejected = rejected_.load(std::memory_order_relaxed);
   stats.stores = stores_.load(std::memory_order_relaxed);
   return stats;
-}
-
-std::optional<std::string> cache_dir_from_env() {
-  const char* dir = std::getenv("WORMSIM_CACHE_DIR");
-  if (dir == nullptr || dir[0] == '\0') return std::nullopt;
-  return std::string(dir);
 }
 
 }  // namespace wormsim::experiment

@@ -87,7 +87,4 @@ class ResultCache {
   mutable std::atomic<std::uint64_t> stores_{0};
 };
 
-/// WORMSIM_CACHE_DIR when set and non-empty.
-std::optional<std::string> cache_dir_from_env();
-
 }  // namespace wormsim::experiment

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -19,7 +18,6 @@
 
 #include "telemetry/run_monitor.hpp"
 #include "util/check.hpp"
-#include "util/cli.hpp"
 #include "util/resource.hpp"
 #include "util/table.hpp"
 
@@ -30,101 +28,6 @@ using topology::NetworkConfig;
 using topology::NetworkKind;
 using traffic::LengthSpec;
 using traffic::WorkloadSpec;
-
-sim::SimConfig RunOptions::sim_config() const {
-  sim::SimConfig config;
-  config.seed = seed;
-  if (quick) {
-    config.warmup_cycles = 5'000;
-    config.measure_cycles = 15'000;
-    config.drain_cycles = 5'000;
-  } else {
-    config.warmup_cycles = 40'000;
-    config.measure_cycles = 160'000;
-    config.drain_cycles = 80'000;
-  }
-  config.buffer_depth = buffer_depth;
-  config.flow_control = flow_control;
-  config.credit_delay = credit_delay;
-  config.implicit_topology = implicit_topology;
-  config.fault_fraction = fault_fraction;
-  config.fault_seed = fault_seed;
-  config.fault_at_cycle = fault_at_cycle;
-  config.telemetry.heartbeat_cycles = heartbeat_cycles;
-  config.telemetry.heartbeat_dir = heartbeat_dir;
-  config.telemetry.profile = profile;
-  return config;
-}
-
-std::vector<double> RunOptions::loads() const {
-  if (quick) return {0.10, 0.30, 0.50};
-  return {0.05, 0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 0.90};
-}
-
-SweepOptions RunOptions::sweep_options() const {
-  SweepOptions options;
-  options.loads = loads();
-  options.sim = sim_config();
-  options.stop_after_unsustainable = 2;
-  return options;
-}
-
-RunOptions RunOptions::from_env() {
-  RunOptions options;
-  if (const char* quick = std::getenv("WORMSIM_QUICK")) {
-    options.quick = quick[0] != '\0' && quick[0] != '0';
-  }
-  options.seed = util::env_u64_or("WORMSIM_SEED", options.seed);
-  {
-    const std::uint32_t n = util::env_u32_or("WORMSIM_THREADS", 0);
-    if (n >= 1) options.threads = n;
-  }
-  if (auto dir = telemetry::json_dir_from_env()) {
-    options.json_dir = *dir;
-  }
-  if (auto dir = cache_dir_from_env()) {
-    options.cache_dir = *dir;
-  }
-  {
-    const std::uint32_t n = util::env_u32_or("WORMSIM_BUFFER_DEPTH", 0);
-    if (n >= 1) options.buffer_depth = n;
-  }
-  if (const char* scheme = std::getenv("WORMSIM_FLOW_CONTROL");
-      scheme != nullptr && scheme[0] != '\0') {
-    // Like the integer knobs: an unparseable value kills the run rather
-    // than silently falling back to the credit scheme.
-    const auto parsed = sim::parse_flow_control(scheme);
-    if (!parsed) {
-      std::fprintf(stderr,
-                   "WORMSIM_FLOW_CONTROL: expected credit, onoff, or vct, "
-                   "got '%s'\n",
-                   scheme);
-      std::abort();
-    }
-    options.flow_control = *parsed;
-  }
-  options.credit_delay =
-      util::env_u32_or("WORMSIM_CREDIT_DELAY", options.credit_delay);
-  if (const char* implicit = std::getenv("WORMSIM_IMPLICIT_TOPOLOGY")) {
-    options.implicit_topology = implicit[0] != '\0' && implicit[0] != '0';
-  }
-  options.fault_fraction =
-      util::env_double_or("WORMSIM_FAULT_FRACTION", options.fault_fraction);
-  options.fault_seed =
-      util::env_u64_or("WORMSIM_FAULT_SEED", options.fault_seed);
-  options.fault_at_cycle =
-      util::env_u64_or("WORMSIM_FAULT_AT_CYCLE", options.fault_at_cycle);
-  // The engines re-read these themselves (telemetry/run_monitor.hpp);
-  // resolving here too makes the knobs visible to run_figure for the
-  // per-figure heartbeat subdirectory and the manifest.
-  options.heartbeat_cycles =
-      util::env_u64_or("WORMSIM_HEARTBEAT", options.heartbeat_cycles);
-  if (const char* dir = std::getenv("WORMSIM_HEARTBEAT_DIR")) {
-    if (dir[0] != '\0') options.heartbeat_dir = dir;
-  }
-  if (telemetry::profile_enabled_from_env()) options.profile = true;
-  return options;
-}
 
 NetworkConfig tmin_config(const std::string& topology, unsigned radix,
                           unsigned stages) {

@@ -4,7 +4,7 @@
 // plus a RunManifest becomes one schema-versioned JSON document with the
 // run's provenance (seed, git revision, wall time, cycles/sec) and every
 // (series, point) of the latency/throughput curves.  This is the producer
-// behind WORMSIM_JSON_DIR and the benches' --json flag.
+// behind figures_cli's --json-dir (WORMSIM_JSON_DIR).
 #pragma once
 
 #include <string>

@@ -77,26 +77,7 @@ SweepPoint run_point(const SeriesSpec& spec, double load,
   traffic::StandardTraffic traffic(network, std::move(workload));
   sim::SimResult result;
   if (spec.switching == SeriesSpec::Switching::kStoreForward) {
-    sim::StoreForwardConfig sf_config;
-    sf_config.seed = sim_config.seed;
-    sf_config.warmup_cycles = sim_config.warmup_cycles;
-    sf_config.measure_cycles = sim_config.measure_cycles;
-    sf_config.drain_cycles = sim_config.drain_cycles;
-    sf_config.sustainable_queue_limit = sim_config.sustainable_queue_limit;
-    sf_config.queue_capacity = sim_config.queue_capacity;
-    // SimConfig::buffer_depth is flits per wormhole lane; the
-    // store-and-forward reference interprets the same knob as whole
-    // packets per switch buffer (DESIGN.md "Flow control").
-    sf_config.buffer_packets = sim_config.buffer_depth;
-    sf_config.flits_per_microsecond = sim_config.flits_per_microsecond;
-    sf_config.telemetry = sim_config.telemetry;
-    // Runtime fault injection maps one-to-one (packet-granular kill
-    // semantics on the SF side, DESIGN.md §14).
-    sf_config.fault_fraction = sim_config.fault_fraction;
-    sf_config.fault_seed = sim_config.fault_seed;
-    sf_config.fault_at_cycle = sim_config.fault_at_cycle;
-    sf_config.fault_repair_cycle = sim_config.fault_repair_cycle;
-    sim::StoreForwardEngine engine(network, *router, &traffic, sf_config);
+    sim::StoreForwardEngine engine(network, *router, &traffic, sim_config);
     result = engine.run();
   } else {
     sim::Engine engine(network, *router, &traffic, sim_config);

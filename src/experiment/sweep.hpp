@@ -83,7 +83,7 @@ struct SeriesSpec {
   /// and applies this tweak LAST, so nothing a tweak sets can be
   /// clobbered by SweepOptions::sim (regression-tested in
   /// telemetry_test.cpp).
-  std::function<void(sim::SimConfig&)> tweak_sim;
+  std::function<void(sim::SimConfig&)> tweak_sim = {};
 };
 
 struct SweepOptions {

@@ -72,7 +72,9 @@ std::string CubeCluster::describe() const {
     } else if (fixed_[p] < 10) {
       out.push_back(static_cast<char>('0' + fixed_[p]));
     } else {
-      out += "[" + std::to_string(fixed_[p]) + "]";
+      out += '[';
+      out += std::to_string(fixed_[p]);
+      out += ']';
     }
   }
   return out;

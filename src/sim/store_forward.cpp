@@ -21,13 +21,13 @@ using topology::PhysChannel;
 StoreForwardEngine::StoreForwardEngine(const topology::NetView& network,
                                        const routing::Router& router,
                                        TrafficSource* traffic,
-                                       StoreForwardConfig config)
+                                       SimConfig config)
     : network_(network),
       router_(router),
       traffic_(traffic),
       config_(config),
       rng_(config.seed) {
-  WORMSIM_CHECK(config_.buffer_packets >= 1);
+  WORMSIM_CHECK(config_.buffer_depth >= 1);
   nodes_.resize(network_.node_count());
   lanes_.resize(network_.lane_count());
   channel_free_at_.assign(network_.channel_count(), 0);
@@ -139,7 +139,7 @@ PacketId StoreForwardEngine::inject_message(NodeId src, std::uint64_t dst,
 
 bool StoreForwardEngine::lane_has_space(LaneId lane) const {
   const LaneState& state = lanes_[lane];
-  return state.queue.size() + state.incoming < config_.buffer_packets;
+  return state.queue.size() + state.incoming < config_.buffer_depth;
 }
 
 bool StoreForwardEngine::start_transfer(PacketId pkt, LaneId from,

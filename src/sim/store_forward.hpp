@@ -9,8 +9,8 @@
 // the exact same Network/Router substrate.
 //
 // Model: event-driven at packet granularity.  Each virtual-channel lane
-// owns a FIFO buffer of `buffer_packets` whole packets at its downstream
-// end.  A transfer occupies the physical channel for `length` cycles and
+// owns a FIFO buffer of SimConfig::buffer_depth whole packets at its
+// downstream end.  A transfer occupies the physical channel for `length` cycles and
 // reserves one downstream slot; the packet continues to occupy its
 // upstream slot until the transfer completes (classic store-and-forward).
 // Output selection uses the same Router candidates and uniform random
@@ -24,11 +24,11 @@
 #include <vector>
 
 #include "routing/router.hpp"
+#include "sim/config.hpp"
 #include "sim/fault_injection/state.hpp"
 #include "sim/metrics.hpp"
 #include "sim/packet.hpp"
 #include "sim/traffic_source.hpp"
-#include "telemetry/config.hpp"
 #include "topology/net_view.hpp"
 #include "util/rng.hpp"
 
@@ -41,44 +41,18 @@ namespace wormsim::sim {
 class StoreForwardValidator;
 struct StoreForwardTestPeer;
 
-struct StoreForwardConfig {
-  std::uint64_t seed = 1;
-  /// Whole-packet buffers per lane.
-  std::uint32_t buffer_packets = 1;
-  std::uint64_t warmup_cycles = 40'000;
-  std::uint64_t measure_cycles = 160'000;
-  std::uint64_t drain_cycles = 80'000;
-  std::uint64_t sustainable_queue_limit = 100;
-  std::uint64_t queue_capacity = 1'500;
-  double flits_per_microsecond = 20.0;
-  /// Runtime invariant checking (src/sim/validate.hpp): per-event sweeps
-  /// and transfer legality checks, aborting with a diagnostic on the
-  /// first violation.  Also enabled by WORMSIM_VALIDATE=1.
-  bool validate = false;
-  /// Runtime fault injection (DESIGN.md §14), mirroring SimConfig: a
-  /// seed-driven fraction of interior channels dies at fault_at_cycle.
-  /// Kill semantics are packet-granular here — a dead channel's lane
-  /// buffers discard their queued packets (terminated, all flits
-  /// truncated), transfers completing onto a dead channel terminate on
-  /// arrival, and a queued packet whose every legal next hop is dead is
-  /// terminated instead of parked forever.
-  double fault_fraction = 0.0;
-  std::uint64_t fault_seed = 1;
-  std::uint64_t fault_at_cycle = 0;
-  std::uint64_t fault_repair_cycle = kNoCycle;
-  /// `worm_trace` (WORMSIM_TRACE=1) and the heartbeat knobs
-  /// (`heartbeat_cycles` / WORMSIM_HEARTBEAT, `heartbeat_dir`,
-  /// `heartbeat_tag`) are honored here; the counter/sampling hooks and
-  /// the phase profiler are wormhole-engine features (the event-driven
-  /// reference has no per-cycle phase structure to attribute).
-  telemetry::TelemetryConfig telemetry;
-};
-
+/// Takes the wormhole engine's SimConfig; `buffer_depth` counts whole
+/// packets here.  Faults kill at packet granularity: a dead channel's
+/// buffers discard their packets, transfers onto it terminate on arrival,
+/// and a packet whose every next hop is dead is terminated.  Of the
+/// telemetry knobs only `worm_trace` and the heartbeats apply (there is
+/// no per-cycle phase structure to profile), and the flow-control,
+/// arbitration and lane-selection knobs do not apply.
 class StoreForwardEngine {
  public:
   StoreForwardEngine(const topology::NetView& network,
                      const routing::Router& router, TrafficSource* traffic,
-                     StoreForwardConfig config);
+                     SimConfig config);
   /// Out of line: StoreForwardValidator is incomplete here.
   ~StoreForwardEngine();
 
@@ -205,7 +179,7 @@ class StoreForwardEngine {
   const topology::NetView network_;
   const routing::Router& router_;
   TrafficSource* traffic_;
-  StoreForwardConfig config_;
+  SimConfig config_;
   util::Rng rng_;
 
   std::uint64_t now_ = 0;

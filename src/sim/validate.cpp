@@ -512,11 +512,20 @@ void EngineValidator::check_routing_legality() {
   for (LaneId in = 0; in < e_.route_out_.size(); ++in) {
     const LaneId out = e_.route_out_[in];
     if (out == kInvalidId) continue;
-    // Identify the worm holding the route: either buffer end works; both
-    // empty means the worm is streaming elsewhere along its path (it will
-    // be checked whenever a flit is present).
+    // Identify the worm holding the route: the input FIFO's head, else
+    // the NEWEST flit of the output FIFO (with depth > 1 its head may be
+    // an earlier worm's tail from another input).  Both empty means the
+    // worm is streaming elsewhere along its path (it will be checked
+    // whenever a flit is present).
     PacketId pid = e_.buf_packet_[in];
-    if (pid == kNoPacket) pid = e_.buf_packet_[out];
+    if (pid == kNoPacket) {
+      const std::uint32_t count = e_.fc_.count[out];
+      if (count == 1) {
+        pid = e_.buf_packet_[out];
+      } else if (count > 1) {
+        pid = e_.fc_.ext_packet[e_.fc_.ext_base(out) + count - 2];
+      }
+    }
     if (pid == kNoPacket) continue;
     const char* reason =
         illegal_hop_reason(e_.network_, e_.packets_[pid], in, out);
@@ -1134,12 +1143,12 @@ void StoreForwardValidator::on_transfer_start(PacketId pkt, LaneId from,
   }
   if (ch.dst.is_switch() &&
       e_.lanes_[to].queue.size() + e_.lanes_[to].incoming >=
-          e_.config_.buffer_packets) {
+          e_.config_.buffer_depth) {
     sf_fail("sf-buffer-overflow", now, to,
             "transfer reserves a slot in a full buffer (%zu queued + %u "
             "incoming of %u)",
             e_.lanes_[to].queue.size(), e_.lanes_[to].incoming,
-            e_.config_.buffer_packets);
+            e_.config_.buffer_depth);
   }
   if (from == kInvalidId) {
     const auto src = static_cast<NodeId>(e_.packets_[pkt].src);
@@ -1248,10 +1257,10 @@ void StoreForwardValidator::check_event_end() {
   for (LaneId lane = 0; lane < e_.lanes_.size(); ++lane) {
     const auto& state = e_.lanes_[lane];
     queued += static_cast<std::int64_t>(state.queue.size());
-    if (state.queue.size() + state.incoming > e_.config_.buffer_packets) {
+    if (state.queue.size() + state.incoming > e_.config_.buffer_depth) {
       sf_fail("sf-buffer-overflow", now, lane,
               "%zu queued + %u incoming exceed the %u-packet buffer",
-              state.queue.size(), state.incoming, e_.config_.buffer_packets);
+              state.queue.size(), state.incoming, e_.config_.buffer_depth);
     }
     if (state.transmitting != (lane_mark_[lane] == sweeps_)) {
       sf_fail("sf-transfer-accounting", now, lane,

@@ -10,7 +10,7 @@
 // with a precise diagnostic —
 // invariant name, cycle, lane — the moment the engine's books disagree.
 //
-// Enabled by SimConfig::validate / StoreForwardConfig::validate or the
+// Enabled by SimConfig::validate (either engine) or the
 // WORMSIM_VALIDATE=1 environment variable.  The validators are strictly
 // read-only observers: they never draw randomness or mutate engine
 // state, so validated runs are bitwise identical to unvalidated ones

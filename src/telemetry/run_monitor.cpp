@@ -12,7 +12,9 @@
 namespace wormsim::telemetry {
 
 std::uint64_t heartbeat_cycles_from_env(const TelemetryConfig& config) {
-  return util::env_u64_or("WORMSIM_HEARTBEAT", config.heartbeat_cycles);
+  // Like the directory: a configured cadence (a flag) beats the variable.
+  if (config.heartbeat_cycles > 0) return config.heartbeat_cycles;
+  return util::env_u64_or("WORMSIM_HEARTBEAT", 0);
 }
 
 std::string heartbeat_dir_from_env(const TelemetryConfig& config) {

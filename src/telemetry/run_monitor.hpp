@@ -49,9 +49,9 @@ namespace wormsim::telemetry {
 /// telemetry cannot include).
 inline constexpr std::uint64_t kNoOnset = ~std::uint64_t{0};
 
-/// Effective heartbeat cadence / directory: WORMSIM_HEARTBEAT overrides
-/// the configured cadence; for the directory a non-empty config value
-/// wins over WORMSIM_HEARTBEAT_DIR (run_figure derives per-figure
+/// Effective heartbeat cadence / directory: a non-zero configured
+/// cadence wins over WORMSIM_HEARTBEAT, and a non-empty configured
+/// directory over WORMSIM_HEARTBEAT_DIR (run_figure derives per-figure
 /// subdirectories from the env value and stores them in the config).
 std::uint64_t heartbeat_cycles_from_env(const TelemetryConfig& config);
 std::string heartbeat_dir_from_env(const TelemetryConfig& config);

@@ -7,7 +7,9 @@
 namespace wormsim::topology {
 
 std::string Symbol::describe() const {
-  return (kind == Kind::kSource ? "s" : "t") + std::to_string(index);
+  std::string out = kind == Kind::kSource ? "s" : "t";
+  out += std::to_string(index);
+  return out;
 }
 
 std::string SymbolicTrace::describe(unsigned stages) const {

@@ -16,24 +16,63 @@ CliParser::CliParser(std::string program_description)
 
 void CliParser::add_flag(const std::string& name, std::string* target,
                          const std::string& help) {
-  flags_.push_back({name, Kind::kString, target, help, *target});
+  add_flag(
+      name,
+      [target](const std::string& value) {
+        *target = value;
+        return true;
+      },
+      help, *target);
 }
 
 void CliParser::add_flag(const std::string& name, std::int64_t* target,
                          const std::string& help) {
-  flags_.push_back({name, Kind::kInt, target, help, std::to_string(*target)});
+  add_flag(
+      name,
+      [target](const std::string& value) {
+        errno = 0;
+        char* end = nullptr;
+        const long long parsed = std::strtoll(value.c_str(), &end, 10);
+        if (value.empty() || *end != '\0' || errno == ERANGE) return false;
+        *target = parsed;
+        return true;
+      },
+      help, std::to_string(*target));
 }
 
 void CliParser::add_flag(const std::string& name, double* target,
                          const std::string& help) {
-  flags_.push_back(
-      {name, Kind::kDouble, target, help, format_double(*target, 4)});
+  add_flag(
+      name,
+      [target](const std::string& value) {
+        errno = 0;
+        char* end = nullptr;
+        const double parsed = std::strtod(value.c_str(), &end);
+        if (value.empty() || *end != '\0' || errno == ERANGE) return false;
+        *target = parsed;
+        return true;
+      },
+      help, format_double(*target, 4));
 }
 
 void CliParser::add_flag(const std::string& name, bool* target,
                          const std::string& help) {
+  add_flag(
+      name, [target](const std::string& value) {
+        return parse_bool(value, target);
+      },
+      help, *target ? "true" : "false", /*is_switch=*/true);
+}
+
+void CliParser::add_flag(const std::string& name, Parser parse,
+                         const std::string& help, std::string default_repr,
+                         bool is_switch) {
+  if (find(name) != nullptr) {
+    std::fprintf(stderr, "flag --%s registered twice\n", name.c_str());
+    std::abort();
+  }
   flags_.push_back(
-      {name, Kind::kBool, target, help, *target ? "true" : "false"});
+      {name, std::move(parse), help, std::move(default_repr), is_switch});
 }
 
 const CliParser::Flag* CliParser::find(const std::string& name) const {
@@ -41,48 +80,6 @@ const CliParser::Flag* CliParser::find(const std::string& name) const {
     if (flag.name == name) return &flag;
   }
   return nullptr;
-}
-
-bool CliParser::assign(const Flag& flag, const std::string& value) {
-  switch (flag.kind) {
-    case Kind::kString:
-      *static_cast<std::string*>(flag.target) = value;
-      return true;
-    case Kind::kInt: {
-      errno = 0;
-      char* end = nullptr;
-      const long long parsed = std::strtoll(value.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || value.empty() ||
-          errno == ERANGE) {
-        return false;
-      }
-      *static_cast<std::int64_t*>(flag.target) = parsed;
-      return true;
-    }
-    case Kind::kDouble: {
-      errno = 0;
-      char* end = nullptr;
-      const double parsed = std::strtod(value.c_str(), &end);
-      if (end == nullptr || *end != '\0' || value.empty() ||
-          errno == ERANGE) {
-        return false;
-      }
-      *static_cast<double*>(flag.target) = parsed;
-      return true;
-    }
-    case Kind::kBool: {
-      if (value == "true" || value == "1") {
-        *static_cast<bool*>(flag.target) = true;
-        return true;
-      }
-      if (value == "false" || value == "0") {
-        *static_cast<bool*>(flag.target) = false;
-        return true;
-      }
-      return false;
-    }
-  }
-  return false;
 }
 
 CliParser::Status CliParser::parse(int argc, char** argv) {
@@ -113,7 +110,7 @@ CliParser::Status CliParser::parse(int argc, char** argv) {
       return Status::kError;
     }
     if (!has_value) {
-      if (flag->kind == Kind::kBool) {
+      if (flag->is_switch) {
         value = "true";
       } else if (i + 1 < argc) {
         value = argv[++i];
@@ -122,7 +119,7 @@ CliParser::Status CliParser::parse(int argc, char** argv) {
         return Status::kError;
       }
     }
-    if (!assign(*flag, value)) {
+    if (!flag->parse(value)) {
       std::fprintf(stderr, "bad value for --%s: '%s'\n", arg.c_str(),
                    value.c_str());
       return Status::kError;
@@ -176,6 +173,26 @@ bool parse_u32(const std::string& text, std::uint32_t* out) {
   return true;
 }
 
+bool parse_nonneg_double(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !(value >= 0.0)) return false;
+  *out = value;
+  return true;
+}
+
+bool parse_bool(const std::string& text, bool* out) {
+  if (text == "true" || text == "1") {
+    *out = true;
+    return true;
+  }
+  if (text == "false" || text == "0") {
+    *out = false;
+    return true;
+  }
+  return false;
+}
+
 namespace {
 
 [[noreturn]] void die_bad_env(const char* name, const char* raw) {
@@ -187,32 +204,11 @@ namespace {
 
 }  // namespace
 
-std::uint32_t env_u32_or(const char* name, std::uint32_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  std::uint32_t value = 0;
-  if (!parse_u32(raw, &value)) die_bad_env(name, raw);
-  return value;
-}
-
 std::uint64_t env_u64_or(const char* name, std::uint64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   std::uint64_t value = 0;
   if (!parse_u64(raw, &value)) die_bad_env(name, raw);
-  return value;
-}
-
-double env_double_or(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || !(value >= 0.0)) {
-    std::fprintf(stderr, "%s: expected a non-negative number, got '%s'\n",
-                 name, raw);
-    std::abort();
-  }
   return value;
 }
 

@@ -1,10 +1,12 @@
-// Minimal command-line flag parsing for example and bench binaries.
+// Minimal command-line flag parsing for the example binaries and the
+// benchmark runner.
 //
 // Supports --name=value and --name value forms plus boolean switches.
 // Unrecognized flags abort with a usage message listing registered flags.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,8 +20,12 @@ class CliParser {
 
   CliParser(std::string program_description);
 
+  /// Parses one flag value and stores it; returns false to reject it.
+  using Parser = std::function<bool(const std::string& value)>;
+
   /// Registers a flag; returned pointers stay owned by the caller and are
-  /// filled in by parse().
+  /// filled in by parse().  Registering a name twice aborts: parse()
+  /// could only ever reach the first registration.
   void add_flag(const std::string& name, std::string* target,
                 const std::string& help);
   void add_flag(const std::string& name, std::int64_t* target,
@@ -28,6 +34,12 @@ class CliParser {
                 const std::string& help);
   void add_flag(const std::string& name, bool* target,
                 const std::string& help);
+  /// Registers a flag that parses its own value.  usage() shows
+  /// `default_repr` as the default.  A switch may also be given bare
+  /// (--name), which parses "true".
+  void add_flag(const std::string& name, Parser parse,
+                const std::string& help, std::string default_repr,
+                bool is_switch = false);
 
   /// Parses argv.  Returns kHelp after printing usage to stdout for
   /// --help/-h, kError after printing a diagnostic (plus usage) to stderr
@@ -37,17 +49,15 @@ class CliParser {
   std::string usage() const;
 
  private:
-  enum class Kind { kString, kInt, kDouble, kBool };
   struct Flag {
     std::string name;
-    Kind kind;
-    void* target;
+    Parser parse;
     std::string help;
     std::string default_repr;
+    bool is_switch;
   };
 
   const Flag* find(const std::string& name) const;
-  static bool assign(const Flag& flag, const std::string& value);
 
   std::string description_;
   std::vector<Flag> flags_;
@@ -66,16 +76,17 @@ bool parse_shard(const std::string& text, unsigned* index, unsigned* count);
 bool parse_u64(const std::string& text, std::uint64_t* out);
 bool parse_u32(const std::string& text, std::uint32_t* out);
 
+/// Parses a non-negative number (strtod syntax, full-string match; NaN
+/// rejected), leaving `*out` untouched on failure.
+bool parse_nonneg_double(const std::string& text, double* out);
+
+/// Parses "true"/"1" or "false"/"0", leaving `*out` untouched otherwise.
+bool parse_bool(const std::string& text, bool* out);
+
 /// Reads an unsigned decimal environment knob.  Returns `fallback` when
 /// the variable is unset or empty; aborts with a diagnostic naming the
-/// variable when it is set to something parse_u32/parse_u64 rejects —
-/// a mistyped knob silently falling back is worse than a hard stop.
-std::uint32_t env_u32_or(const char* name, std::uint32_t fallback);
+/// variable when it is set to something parse_u64 rejects — a mistyped
+/// knob silently falling back is worse than a hard stop.
 std::uint64_t env_u64_or(const char* name, std::uint64_t fallback);
-
-/// Reads a non-negative floating-point environment knob (strtod syntax,
-/// full-string match); same unset/empty fallback and abort-on-garbage
-/// contract as env_u64_or.
-double env_double_or(const char* name, double fallback);
 
 }  // namespace wormsim::util

@@ -29,7 +29,9 @@ std::string RadixSpec::format(std::uint64_t value) const {
     if (d < 10) {
       out.push_back(static_cast<char>('0' + d));
     } else {
-      out += "[" + std::to_string(d) + "]";
+      out += '[';
+      out += std::to_string(d);
+      out += ']';
     }
   }
   return out;

@@ -2,8 +2,8 @@
 // `--help` is a successful outcome (exit 0, usage on stdout) while an
 // unknown flag is an error (exit 1).  Regression test for --help exiting 1,
 // which broke `figures_cli --help && ...` shell pipelines.  Runs the real
-// figures_cli and telemetry_report binaries, whose paths CMake injects at
-// compile time.
+// figures_cli, telemetry_report and quickstart binaries, whose paths CMake
+// injects at compile time.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -63,9 +63,9 @@ TEST(CliExitStatus, OverflowingIntFlagFails) {
 }
 
 TEST(CliExitStatus, GarbageEngineThreadsEnvDies) {
-  // WORMSIM_THREADS is read by RunOptions::from_env through
-  // util::env_u32_or before any simulation; a garbage value must kill the
-  // run (abort -> shell exit 134), never be half-parsed as 4.
+  // WORMSIM_THREADS is read by the knob binder through util::parse_u32
+  // before any simulation; a garbage value must kill the run (abort ->
+  // shell exit 134), never be half-parsed as 4.
   EXPECT_NE(run(std::string("WORMSIM_THREADS=4x ") +
                 WORMSIM_FIGURES_CLI_PATH +
                 " --quick --figure=fig18a > /dev/null 2>&1"),
@@ -79,6 +79,45 @@ TEST(CliExitStatus, UnknownFlowControlEnvDies) {
   EXPECT_NE(run(std::string("WORMSIM_FLOW_CONTROL=bogus ") +
                 WORMSIM_FIGURES_CLI_PATH +
                 " --quick --figure=fig18a > /dev/null 2>&1"),
+            0);
+}
+
+// Regression: the --seed flag's built-in default overwrote WORMSIM_SEED,
+// so the variable was silently ignored.  A flag's default is now its
+// variable: the env run must match --seed=5 and differ from the default.
+TEST(CliExitStatus, SeedEnvReachesFiguresCli) {
+  const std::string cli = std::string(WORMSIM_FIGURES_CLI_PATH) +
+                          " --quick --figure=fig18a 2> /dev/null > ";
+  const std::string dir = testing::TempDir();
+  ASSERT_EQ(run("WORMSIM_SEED=5 " + cli + dir + "seed_env.txt"), 0);
+  ASSERT_EQ(run(cli + dir + "seed_flag.txt --seed=5"), 0);
+  ASSERT_EQ(run(cli + dir + "seed_default.txt"), 0);
+  EXPECT_EQ(run("cmp -s " + dir + "seed_env.txt " + dir + "seed_flag.txt"), 0);
+  EXPECT_NE(run("cmp -s " + dir + "seed_env.txt " + dir + "seed_default.txt"),
+            0);
+}
+
+// Regression: integer flags went through strtoll and a sentinel check,
+// so a negative depth silently ran at depth 1 and --seed=-1 ran with
+// seed 2^64-1.  Both are bad values now.
+TEST(CliExitStatus, NegativeBufferDepthFails) {
+  EXPECT_EQ(run(std::string(WORMSIM_FIGURES_CLI_PATH) +
+                " --buffer-depth=-5 --list > /dev/null 2>&1"),
+            1);
+}
+
+TEST(CliExitStatus, NegativeSeedFails) {
+  EXPECT_EQ(run(std::string(WORMSIM_FIGURES_CLI_PATH) +
+                " --seed=-1 --list > /dev/null 2>&1"),
+            1);
+}
+
+// Regression: quickstart declared its own scenario flags and never read
+// the variables, so a bogus scheme in the environment ran the credit
+// table and exited 0.
+TEST(CliExitStatus, QuickstartUnknownFlowControlEnvDies) {
+  EXPECT_NE(run(std::string("WORMSIM_FLOW_CONTROL=bogus ") +
+                WORMSIM_QUICKSTART_PATH + " --cycles=100 > /dev/null 2>&1"),
             0);
 }
 

@@ -98,13 +98,17 @@ TEST(Figures, RegistryIsComplete) {
 TEST(Figures, RunOptionsFromEnv) {
   setenv("WORMSIM_QUICK", "1", 1);
   setenv("WORMSIM_SEED", "321", 1);
+  setenv("WORMSIM_BUFFER_DEPTH", "4", 1);
   const RunOptions options = RunOptions::from_env();
   EXPECT_TRUE(options.quick);
   EXPECT_EQ(options.seed, 321u);
+  EXPECT_EQ(options.sim_config().buffer_depth, 4u);
   unsetenv("WORMSIM_QUICK");
   unsetenv("WORMSIM_SEED");
+  unsetenv("WORMSIM_BUFFER_DEPTH");
   const RunOptions defaults = RunOptions::from_env();
   EXPECT_FALSE(defaults.quick);
+  EXPECT_EQ(defaults.sim_config().buffer_depth, 1u);
 }
 
 TEST(Figures, QuickFigureRunsAndPrints) {

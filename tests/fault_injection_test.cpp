@@ -169,9 +169,9 @@ TEST(FaultInjection, EmptyPlanDigestsMatchCommittedSnapshot) {
     traffic::StandardTraffic traffic(net, workload);
     SimResult r;
     if (gc.store_forward) {
-      StoreForwardConfig config;
+      SimConfig config;
       config.seed = 7;
-      config.buffer_packets = 2;
+      config.buffer_depth = 2;
       config.warmup_cycles = 500;
       config.measure_cycles = 4'000;
       config.drain_cycles = 1'500;
@@ -402,9 +402,9 @@ TEST(FaultInjection, StoreForwardKillTerminatesAndAccounts) {
   const auto router = routing::make_router(net);
   traffic::WorkloadSpec workload = golden_workload();
   traffic::StandardTraffic traffic(net, workload);
-  StoreForwardConfig config;
+  SimConfig config;
   config.seed = 7;
-  config.buffer_packets = 2;
+  config.buffer_depth = 2;
   config.warmup_cycles = 500;
   config.measure_cycles = 4'000;
   config.drain_cycles = 1'500;

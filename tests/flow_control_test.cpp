@@ -246,7 +246,7 @@ TEST_F(FlowControl, VctReconcilesWithStoreForward) {
     const std::uint64_t vct_latency =
         lone_latency(net_, *router_, vct, length);
 
-    StoreForwardConfig sf_config;
+    SimConfig sf_config;
     sf_config.seed = 5;
     sf_config.warmup_cycles = 0;
     sf_config.measure_cycles = 1u << 20;

@@ -147,9 +147,9 @@ SimResult run_case(const GoldenCase& gc, bool worm_trace = false) {
   traffic::WorkloadSpec workload = golden_workload();
   traffic::StandardTraffic traffic(net, workload);
   if (gc.store_forward) {
-    StoreForwardConfig config;
+    SimConfig config;
     config.seed = 7;
-    config.buffer_packets = 2;
+    config.buffer_depth = 2;
     config.warmup_cycles = 500;
     config.measure_cycles = 4'000;
     config.drain_cycles = 1'500;

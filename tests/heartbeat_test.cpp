@@ -312,9 +312,9 @@ TEST(Heartbeat, StoreForwardEmitsStream) {
   const topology::Network net = topology::build_network(small_network());
   const auto router = routing::make_router(net);
   traffic::StandardTraffic traffic(net, workload_at(0.45));
-  StoreForwardConfig config;
+  SimConfig config;
   config.seed = 7;
-  config.buffer_packets = 2;
+  config.buffer_depth = 2;
   config.warmup_cycles = 500;
   config.measure_cycles = 4'000;
   config.drain_cycles = 1'500;

@@ -271,9 +271,9 @@ SimResult run_backend(const NetworkConfig& net_config,
   const auto router = routing::make_router(network);
   traffic::StandardTraffic traffic(network, test_workload());
   if (store_forward) {
-    sim::StoreForwardConfig sf;
+    sim::SimConfig sf;
     sf.seed = sim_config.seed;
-    sf.buffer_packets = 2;
+    sf.buffer_depth = 2;
     sf.warmup_cycles = sim_config.warmup_cycles;
     sf.measure_cycles = sim_config.measure_cycles;
     sf.drain_cycles = sim_config.drain_cycles;

@@ -101,7 +101,7 @@ TEST(Scheduler, PoolMatchesSequentialBitwise) {
 }
 
 // A real registered figure, run through the same entry point figures_cli
-// and the bench harness use (--threads), must produce bitwise-identical
+// uses (--threads), must produce bitwise-identical
 // points in every field whether the series run sequentially or fanned out
 // over the worker pool.
 TEST(Scheduler, FigureSubsetBitwiseEqual) {

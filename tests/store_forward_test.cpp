@@ -27,8 +27,8 @@ NetworkConfig make_config(NetworkKind kind, unsigned k, unsigned n) {
   return config;
 }
 
-StoreForwardConfig manual_config() {
-  StoreForwardConfig config;
+SimConfig manual_config() {
+  SimConfig config;
   config.seed = 11;
   config.warmup_cycles = 0;
   config.measure_cycles = 1u << 30;
@@ -138,8 +138,8 @@ TEST(StoreForward, DeeperBuffersStillConserve) {
   const Network net =
       topology::build_network(make_config(NetworkKind::kTMIN, 2, 3));
   const auto router = routing::make_router(net);
-  StoreForwardConfig config = manual_config();
-  config.buffer_packets = 3;
+  SimConfig config = manual_config();
+  config.buffer_depth = 3;
   StoreForwardEngine engine(net, *router, nullptr, config);
   util::Rng rng(10);
   std::vector<PacketId> ids;
@@ -161,7 +161,7 @@ TEST(StoreForward, PoissonTrafficMatchesOfferedLoad) {
   workload.offered = 0.15;
   workload.length = traffic::LengthSpec::uniform(8, 64);
   traffic::StandardTraffic traffic(net, workload);
-  StoreForwardConfig config;
+  SimConfig config;
   config.seed = 12;
   config.warmup_cycles = 10'000;
   config.measure_cycles = 60'000;

@@ -354,6 +354,17 @@ TEST(CliParser, UsageListsFlags) {
   EXPECT_NE(usage.find("default 3"), std::string::npos);
 }
 
+TEST(CliParserDeath, DuplicateFlagAborts) {
+  // A second registration under the same name could never be reached by
+  // parse(); it must fail at registration, not go silently dead.
+  std::int64_t first = 0;
+  bool second = false;
+  CliParser cli("test");
+  cli.add_flag("seed", &first, "an int");
+  EXPECT_DEATH(cli.add_flag("seed", &second, "a bool"),
+               "flag --seed registered twice");
+}
+
 TEST(ParseShard, AcceptsWellFormedShards) {
   unsigned index = 99;
   unsigned count = 99;
@@ -573,12 +584,10 @@ TEST(ParseUnsigned, RejectsJunkSignsWhitespaceAndOverflow) {
 
 TEST(EnvKnobs, FallbackWhenUnsetOrEmpty) {
   unsetenv("WORMSIM_TEST_KNOB");
-  EXPECT_EQ(env_u32_or("WORMSIM_TEST_KNOB", 5u), 5u);
   EXPECT_EQ(env_u64_or("WORMSIM_TEST_KNOB", 9u), 9u);
   setenv("WORMSIM_TEST_KNOB", "", 1);
-  EXPECT_EQ(env_u32_or("WORMSIM_TEST_KNOB", 5u), 5u);
+  EXPECT_EQ(env_u64_or("WORMSIM_TEST_KNOB", 9u), 9u);
   setenv("WORMSIM_TEST_KNOB", "123", 1);
-  EXPECT_EQ(env_u32_or("WORMSIM_TEST_KNOB", 5u), 123u);
   EXPECT_EQ(env_u64_or("WORMSIM_TEST_KNOB", 9u), 123u);
   unsetenv("WORMSIM_TEST_KNOB");
 }
@@ -588,13 +597,10 @@ TEST(EnvKnobs, FallbackWhenUnsetOrEmpty) {
 // names the variable, not limp on with a half-parsed number.
 TEST(EnvKnobsDeath, GarbageValueDiesWithDiagnostic) {
   setenv("WORMSIM_TEST_KNOB", "4x", 1);
-  EXPECT_DEATH(env_u32_or("WORMSIM_TEST_KNOB", 1u),
+  EXPECT_DEATH(env_u64_or("WORMSIM_TEST_KNOB", 1u),
                "WORMSIM_TEST_KNOB.*non-negative decimal integer.*4x");
   setenv("WORMSIM_TEST_KNOB", "18446744073709551616", 1);
   EXPECT_DEATH(env_u64_or("WORMSIM_TEST_KNOB", 1u),
-               "non-negative decimal integer");
-  setenv("WORMSIM_TEST_KNOB", "4294967296", 1);  // u64-ok, u32-overflow
-  EXPECT_DEATH(env_u32_or("WORMSIM_TEST_KNOB", 1u),
                "non-negative decimal integer");
   unsetenv("WORMSIM_TEST_KNOB");
 }

@@ -19,6 +19,7 @@
 #include "sim/store_forward.hpp"
 #include "sim/validate.hpp"
 #include "topology/network.hpp"
+#include "traffic/workload.hpp"
 
 namespace wormsim::sim {
 
@@ -631,8 +632,8 @@ TEST_F(FinalCorruption, EjectionCounterTripsTelemetryReconcile) {
 
 // ---- Store-and-forward corruptions ----------------------------------------
 
-StoreForwardConfig sf_validating_config() {
-  StoreForwardConfig config;
+SimConfig sf_validating_config() {
+  SimConfig config;
   config.seed = 11;
   config.warmup_cycles = 0;
   config.measure_cycles = 1u << 20;
@@ -769,6 +770,33 @@ TEST(Validation, ValidatedRunMatchesUnvalidatedRun) {
     EXPECT_EQ(a.packet(id).deliver_cycle, b.packet(id).deliver_cycle);
   }
   EXPECT_GT(EngineTestPeer::validator(b).sweeps_run(), 0u);
+}
+
+// Regression: with an empty input lane, routing-legality judged the HEAD
+// of the output FIFO, which with deep buffers can be an earlier worm's
+// tail from another input.  This run aborted at cycle 2583.
+TEST(Validation, DeepBufferBminRunIsClean) {
+  NetworkConfig config = net_config(NetworkKind::kBMIN, "cube", 2, 3);
+  config.dilation = 2;
+  config.vcs = 2;
+  const Network net = topology::build_network(config);
+  const auto router = routing::make_router(net);
+  traffic::WorkloadSpec workload;
+  workload.offered = 0.45;
+  workload.length = traffic::LengthSpec::uniform(4, 64);
+  traffic::StandardTraffic traffic(net, workload);
+  SimConfig sim;
+  sim.seed = 7;
+  sim.warmup_cycles = 500;
+  sim.measure_cycles = 4'000;
+  sim.drain_cycles = 1'500;
+  sim.flow_control = FlowControlScheme::kVirtualCutThrough;
+  sim.buffer_depth = 64;
+  sim.credit_delay = 2;
+  sim.validate = true;
+  Engine engine(net, *router, &traffic, sim);
+  const SimResult result = engine.run();
+  EXPECT_GT(result.delivered_messages_total, 0u);
 }
 
 }  // namespace

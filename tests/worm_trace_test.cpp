@@ -329,9 +329,9 @@ TEST(WormTrace, StoreForwardReconciles) {
   workload.offered = 0.45;
   workload.length = traffic::LengthSpec::uniform(4, 64);
   traffic::StandardTraffic traffic(net, workload);
-  sim::StoreForwardConfig config;
+  sim::SimConfig config;
   config.seed = 7;
-  config.buffer_packets = 2;
+  config.buffer_depth = 2;
   config.warmup_cycles = 500;
   config.measure_cycles = 4'000;
   config.drain_cycles = 1'500;
