@@ -50,7 +50,7 @@ void run_case(const topology::NetworkConfig& config,
   sim_config.warmup_cycles = 20'000;
   sim_config.measure_cycles = 100'000;
   sim_config.drain_cycles = 40'000;
-  sim_config.record_channel_utilization = true;
+  sim_config.telemetry.counters = true;
   sim::Engine engine(net, *router, &traffic, sim_config);
   const sim::SimResult result = engine.run();
 

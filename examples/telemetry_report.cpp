@@ -133,15 +133,20 @@ int report_figure(const std::string& figure, double load,
               << "%  latency " << util::format_double(point.latency_us, 1)
               << " us  " << (point.sustainable ? "sustainable" : "SATURATED")
               << "\n";
-    const topology::Network network = topology::build_network(series.net);
-    const telemetry::ChannelHeatmap heatmap = telemetry::build_heatmap(
-        network, result.telemetry_counters, result.measure_cycles);
-    telemetry::print_heatmap(heatmap, std::cout);
-    std::cout << "  arbitration: "
-              << result.telemetry_counters.total_grants() << " grants, "
-              << result.telemetry_counters.total_denials()
-              << " denials; blocked header-cycles "
-              << result.telemetry_counters.total_blocked_cycles() << "\n";
+    if (result.telemetry_counters.enabled()) {
+      const topology::Network network = topology::build_network(series.net);
+      const telemetry::ChannelHeatmap heatmap = telemetry::build_heatmap(
+          network, result.telemetry_counters, result.measure_cycles);
+      telemetry::print_heatmap(heatmap, std::cout);
+      std::cout << "  arbitration: "
+                << result.telemetry_counters.total_grants() << " grants, "
+                << result.telemetry_counters.total_denials()
+                << " denials; blocked header-cycles "
+                << result.telemetry_counters.total_blocked_cycles() << "\n";
+    } else {
+      std::cout << "  (no channel heatmap: the store-and-forward engine "
+                   "keeps no per-lane counters)\n";
+    }
     print_samples(result.telemetry_samples, std::cout);
     if (result.phase_profile.enabled) {
       print_phase_profile(result.phase_profile, std::cout);

@@ -46,9 +46,9 @@ class ResultCache {
   /// tweak_sim on top of `base_config` (tweak-last, matching run_point)
   /// and materializes the workload for the built network, then serializes
   /// every result-affecting field.  Observability toggles (telemetry,
-  /// validate, record_channel_utilization) are excluded: the telemetry
-  /// and validation layers are pinned bitwise-neutral by the golden
-  /// tests, so they must not split the cache address space.
+  /// validate) are excluded: the telemetry and validation layers are
+  /// pinned bitwise-neutral by the golden tests, so they must not split
+  /// the cache address space.
   static std::string fingerprint(const SeriesSpec& spec, double load,
                                  const sim::SimConfig& base_config);
 

@@ -16,7 +16,6 @@
 #include "sim/fault_injection/plan.hpp"
 #include "topology/network.hpp"
 
-#include "telemetry/run_monitor.hpp"
 #include "util/check.hpp"
 #include "util/resource.hpp"
 #include "util/table.hpp"
@@ -682,12 +681,11 @@ FigureResult run_figure(const std::string& id, const RunOptions& options) {
   pool.threads = options.threads;
   pool.cache = cache ? &*cache : nullptr;
   SweepOptions sweep = options.sweep_options();
-  if (telemetry::heartbeat_cycles_from_env(sweep.sim.telemetry) > 0) {
+  if (sweep.sim.telemetry.heartbeat_cycles > 0) {
     // One subdirectory per figure so concurrent figures (and the shard
     // runner) never interleave streams; run_point tags each point inside.
-    std::string base = telemetry::heartbeat_dir_from_env(sweep.sim.telemetry);
-    if (base.empty()) base = ".";
-    sweep.sim.telemetry.heartbeat_dir = base + "/" + id;
+    std::string& dir = sweep.sim.telemetry.heartbeat_dir;
+    dir = (dir.empty() ? std::string(".") : dir) + "/" + id;
   }
   result.series = run_series_pool(def.series, sweep, pool, &result.pool_stats);
   // Static-coverage cross-check for fault-injected series: rebuild the

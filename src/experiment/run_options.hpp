@@ -34,19 +34,21 @@ struct RunOptions {
   /// simulating; see experiment/cache.hpp.  Safe to share between
   /// concurrent processes.
   std::string cache_dir;
-  /// Attribute engine wall time to per-phase buckets (telemetry/
-  /// profiler.hpp); surfaces as the manifest's "profile" object and in
-  /// telemetry_report's phase table.  Diagnostics only — never in results.
-  bool profile = false;
 
   /// Scenario knobs applied to every series; a series' tweak_sim can
   /// still override them.  The defaults are the paper's fault-free
   /// single-flit wormhole switches.  sim_config() replaces the seed, the
-  /// three phase lengths and telemetry.profile from the fields above.
+  /// three phase lengths and telemetry.profile from the other fields.
   /// With telemetry.heartbeat_cycles > 0, run_figure streams each point's
   /// NDJSON heartbeats to `<heartbeat_dir>/<figure_id>/<point tag>.ndjson`
   /// (DESIGN.md §15); results are bitwise unchanged either way.
   sim::SimConfig sim;
+
+  /// Attribute engine wall time to per-phase buckets (telemetry/
+  /// profiler.hpp); surfaces as the manifest's "profile" object and in
+  /// telemetry_report's phase table.  Diagnostics only — never in results.
+  /// Defaults to the config's own default (WORMSIM_PROFILE).
+  bool profile = sim.telemetry.profile;
 
   /// Simulation phases sized for stable means (quick mode shrinks them).
   sim::SimConfig sim_config() const;

@@ -44,10 +44,9 @@ SweepPoint run_point(const SeriesSpec& spec, double load,
   sim::SimConfig sim_config = base_sim_config;
   if (spec.tweak_sim) spec.tweak_sim(sim_config);
   // Every point of a sweep streams into its own heartbeat file: derive a
-  // per-point tag unless the caller pinned one (standalone runs).  The
-  // env overrides are folded in here so WORMSIM_HEARTBEAT alone cannot
-  // make concurrent pool workers collide on one "run" tag.
-  if (telemetry::heartbeat_cycles_from_env(sim_config.telemetry) > 0 &&
+  // per-point tag unless the caller pinned one (standalone runs), so
+  // concurrent pool workers never collide on one "run" tag.
+  if (sim_config.telemetry.heartbeat_cycles > 0 &&
       sim_config.telemetry.heartbeat_tag.empty()) {
     sim_config.telemetry.heartbeat_tag = heartbeat_tag_for(spec.label, load);
   }

@@ -6,6 +6,7 @@
 
 #include "sim/flow_control/scheme.hpp"
 #include "telemetry/config.hpp"
+#include "util/cli.hpp"
 
 namespace wormsim::sim {
 
@@ -69,21 +70,19 @@ struct SimConfig {
   /// networks is deadlock-free, so this is purely a watchdog.
   std::uint64_t deadlock_watchdog_cycles = 50'000;
 
-  /// Collect per-physical-channel busy-cycle counters (used by the
-  /// partitioning experiments; small overhead).
-  bool record_channel_utilization = false;
-
   /// Telemetry collection (per-lane counters, interval sampling); all off
   /// by default and near-free when off.  Results land in
-  /// SimResult::telemetry_counters / telemetry_samples.
+  /// SimResult::telemetry_counters / telemetry_samples, and the counters
+  /// also fill SimResult::channel_busy_cycles.
   telemetry::TelemetryConfig telemetry;
 
   /// Runtime invariant checking (src/sim/validate.hpp): a read-only
   /// structural sweep every cycle plus an end-of-run reconcile, aborting
-  /// with a precise diagnostic on the first violation.  Also enabled by
-  /// the WORMSIM_VALIDATE=1 environment variable.  Roughly halves
-  /// simulation speed; simulation results are bitwise unchanged.
-  bool validate = false;
+  /// with a precise diagnostic on the first violation.  Defaults to the
+  /// WORMSIM_VALIDATE variable, read like the telemetry switches
+  /// (telemetry/config.hpp).  Roughly halves simulation speed;
+  /// simulation results are bitwise unchanged.
+  bool validate = util::env_bool_or("WORMSIM_VALIDATE", false);
 
   /// Compute topology records on the fly from digit-permutation
   /// arithmetic instead of materializing the O(N log N) Network graph

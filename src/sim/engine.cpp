@@ -9,7 +9,6 @@
 
 #include "sim/fault_injection/plan.hpp"
 #include "sim/validate.hpp"
-#include "telemetry/worm_trace.hpp"
 #include "util/check.hpp"
 
 namespace wormsim::sim {
@@ -36,7 +35,9 @@ Engine::Engine(const topology::NetView& network,
       router_(router),
       traffic_(traffic),
       config_(config),
-      rng_(config.seed) {
+      rng_(config.seed),
+      observers_(network_, config_, "wormhole",
+                 &result_.telemetry_counters) {
   const std::size_t lanes = network_.lane_count();
   const std::size_t channels = network_.channel_count();
   buf_packet_.assign(lanes, kNoPacket);
@@ -69,7 +70,6 @@ Engine::Engine(const topology::NetView& network,
   ch_dst_is_switch_.resize(channels);
   lane_channel_.assign(lanes, kInvalidId);
   lane_scan_pos_.assign(lanes, kInvalidId);
-  lane_dst_switch_.assign(lanes, 0);
   network_.for_each_channel([&](const PhysChannel& ch) {
     ch_first_lane_[ch.id] = ch.first_lane;
     ch_num_lanes_[ch.id] = static_cast<std::uint8_t>(ch.num_lanes);
@@ -85,7 +85,6 @@ Engine::Engine(const topology::NetView& network,
         lane_scan_pos_[lane] =
             static_cast<std::uint32_t>(switch_input_lanes_.size());
         switch_input_lanes_.push_back(lane);
-        lane_dst_switch_[lane] = static_cast<std::uint32_t>(ch.dst.id);
       }
     }
   });
@@ -113,54 +112,13 @@ Engine::Engine(const topology::NetView& network,
   result_.measure_cycles = config_.measure_cycles;
   result_.node_count = network_.node_count();
   result_.flits_per_microsecond = config_.flits_per_microsecond;
-  if (config_.record_channel_utilization) {
-    result_.channel_busy_cycles.assign(network_.channel_count(), 0);
-  }
-  if (config_.telemetry.counters) {
-    result_.telemetry_counters.resize_for(network_.lane_count(),
-                                          network_.switch_count());
-    tel_ = &result_.telemetry_counters;
-  }
-  if (config_.telemetry.sampling) {
-    WORMSIM_CHECK(config_.telemetry.sample_interval_cycles > 0);
-    sampler_ = telemetry::IntervalSampler(config_.telemetry.sample_capacity);
-  }
-  if (config_.telemetry.worm_trace ||
-      telemetry::worm_trace_enabled_from_env()) {
-    worm_tracer_ = std::make_shared<telemetry::WormTracer>(lanes, channels);
-    wtrace_ = worm_tracer_.get();
-    result_.worm_trace = worm_tracer_;
-  }
   if (config_.fault_fraction > 0.0) {
     fault_state_.plan = fault_injection::build_fault_plan(
         network_, config_.fault_fraction, config_.fault_seed,
         config_.fault_at_cycle, config_.fault_repair_cycle);
     fault_injection::validate_plan(network_, fault_state_.plan);
   }
-  if (config_.validate || validate_enabled_from_env()) {
-    validator_ = std::make_unique<EngineValidator>(*this);
-  }
-  const std::uint64_t heartbeat =
-      telemetry::heartbeat_cycles_from_env(config_.telemetry);
-  if (heartbeat > 0) {
-    telemetry::RunMonitor::RunInfo info;
-    info.dir = telemetry::heartbeat_dir_from_env(config_.telemetry);
-    info.tag = config_.telemetry.heartbeat_tag;
-    info.heartbeat_cycles = heartbeat;
-    info.warmup_cycles = config_.warmup_cycles;
-    info.measure_cycles = config_.measure_cycles;
-    info.drain_cycles = config_.drain_cycles;
-    info.node_count = network_.node_count();
-    info.engine = "wormhole";
-    run_monitor_ = std::make_unique<telemetry::RunMonitor>(std::move(info));
-    monitor_ = run_monitor_.get();
-    hb_interval_ = heartbeat;
-    hb_stage_intervals_ = telemetry::build_stage_lane_intervals(network_);
-  }
-  if (config_.telemetry.profile || telemetry::profile_enabled_from_env()) {
-    profiler_ = std::make_unique<telemetry::PhaseProfiler>();
-    prof_ = profiler_.get();
-  }
+  if (config_.validate) validator_ = std::make_unique<EngineValidator>(*this);
 }
 
 Engine::~Engine() = default;
@@ -186,10 +144,7 @@ PacketId Engine::inject_message(NodeId src, std::uint64_t dst,
   const auto id = static_cast<PacketId>(packets_.size());
   packets_.push_back(pkt);
   enqueue_packet(src, id);
-  trace(TraceEvent::Kind::kCreated, id, 0, topology::kInvalidId);
-  if (wtrace_ != nullptr) {
-    wtrace_->on_created(id, cycle_, src, dst, length, pkt.measured);
-  }
+  observers_.created(id, cycle_, src, dst, length, pkt.measured);
   return id;
 }
 
@@ -352,37 +307,20 @@ void Engine::route_and_allocate() {
       return;
     }
     if (free_lanes.empty()) {  // blocked; the bit stays for next cycle
-      if (tel_window_ != nullptr) {
-        ++tel_window_->lane_blocked[u];
-        ++tel_window_->switch_denials[lane_dst_switch_[u]];
-      }
-      if (wtrace_ != nullptr ||
-          (tel_window_ != nullptr && credit_gated != kInvalidId)) {
+      observers_.blocked(pid, u, credit_gated != kInvalidId, cycle_, [&] {
         // Culprit: the first *allocated* candidate in candidate order (the
         // tracer resolves its holder worm).  A header whose only obstacle
         // is a credit-dry lane is credit-starved, not contending; with
         // every candidate faulty, the first faulty lane — there is no
         // worm to blame.
-        LaneId culprit = cand_count == 0 ? kInvalidId : cand[0];
-        bool busy = false;
         for (std::size_t i = 0; i < cand_count; ++i) {
           if (alloc_owner_[cand[i]] != kInvalidId) {
-            culprit = cand[i];
-            busy = true;
-            break;
+            return std::pair{cand[i], false};
           }
         }
-        const bool starved = !busy && credit_gated != kInvalidId;
-        if (starved) {
-          culprit = credit_gated;
-          if (tel_window_ != nullptr) {
-            ++tel_window_->lane_credit_starved[culprit];
-          }
-        }
-        if (wtrace_ != nullptr) {
-          wtrace_->on_blocked(pid, u, culprit, cycle_, starved);
-        }
-      }
+        if (credit_gated != kInvalidId) return std::pair{credit_gated, true};
+        return std::pair{cand_count == 0 ? kInvalidId : cand[0], false};
+      });
       return;
     }
     const LaneId chosen =
@@ -395,13 +333,7 @@ void Engine::route_and_allocate() {
     route_out_[u] = chosen;
     alloc_owner_[chosen] = u;
     activate_channel(lane_channel_[chosen]);
-    if (tel_window_ != nullptr) {
-      ++tel_window_->switch_grants[lane_dst_switch_[u]];
-    }
-    if (wtrace_ != nullptr) {
-      wtrace_->on_granted(pid, u, chosen, cycle_);
-    }
-    trace(TraceEvent::Kind::kRouted, pid, 0, chosen);
+    observers_.granted(pid, u, chosen, cycle_);
   };
   header_bits_.for_each_in(offset, count, serve);
   header_bits_.for_each_in(0, offset, serve);
@@ -503,8 +435,8 @@ std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
       lane_scan_pos_[lane] != kInvalidId) {
     WORMSIM_DCHECK(route_out_[lane] == kInvalidId);
     add_header_lane(lane);
-    if (wtrace_ != nullptr) {
-      wtrace_->on_header_arrival(buf_packet_[lane], lane, cycle_);
+    if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
+      tracer->on_header_arrival(buf_packet_[lane], lane, cycle_);
     }
   }
 
@@ -536,9 +468,7 @@ std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
   if (!lane_dead && channel_sources_[lane_ch] != 0) {
     schedule_channel(lane_ch);
   }
-  if (tel_window_ != nullptr) {
-    tel_window_->lane_fault_terminated[lane] += removed;
-  }
+  observers_.discarded(lane, removed);
   return removed;
 }
 
@@ -546,7 +476,18 @@ void Engine::terminate_worm(PacketId pid) {
   PacketState& pkt = packets_[pid];
   WORMSIM_DCHECK(!pkt.delivered());
   WORMSIM_DCHECK(!pkt.terminated());
-  // (1) Stop the source mid-message: the un-sent tail never enters.
+  // (1) Collect the routes the worm holds, before anything changes:
+  // releasing mutates the alloc_owner_ links chain_worm() walks, and a
+  // chain of empty lanes (credit bubbles between flits) is traced back
+  // through node_tx_packet_, so the source must still name the worm.
+  std::vector<LaneId> held;
+  const auto lanes = static_cast<LaneId>(buf_packet_.size());
+  for (LaneId u = 0; u < lanes; ++u) {
+    if (route_out_[u] != kInvalidId && chain_worm(u) == pid) {
+      held.push_back(u);
+    }
+  }
+  // (2) Stop the source mid-message: the un-sent tail never enters.
   const auto src = static_cast<NodeId>(pkt.src);
   std::uint32_t sent = pkt.length;
   if (node_tx_packet_[src] == pid) {
@@ -557,28 +498,22 @@ void Engine::terminate_worm(PacketId pid) {
     deactivate_channel(network_.injection_channel(src));
     if (!node_queue_[src].empty()) mark_tx_pending(src);
   }
-  // (2) Release the allocation chain.  Collect first: releasing mutates
-  // the alloc_owner_ links chain_worm() walks.
-  std::vector<LaneId> held;
-  const auto lanes = static_cast<LaneId>(buf_packet_.size());
-  for (LaneId u = 0; u < lanes; ++u) {
-    if (route_out_[u] != kInvalidId && chain_worm(u) == pid) {
-      held.push_back(u);
-    }
-  }
+  // (3) Release the allocation chain.
   for (const LaneId u : held) {
     const LaneId out = route_out_[u];
     route_out_[u] = kInvalidId;
     alloc_owner_[out] = kInvalidId;
     deactivate_channel(lane_channel_[out]);
-    if (wtrace_ != nullptr) wtrace_->on_lane_released(out);
+    if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
+      tracer->on_lane_released(out);
+    }
   }
-  // (3) Discard the worm's buffered flits everywhere it has any.
+  // (4) Discard the worm's buffered flits everywhere it has any.
   std::uint32_t truncated = 0;
   for (LaneId lane = 0; lane < lanes; ++lane) {
     truncated += fc_remove_packet(lane, pid);
   }
-  // (4) Account: delivered + terminated is the generalized conservation
+  // (5) Account: delivered + terminated is the generalized conservation
   // the validator reconciles (flits ejected before the kill stay
   // delivered; sent - truncated of them were).
   pkt.terminate_cycle = cycle_;
@@ -589,16 +524,13 @@ void Engine::terminate_worm(PacketId pid) {
   --worms_in_flight_;
   // Termination is progress: state changed, nothing is stuck.
   last_move_cycle_ = cycle_;
-  trace(TraceEvent::Kind::kTerminated, pid, sent, topology::kInvalidId);
-  if (wtrace_ != nullptr) wtrace_->on_terminated(pid, cycle_);
+  observers_.terminated(pid, sent, cycle_);
 }
 
 void Engine::apply_fault_plan() {
   fault_state_.applied = true;
   fault_any_ = true;
-  if (monitor_ != nullptr) {
-    monitor_->on_fault(cycle_, "kill", fault_state_.plan.channels.size());
-  }
+  observers_.fault(cycle_, "kill", fault_state_.plan.channels.size());
   const std::vector<ChannelId>& channels = fault_state_.plan.channels;
   for (const ChannelId ch : channels) channel_faulty_.set(ch);
   // Victims: every worm resident in, streaming through, or allocated
@@ -635,9 +567,7 @@ void Engine::apply_fault_plan() {
 
 void Engine::repair_fault_plan() {
   fault_state_.repaired = true;
-  if (monitor_ != nullptr) {
-    monitor_->on_fault(cycle_, "repair", fault_state_.plan.channels.size());
-  }
+  observers_.fault(cycle_, "repair", fault_state_.plan.channels.size());
   for (const ChannelId ch : fault_state_.plan.channels) {
     channel_faulty_.clear(ch);
   }
@@ -702,12 +632,6 @@ void Engine::apply_move(ChannelId ch_id, unsigned pick) {
     move_from_switch(alloc_owner_[lane], lane);
   }
   channel_used_epoch_[ch_id] = epoch_;
-  if (util_window_) {
-    ++result_.channel_busy_cycles[ch_id];
-  }
-  if (tel_window_ != nullptr) {
-    ++tel_window_->lane_flits[lane];
-  }
   last_move_cycle_ = cycle_;
 }
 
@@ -724,17 +648,16 @@ void Engine::move_from_node(NodeId node_id, LaneId lane) {
   if (sent == 0) {
     pkt.inject_cycle = cycle_;
     ++worms_in_flight_;
-    if (wtrace_ != nullptr) wtrace_->on_injected(tx, cycle_);
+    telemetry::WormTracer* tracer = observers_.worm_tracer();
+    if (tracer != nullptr) tracer->on_injected(tx, cycle_);
     // A header behind an earlier worm's flits becomes routable only when
     // it reaches the head slot (the tail-pop in fc_pop promotes it).
     if (was_head) {
       add_header_lane(lane);  // injection channels end at switches
-      if (wtrace_ != nullptr) {
-        wtrace_->on_header_arrival(tx, lane, cycle_);
-      }
+      if (tracer != nullptr) tracer->on_header_arrival(tx, lane, cycle_);
     }
   }
-  trace(TraceEvent::Kind::kFlitMoved, tx, sent, lane);
+  observers_.moved(tx, sent, lane, cycle_);
   node_tx_sent_[node_id] = sent + 1;
   if (sent + 1 == pkt.length) {
     node_tx_packet_[node_id] = kNoPacket;
@@ -756,15 +679,16 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
   // The channel feeding in_lane's buffer may now transmit its next flit;
   // the worklist re-tries it at the scan position this move sits at.
   unblocked_ = lane_channel_[in_lane];
-  trace(TraceEvent::Kind::kFlitMoved, pkt_id, seq, out_lane);
+  observers_.moved(pkt_id, seq, out_lane, cycle_);
+  telemetry::WormTracer* tracer = observers_.worm_tracer();
   if (!ch_dst_is_switch_.test(out_ch)) {
     deliver_flit(pkt_id, seq);
   } else {
     const bool was_head = fc_push(out_lane, pkt_id, seq);
     if (was_head && seq == 0) {
       add_header_lane(out_lane);
-      if (wtrace_ != nullptr) {
-        wtrace_->on_header_arrival(pkt_id, out_lane, cycle_);
+      if (tracer != nullptr) {
+        tracer->on_header_arrival(pkt_id, out_lane, cycle_);
       }
     }
     // The arrived flit can cross its (already routed) next hop next cycle.
@@ -778,13 +702,13 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
     route_out_[in_lane] = kInvalidId;
     alloc_owner_[out_lane] = kInvalidId;
     deactivate_channel(out_ch);
-    if (wtrace_ != nullptr) wtrace_->on_lane_released(out_lane);
+    if (tracer != nullptr) tracer->on_lane_released(out_lane);
     // A deeper FIFO can already hold the next worm's header; it becomes
     // routable the moment the previous tail clears the head slot.
     if (fc_.count[in_lane] > 0 && buf_seq_[in_lane] == 0) {
       add_header_lane(in_lane);
-      if (wtrace_ != nullptr) {
-        wtrace_->on_header_arrival(buf_packet_[in_lane], in_lane, cycle_);
+      if (tracer != nullptr) {
+        tracer->on_header_arrival(buf_packet_[in_lane], in_lane, cycle_);
       }
     }
   }
@@ -905,22 +829,15 @@ void Engine::fc_close_starve(LaneId lane) {
   const std::uint64_t cycles = cycle_ - fc_.starve_since[lane];
   fc_.starve_since[lane] = kNoCycle;
   if (cycles == 0) return;
-  if (tel_window_ != nullptr) {
-    tel_window_->lane_credit_starved[lane] += cycles;
-  }
-  if (wtrace_ != nullptr) {
+  observers_.credit_starved(lane, cycles, [&] {
     // Blame the worm whose flit sat waiting for the gate to lift: the
     // transmitting node's packet on an injection lane, the upstream
     // FIFO's head worm otherwise.
     const std::uint32_t src_node = ch_src_node_[lane_channel_[lane]];
-    PacketId worm = kNoPacket;
-    if (src_node != kInvalidId) {
-      worm = node_tx_packet_[src_node];
-    } else if (alloc_owner_[lane] != kInvalidId) {
-      worm = buf_packet_[alloc_owner_[lane]];
-    }
-    wtrace_->on_credit_starved(worm, lane, cycles);
-  }
+    if (src_node != kInvalidId) return node_tx_packet_[src_node];
+    const LaneId owner = alloc_owner_[lane];
+    return owner != kInvalidId ? buf_packet_[owner] : kNoPacket;
+  });
 }
 
 bool Engine::upstream_has_flit(LaneId lane) const {
@@ -945,8 +862,7 @@ void Engine::deliver_flit(PacketId pkt_id, std::uint32_t seq) {
   if (seq + 1 == pkt.length) {
     pkt.deliver_cycle = cycle_;
     --worms_in_flight_;
-    trace(TraceEvent::Kind::kDelivered, pkt_id, seq, topology::kInvalidId);
-    if (wtrace_ != nullptr) wtrace_->on_delivered(pkt_id, cycle_);
+    observers_.delivered(pkt_id, seq, cycle_);
     ++result_.delivered_messages_total;
     if (pkt.measured) {
       const auto latency =
@@ -1009,50 +925,41 @@ void Engine::advance_pass() {
   cur_pass_.swap(next_pass_);
 }
 
-void Engine::record_sample() {
-  telemetry::Sample sample;
-  sample.cycle = cycle_;
-  sample.delivered_flits = delivered_flits_total_;
-  sample.flits_in_flight = occupied_;
-  sample.worms_in_flight = worms_in_flight_;
-  sample.mean_queue_depth = static_cast<double>(queued_messages_) /
-                            static_cast<double>(node_queue_.size());
-  sampler_.record(sample);
-}
-
 void Engine::step() {
   using telemetry::EnginePhase;
-  const bool measuring = in_measure_window();
-  tel_window_ = measuring ? tel_ : nullptr;
-  util_window_ = measuring && config_.record_channel_utilization;
-  if (prof_ != nullptr) prof_->mark();
+  observers_.begin_cycle(in_measure_window());
   if (!fc_.events.empty()) drain_flow_control_events();
-  if (prof_ != nullptr) prof_->lap(EnginePhase::kFlowControl);
+  observers_.lap(EnginePhase::kFlowControl);
   if (fault_state_.kill_due(cycle_)) apply_fault_plan();
   if (fault_state_.repair_due(cycle_)) repair_fault_plan();
-  if (prof_ != nullptr) prof_->lap(EnginePhase::kFault);
+  observers_.lap(EnginePhase::kFault);
   generate_arrivals();
-  if (prof_ != nullptr) prof_->lap(EnginePhase::kArrivals);
+  observers_.lap(EnginePhase::kArrivals);
   start_transmissions();
-  if (prof_ != nullptr) prof_->lap(EnginePhase::kStartTx);
+  observers_.lap(EnginePhase::kStartTx);
   route_and_allocate();
-  if (prof_ != nullptr) prof_->lap(EnginePhase::kRouting);
+  observers_.lap(EnginePhase::kRouting);
   advance_flits();
-  if (prof_ != nullptr) prof_->lap(EnginePhase::kAdvance);
+  observers_.lap(EnginePhase::kAdvance);
 
-  if (config_.telemetry.sampling &&
-      cycle_ % config_.telemetry.sample_interval_cycles == 0) {
-    record_sample();
+  if (observers_.sample_due(cycle_)) {
+    telemetry::Sample sample;
+    sample.cycle = cycle_;
+    sample.delivered_flits = delivered_flits_total_;
+    sample.flits_in_flight = occupied_;
+    sample.worms_in_flight = worms_in_flight_;
+    sample.mean_queue_depth = static_cast<double>(queued_messages_) /
+                              static_cast<double>(node_queue_.size());
+    observers_.sample(sample);
   }
-  // Heartbeat cadence: `cycle_ + 1` cycles are complete once this step
-  // ends, so window boundaries land on exact multiples of the interval.
-  if (monitor_ != nullptr && (cycle_ + 1) % hb_interval_ == 0) {
-    monitor_->on_heartbeat(heartbeat_snapshot(cycle_ + 1));
-  }
-  if (prof_ != nullptr) prof_->lap(EnginePhase::kTelemetry);
+  // `cycle_ + 1` cycles are complete once this step ends.
+  observers_.heartbeat(cycle_ + 1, [this](std::uint64_t boundary) {
+    return heartbeat_snapshot(boundary);
+  });
+  observers_.lap(EnginePhase::kTelemetry);
 
   if (validator_ != nullptr) validator_->on_cycle_end();
-  if (prof_ != nullptr) prof_->lap(EnginePhase::kValidate);
+  observers_.lap(EnginePhase::kValidate);
 
   if (occupied_ > 0 &&
       cycle_ - last_move_cycle_ > config_.deadlock_watchdog_cycles) {
@@ -1075,14 +982,8 @@ telemetry::HeartbeatSnapshot Engine::heartbeat_snapshot(
   snap.queued_messages = queued_messages_;
   snap.dropped_messages = result_.dropped_messages;
   snap.faulty_channels = channel_faulty_.count();
-  snap.stage_occupancy.reserve(hb_stage_intervals_.size());
-  for (const auto& intervals : hb_stage_intervals_) {
-    std::uint64_t flits = 0;
-    for (const auto& [begin, end] : intervals) {
-      for (LaneId lane = begin; lane < end; ++lane) flits += fc_.count[lane];
-    }
-    snap.stage_occupancy.push_back(flits);
-  }
+  snap.stage_occupancy = observers_.stage_occupancy(
+      [this](LaneId lane) { return fc_.count[lane]; });
   return snap;
 }
 
@@ -1136,55 +1037,15 @@ bool Engine::run_until_idle(std::uint64_t max_cycles) {
 
 SimResult Engine::run() {
   const std::uint64_t total = config_.total_cycles();
-  const std::uint64_t measure_end =
-      config_.warmup_cycles + config_.measure_cycles;
   const auto run_start = std::chrono::steady_clock::now();
   while (cycle_ < total) {
     step();
   }
-  if (prof_ != nullptr) {
-    profiler_->set_total_seconds(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      run_start)
-            .count());
-  }
-  // Time-to-drain SLO: cycles past the measurement window until every
-  // message created before it ended was resolved (delivered or
-  // fault-terminated).  Sources keep offering traffic through the drain
-  // phase, so "network momentarily empty" would never fire at real
-  // loads; resolving the pre-drain population is the degraded-mode
-  // question — a fault that strands traffic shows up as a failed drain.
-  std::uint64_t last_resolved = 0;
-  bool all_resolved = true;
-  for (const PacketState& pkt : packets_) {
-    if (pkt.measured && !pkt.delivered()) {
-      ++result_.measured_messages_unfinished;
-    }
-    if (pkt.create_cycle >= measure_end) continue;
-    if (pkt.delivered()) {
-      last_resolved = std::max(last_resolved, pkt.deliver_cycle);
-    } else if (pkt.terminated()) {
-      last_resolved = std::max(last_resolved, pkt.terminate_cycle);
-    } else {
-      // Still queued at a source (or dropped at creation): the pre-drain
-      // population never resolved inside the drain budget.
-      all_resolved = false;
-    }
-  }
-  result_.drained = all_resolved;
-  result_.time_to_drain_cycles =
-      all_resolved
-          ? (last_resolved > measure_end ? last_resolved - measure_end : 0)
-          : config_.drain_cycles;
-  result_.telemetry_samples = sampler_.ordered();
-  if (monitor_ != nullptr) {
-    monitor_->finalize(heartbeat_snapshot(cycle_), result_.drained,
-                       static_cast<double>(result_.time_to_drain_cycles) /
-                           config_.flits_per_microsecond);
-    result_.saturation_onset_cycle = monitor_->saturation_onset_cycle();
-    result_.fault_onset_cycle = monitor_->fault_onset_cycle();
-  }
-  if (prof_ != nullptr) result_.phase_profile = profiler_->profile();
+  const double run_seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - run_start)
+                                 .count();
+  record_drain(packets_, config_, result_);
+  observers_.finish(result_, heartbeat_snapshot(cycle_), run_seconds);
   if (validator_ != nullptr) validator_->check_final(result_);
   return result_;
 }

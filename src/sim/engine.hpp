@@ -56,17 +56,13 @@
 #include "sim/fault_injection/state.hpp"
 #include "sim/flow_control/state.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observers.hpp"
 #include "sim/packet.hpp"
 #include "sim/trace.hpp"
 #include "sim/traffic_source.hpp"
-#include "telemetry/sampler.hpp"
 #include "topology/net_view.hpp"
 #include "util/bitset.hpp"
 #include "util/rng.hpp"
-
-namespace wormsim::telemetry {
-class WormTracer;
-}
 
 namespace wormsim::sim {
 
@@ -124,14 +120,16 @@ class Engine {
 
   /// Attaches an event observer (null to detach).  The engine reports
   /// creations, routing grants, flit moves, and deliveries.
-  void set_trace_sink(TraceSink* sink) { trace_ = sink; }
+  void set_trace_sink(TraceSink* sink) { observers_.set_trace_sink(sink); }
 
   /// Telemetry state for step()-driven runs (run() also copies both into
   /// the returned SimResult).  Counters cover the measurement window only.
   const telemetry::Counters& telemetry_counters() const {
     return result_.telemetry_counters;
   }
-  const telemetry::IntervalSampler& sampler() const { return sampler_; }
+  const telemetry::IntervalSampler& sampler() const {
+    return observers_.sampler();
+  }
 
   /// Marks a physical channel as failed: headers never route onto it and
   /// no flit crosses it.  Only adaptive networks (DMIN, VMIN with spare
@@ -153,21 +151,21 @@ class Engine {
     return fault_state_.plan;
   }
 
-  /// Non-null when invariant checking is on (SimConfig::validate or
-  /// WORMSIM_VALIDATE=1); the validator sweeps at the end of every step().
+  /// Non-null when invariant checking is on (SimConfig::validate); the
+  /// validator sweeps at the end of every step().
   const EngineValidator* validator() const { return validator_.get(); }
 
-  /// Non-null when per-worm tracing is on (SimConfig::telemetry.worm_trace
-  /// or WORMSIM_TRACE=1); also shared into SimResult::worm_trace.
-  const telemetry::WormTracer* worm_tracer() const { return wtrace_; }
-
-  /// Non-null when streaming heartbeats are on
-  /// (SimConfig::telemetry.heartbeat_cycles or WORMSIM_HEARTBEAT).
-  const telemetry::RunMonitor* run_monitor() const { return monitor_; }
+  /// Non-null when per-worm tracing is on (SimConfig::telemetry.worm_trace);
+  /// run() also shares it into SimResult::worm_trace.
+  const telemetry::WormTracer* worm_tracer() const {
+    return observers_.worm_tracer();
+  }
 
   /// Non-null when the phase self-profiler is on
-  /// (SimConfig::telemetry.profile or WORMSIM_PROFILE=1).
-  const telemetry::PhaseProfiler* profiler() const { return prof_; }
+  /// (SimConfig::telemetry.profile).
+  const telemetry::PhaseProfiler* profiler() const {
+    return observers_.profiler();
+  }
 
   /// Flow-control introspection for tests: per-lane FIFO occupancy,
   /// credits, stop bits, and the in-flight backpressure calendar.
@@ -188,8 +186,8 @@ class Engine {
   /// ready lanes, advances the round-robin pointer, opens starvation
   /// intervals on gated lanes.  Returns the picked lane index or -1.
   int decide_channel(topology::ChannelId ch);
-  /// Applies a granted decision: moves the flit, stamps the channel used,
-  /// fires the telemetry hooks.
+  /// Applies a granted decision: moves the flit and stamps the channel
+  /// used.
   void apply_move(topology::ChannelId ch, unsigned pick);
   bool try_channel(topology::ChannelId ch) {
     const int pick = decide_channel(ch);
@@ -205,7 +203,6 @@ class Engine {
     return cycle_ >= config_.warmup_cycles &&
            cycle_ < config_.warmup_cycles + config_.measure_cycles;
   }
-  void record_sample();
   /// Builds the deterministic heartbeat snapshot for `cycle` completed
   /// cycles (telemetry/run_monitor.hpp); read-only over engine state.
   telemetry::HeartbeatSnapshot heartbeat_snapshot(std::uint64_t cycle) const;
@@ -311,50 +308,11 @@ class Engine {
     }
   }
 
-  void trace(TraceEvent::Kind kind, PacketId packet, std::uint32_t seq,
-             topology::LaneId lane) {
-    if (trace_ == nullptr) return;
-    trace_->on_event(TraceEvent{kind, cycle_, packet, seq, lane});
-  }
-
   const topology::NetView network_;
   const routing::Router& router_;
   TrafficSource* traffic_;
   SimConfig config_;
   util::Rng rng_;
-  TraceSink* trace_ = nullptr;
-
-  // Telemetry: null when counters are off, so the hot-loop hooks cost one
-  // predictable-taken branch.  Points into result_.telemetry_counters.
-  // `tel_window_` is the same pointer gated by in_measure_window(),
-  // refreshed once per step() so the per-move hooks skip the window
-  // comparison; `util_window_` caches the channel-utilization gate the
-  // same way.
-  telemetry::Counters* tel_ = nullptr;
-  telemetry::Counters* tel_window_ = nullptr;
-  bool util_window_ = false;
-  telemetry::IntervalSampler sampler_{0};
-
-  // Per-worm lifecycle tracer (telemetry/worm_trace.hpp); same null-gated
-  // hook pattern as trace_/tel_.  The shared_ptr keeps the trace alive in
-  // the returned SimResult; wtrace_ is the hot-loop alias.
-  std::shared_ptr<telemetry::WormTracer> worm_tracer_;
-  telemetry::WormTracer* wtrace_ = nullptr;
-
-  // Streaming heartbeat monitor (telemetry/run_monitor.hpp, DESIGN.md
-  // §15); same null-gated hook pattern.  hb_interval_ caches the cadence
-  // so the per-cycle check is one compare; hb_stage_intervals_ holds the
-  // per-stage lane ranges the occupancy summary scans.
-  std::unique_ptr<telemetry::RunMonitor> run_monitor_;
-  telemetry::RunMonitor* monitor_ = nullptr;
-  std::uint64_t hb_interval_ = 0;
-  std::vector<std::vector<std::pair<topology::LaneId, topology::LaneId>>>
-      hb_stage_intervals_;
-
-  // Phase self-profiler (telemetry/profiler.hpp); one predictable branch
-  // per phase boundary when off.
-  std::unique_ptr<telemetry::PhaseProfiler> profiler_;
-  telemetry::PhaseProfiler* prof_ = nullptr;
 
   std::uint64_t cycle_ = 0;
   std::uint64_t last_move_cycle_ = 0;
@@ -411,10 +369,6 @@ class Engine {
   // the inverse map (lane -> scan position, kInvalidId for others).
   std::vector<topology::LaneId> switch_input_lanes_;
   std::vector<std::uint32_t> lane_scan_pos_;
-
-  // lane -> id of the switch the lane feeds (undefined for ejection
-  // lanes); flattens the lane->channel->dst chase in the telemetry hooks.
-  std::vector<std::uint32_t> lane_dst_switch_;
 
   // Memoized routing candidates per switch-input lane, keyed by the
   // header packet occupying it.  Router::candidates is pure in
@@ -480,6 +434,8 @@ class Engine {
   std::unique_ptr<EngineValidator> validator_;
 
   SimResult result_;
+  // Declared after result_: it accumulates into result_.telemetry_counters.
+  Observers observers_;
 };
 
 }  // namespace wormsim::sim

@@ -51,16 +51,4 @@ void add_channel_kill(FaultPlan& plan, const topology::NetView& view,
   insert_sorted_unique(plan.channels, channel);
 }
 
-void add_switch_kill(FaultPlan& plan, const topology::NetView& view,
-                     topology::SwitchId sw) {
-  WORMSIM_CHECK(sw < view.switch_count());
-  view.for_each_channel([&](const topology::PhysChannel& ch) {
-    if (!is_interior(ch)) return;
-    if ((ch.src.is_switch() && ch.src.id == sw) ||
-        (ch.dst.is_switch() && ch.dst.id == sw)) {
-      insert_sorted_unique(plan.channels, ch.id);
-    }
-  });
-}
-
 }  // namespace wormsim::sim::fault_injection

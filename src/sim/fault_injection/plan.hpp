@@ -46,10 +46,4 @@ FaultPlan build_fault_plan(const topology::NetView& view, double fraction,
 void add_channel_kill(FaultPlan& plan, const topology::NetView& view,
                       topology::ChannelId channel);
 
-/// Kills a whole switch: every interior channel whose src or dst is
-/// `sw`.  Injection/ejection links of attached nodes are left alive —
-/// their worms die at the switch, which is the observable effect.
-void add_switch_kill(FaultPlan& plan, const topology::NetView& view,
-                     topology::SwitchId sw);
-
 }  // namespace wormsim::sim::fault_injection

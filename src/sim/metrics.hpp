@@ -43,9 +43,9 @@ struct SimResult {
   /// Always zero in fault-free runs, keeping golden digests unchanged.
   std::uint64_t terminated_messages = 0;
   std::uint64_t terminated_flits = 0;
-  /// Cycles from the end of the measurement window until the network
-  /// fully drained (no flits buffered, no node transmitting); equals
-  /// drain_cycles with drained == false when it never emptied.
+  /// Cycles from the end of the measurement window until every message
+  /// created before the window ended was delivered or fault-terminated;
+  /// equals drain_cycles with drained == false when some never were.
   std::uint64_t time_to_drain_cycles = 0;
   bool drained = false;
 
@@ -53,8 +53,9 @@ struct SimResult {
   std::uint64_t node_count = 0;
   double flits_per_microsecond = 20.0;
 
-  /// Busy cycles per physical channel over the measurement window (empty
-  /// unless SimConfig::record_channel_utilization).
+  /// Busy cycles per physical channel over the measurement window, the
+  /// per-channel sums of telemetry_counters.lane_flits (empty unless
+  /// SimConfig::telemetry.counters).
   std::vector<std::uint64_t> channel_busy_cycles;
 
   /// Measurement-window telemetry counters (empty unless
@@ -64,9 +65,9 @@ struct SimResult {
   /// SimConfig::telemetry.sampling).
   std::vector<telemetry::Sample> telemetry_samples;
 
-  /// Per-worm lifecycle trace (null unless SimConfig::telemetry.worm_trace
-  /// or WORMSIM_TRACE=1).  Shared with the engine that filled it; not part
-  /// of the golden digests — tracing never perturbs the simulation.
+  /// Per-worm lifecycle trace (null unless SimConfig::telemetry.worm_trace).
+  /// Shared with the engine that filled it; not part of the golden
+  /// digests — tracing never perturbs the simulation.
   std::shared_ptr<telemetry::WormTracer> worm_trace;
 
   /// Onset detector verdicts from the heartbeat monitor (DESIGN.md §15):
@@ -79,8 +80,8 @@ struct SimResult {
   std::uint64_t fault_onset_cycle = telemetry::kNoOnset;
 
   /// Wall-time attribution of the run loop to its phases (enabled=false
-  /// unless SimConfig::telemetry.profile or WORMSIM_PROFILE=1).  Same
-  /// diagnostics-only contract.
+  /// unless SimConfig::telemetry.profile).  Same diagnostics-only
+  /// contract.
   telemetry::PhaseProfile phase_profile;
 
   /// Accepted throughput as a fraction of the theoretical maximum of one

@@ -7,7 +7,6 @@
 
 #include "sim/fault_injection/plan.hpp"
 #include "sim/validate.hpp"
-#include "telemetry/worm_trace.hpp"
 #include "util/check.hpp"
 
 namespace wormsim::sim {
@@ -26,7 +25,8 @@ StoreForwardEngine::StoreForwardEngine(const topology::NetView& network,
       router_(router),
       traffic_(traffic),
       config_(config),
-      rng_(config.seed) {
+      rng_(config.seed),
+      observers_(network_, config_, "store_forward", nullptr) {
   WORMSIM_CHECK(config_.buffer_depth >= 1);
   nodes_.resize(network_.node_count());
   lanes_.resize(network_.lane_count());
@@ -61,33 +61,8 @@ StoreForwardEngine::StoreForwardEngine(const topology::NetView& network,
     }
   }
 
-  if (config_.validate || validate_enabled_from_env()) {
+  if (config_.validate) {
     validator_ = std::make_unique<StoreForwardValidator>(*this);
-  }
-  if (config_.telemetry.worm_trace ||
-      telemetry::worm_trace_enabled_from_env()) {
-    worm_tracer_ = std::make_shared<telemetry::WormTracer>(
-        network_.lane_count(), network_.channel_count());
-    wtrace_ = worm_tracer_.get();
-    result_.worm_trace = worm_tracer_;
-  }
-  const std::uint64_t heartbeat =
-      telemetry::heartbeat_cycles_from_env(config_.telemetry);
-  if (heartbeat > 0) {
-    telemetry::RunMonitor::RunInfo info;
-    info.dir = telemetry::heartbeat_dir_from_env(config_.telemetry);
-    info.tag = config_.telemetry.heartbeat_tag;
-    info.heartbeat_cycles = heartbeat;
-    info.warmup_cycles = config_.warmup_cycles;
-    info.measure_cycles = config_.measure_cycles;
-    info.drain_cycles = config_.drain_cycles;
-    info.node_count = network_.node_count();
-    info.engine = "store_forward";
-    run_monitor_ = std::make_unique<telemetry::RunMonitor>(std::move(info));
-    monitor_ = run_monitor_.get();
-    hb_interval_ = heartbeat;
-    hb_next_ = heartbeat;
-    hb_stage_intervals_ = telemetry::build_stage_lane_intervals(network_);
   }
 }
 
@@ -121,12 +96,12 @@ PacketId StoreForwardEngine::inject_message(NodeId src, std::uint64_t dst,
   pkt.turn_stage = routing::make_query(network_, src, dst).turn_stage;
   const auto id = static_cast<PacketId>(packets_.size());
   packets_.push_back(pkt);
-  if (wtrace_ != nullptr) {
-    wtrace_->on_created(id, when, src, dst, length, false);
-  }
+  observers_.created(id, when, src, dst, length, false);
   if (when == now_) {
     packets_[id].measured = in_measure_window();
-    if (wtrace_ != nullptr) wtrace_->set_measured(id, packets_[id].measured);
+    if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
+      tracer->set_measured(id, packets_[id].measured);
+    }
     nodes_[src].queue.push_back(id);
     ++queued_packets_;
     mark_node_pending(src);
@@ -157,8 +132,8 @@ bool StoreForwardEngine::start_transfer(PacketId pkt, LaneId from,
   if (ch.dst.is_switch()) {
     ++lanes_[to].incoming;
   }
-  if (wtrace_ != nullptr) {
-    wtrace_->on_sf_transfer_start(pkt, from, to, ch.id, now_);
+  if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
+    tracer->on_sf_transfer_start(pkt, from, to, ch.id, now_);
   }
   const std::uint32_t length = packets_[pkt].length;
   channel_free_at_[ch.id] = now_ + length;
@@ -262,7 +237,9 @@ void StoreForwardEngine::pump() {
 void StoreForwardEngine::deliver(PacketId pkt_id) {
   PacketState& pkt = packets_[pkt_id];
   pkt.deliver_cycle = now_;
-  if (wtrace_ != nullptr) wtrace_->on_sf_delivered(pkt_id, now_);
+  if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
+    tracer->on_sf_delivered(pkt_id, now_);
+  }
   ++result_.delivered_messages_total;
   delivered_flits_total_ += pkt.length;
   if (in_measure_window()) {
@@ -323,8 +300,8 @@ void StoreForwardEngine::finish_transfer(const Transfer& transfer) {
     to.queue.push_back(transfer.packet);
     ++queued_packets_;
     mark_lane_pending(transfer.to);
-    if (wtrace_ != nullptr) {
-      wtrace_->on_sf_hop_arrival(transfer.packet, transfer.to, now_);
+    if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
+      tracer->on_sf_hop_arrival(transfer.packet, transfer.to, now_);
     }
   }
 }
@@ -339,15 +316,13 @@ void StoreForwardEngine::terminate_packet(PacketId pkt_id) {
   pkt.flits_truncated = pkt.length;
   ++result_.terminated_messages;
   result_.terminated_flits += pkt.length;
-  if (wtrace_ != nullptr) wtrace_->on_terminated(pkt_id, now_);
+  observers_.terminated(pkt_id, pkt.length, now_);
 }
 
 void StoreForwardEngine::apply_fault_plan() {
   fault_state_.applied = true;
   fault_any_ = true;
-  if (monitor_ != nullptr) {
-    monitor_->on_fault(now_, "kill", fault_state_.plan.channels.size());
-  }
+  observers_.fault(now_, "kill", fault_state_.plan.channels.size());
   for (const ChannelId ch_id : fault_state_.plan.channels) {
     channel_faulty_[ch_id] = 1;
     const PhysChannel ch = network_.channel(ch_id);
@@ -372,9 +347,7 @@ void StoreForwardEngine::apply_fault_plan() {
 
 void StoreForwardEngine::repair_fault_plan() {
   fault_state_.repaired = true;
-  if (monitor_ != nullptr) {
-    monitor_->on_fault(now_, "repair", fault_state_.plan.channels.size());
-  }
+  observers_.fault(now_, "repair", fault_state_.plan.channels.size());
   for (const ChannelId ch_id : fault_state_.plan.channels) {
     channel_faulty_[ch_id] = 0;
     mark_channel_users(ch_id);  // blocked senders may route again
@@ -399,32 +372,17 @@ telemetry::HeartbeatSnapshot StoreForwardEngine::heartbeat_snapshot(
   std::uint64_t faulty = 0;
   for (const std::uint8_t dead : channel_faulty_) faulty += dead;
   snap.faulty_channels = faulty;
-  snap.stage_occupancy.reserve(hb_stage_intervals_.size());
-  for (const auto& intervals : hb_stage_intervals_) {
-    std::uint64_t packets = 0;
-    for (const auto& [begin, end] : intervals) {
-      for (LaneId lane = begin; lane < end; ++lane) {
-        packets += lanes_[lane].queue.size();
-      }
-    }
-    snap.stage_occupancy.push_back(packets);
-  }
+  snap.stage_occupancy = observers_.stage_occupancy(
+      [this](LaneId lane) { return lanes_[lane].queue.size(); });
   return snap;
-}
-
-void StoreForwardEngine::maybe_heartbeat() {
-  if (now_ < hb_next_) return;
-  // Emit one line at the latest crossed boundary: the event-driven clock
-  // jumps, so windows no event landed in are merged into it.
-  const std::uint64_t boundary = now_ - (now_ % hb_interval_);
-  monitor_->on_heartbeat(heartbeat_snapshot(boundary));
-  hb_next_ = boundary + hb_interval_;
 }
 
 void StoreForwardEngine::process(const Event& event) {
   WORMSIM_DCHECK(event.time >= now_);
   now_ = event.time;
-  if (monitor_ != nullptr) maybe_heartbeat();
+  observers_.heartbeat(now_, [this](std::uint64_t boundary) {
+    return heartbeat_snapshot(boundary);
+  });
   if (fault_state_.kill_due(now_)) apply_fault_plan();
   if (fault_state_.repair_due(now_)) repair_fault_plan();
   while (!free_calendar_.empty() && free_calendar_.top().first <= now_) {
@@ -459,9 +417,9 @@ void StoreForwardEngine::process(const Event& event) {
     case Event::Kind::kInject: {
       PacketState& pkt = packets_[event.payload];
       pkt.measured = in_measure_window();
-      if (wtrace_ != nullptr) {
-        wtrace_->set_measured(static_cast<PacketId>(event.payload),
-                              pkt.measured);
+      if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
+        tracer->set_measured(static_cast<PacketId>(event.payload),
+                             pkt.measured);
       }
       nodes_[pkt.src].queue.push_back(
           static_cast<PacketId>(event.payload));
@@ -489,48 +447,15 @@ bool StoreForwardEngine::run_until_idle(std::uint64_t max_time) {
 }
 
 SimResult StoreForwardEngine::run() {
-  const std::uint64_t total = config_.warmup_cycles +
-                              config_.measure_cycles + config_.drain_cycles;
-  const std::uint64_t measure_end =
-      config_.warmup_cycles + config_.measure_cycles;
+  const std::uint64_t total = config_.total_cycles();
   while (!events_.empty() && events_.top().time < total) {
     const Event event = events_.top();
     events_.pop();
     process(event);
   }
   now_ = total;
-  // Time-to-drain SLO, same definition as the wormhole engine: cycles
-  // past the measurement window until every message created before it
-  // ended was resolved (delivered or fault-terminated).  Sources keep
-  // offering traffic through the drain phase, so "network momentarily
-  // idle" would never fire at real loads.
-  std::uint64_t last_resolved = 0;
-  bool all_resolved = true;
-  for (const PacketState& pkt : packets_) {
-    if (pkt.measured && !pkt.delivered()) {
-      ++result_.measured_messages_unfinished;
-    }
-    if (pkt.create_cycle >= measure_end) continue;
-    if (pkt.delivered()) {
-      last_resolved = std::max(last_resolved, pkt.deliver_cycle);
-    } else if (pkt.terminated()) {
-      last_resolved = std::max(last_resolved, pkt.terminate_cycle);
-    } else {
-      all_resolved = false;
-    }
-  }
-  result_.drained = all_resolved;
-  result_.time_to_drain_cycles =
-      all_resolved
-          ? (last_resolved > measure_end ? last_resolved - measure_end : 0)
-          : config_.drain_cycles;
-  if (monitor_ != nullptr) {
-    monitor_->finalize(heartbeat_snapshot(total), result_.drained,
-                       static_cast<double>(result_.time_to_drain_cycles) /
-                           config_.flits_per_microsecond);
-    result_.saturation_onset_cycle = monitor_->saturation_onset_cycle();
-    result_.fault_onset_cycle = monitor_->fault_onset_cycle();
-  }
+  record_drain(packets_, config_, result_);
+  observers_.finish(result_, heartbeat_snapshot(total), 0.0);
   if (validator_ != nullptr) validator_->check_final(result_);
   return result_;
 }

@@ -27,14 +27,11 @@
 #include "sim/config.hpp"
 #include "sim/fault_injection/state.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observers.hpp"
 #include "sim/packet.hpp"
 #include "sim/traffic_source.hpp"
 #include "topology/net_view.hpp"
 #include "util/rng.hpp"
-
-namespace wormsim::telemetry {
-class WormTracer;
-}
 
 namespace wormsim::sim {
 
@@ -45,9 +42,10 @@ struct StoreForwardTestPeer;
 /// packets here.  Faults kill at packet granularity: a dead channel's
 /// buffers discard their packets, transfers onto it terminate on arrival,
 /// and a packet whose every next hop is dead is terminated.  Of the
-/// telemetry knobs only `worm_trace` and the heartbeats apply (there is
-/// no per-cycle phase structure to profile), and the flow-control,
-/// arbitration and lane-selection knobs do not apply.
+/// telemetry knobs only `worm_trace` and the heartbeats apply (there are
+/// no cycles to count, sample or profile; heartbeats merge the windows
+/// no event landed in), and the flow-control, arbitration and
+/// lane-selection knobs do not apply.
 class StoreForwardEngine {
  public:
   StoreForwardEngine(const topology::NetView& network,
@@ -70,15 +68,11 @@ class StoreForwardEngine {
   const PacketState& packet(PacketId id) const { return packets_.at(id); }
   std::uint64_t now() const { return now_; }
 
-  /// Non-null when per-packet tracing is on (telemetry.worm_trace or
-  /// WORMSIM_TRACE=1); also shared into SimResult::worm_trace.
-  const telemetry::WormTracer* worm_tracer() const { return wtrace_; }
-
-  /// Non-null when streaming heartbeats are on (telemetry.heartbeat_cycles
-  /// or WORMSIM_HEARTBEAT).  The event-driven engine emits at the latest
-  /// crossed cadence boundary before each event, merging windows no event
-  /// landed in.
-  const telemetry::RunMonitor* run_monitor() const { return monitor_; }
+  /// Non-null when per-packet tracing is on (telemetry.worm_trace); run()
+  /// also shares it into SimResult::worm_trace.
+  const telemetry::WormTracer* worm_tracer() const {
+    return observers_.worm_tracer();
+  }
 
   /// Replaces the fault plan before any event has been processed
   /// (tests / callers that need an exact channel set rather than a
@@ -172,9 +166,6 @@ class StoreForwardEngine {
   /// Deterministic heartbeat snapshot at cadence boundary `cycle`
   /// (packet-granular counters; stage occupancy counts buffered packets).
   telemetry::HeartbeatSnapshot heartbeat_snapshot(std::uint64_t cycle) const;
-  /// Emits heartbeats for every cadence boundary now_ has crossed since
-  /// the last emission (merged into one line at the latest boundary).
-  void maybe_heartbeat();
 
   const topology::NetView network_;
   const routing::Router& router_;
@@ -221,25 +212,10 @@ class StoreForwardEngine {
   std::vector<std::uint8_t> lane_pending_flag_;
 
   std::unique_ptr<StoreForwardValidator> validator_;
-
-  // Per-packet lifecycle tracer (telemetry/worm_trace.hpp), null-gated
-  // like the wormhole engine's hooks.
-  std::shared_ptr<telemetry::WormTracer> worm_tracer_;
-  telemetry::WormTracer* wtrace_ = nullptr;
-
-  // Streaming heartbeat monitor (telemetry/run_monitor.hpp, DESIGN.md
-  // §15), null-gated.  hb_next_ is the next cadence boundary to emit at;
-  // the event-driven clock jumps, so one emission may cover several
-  // merged windows.
-  std::unique_ptr<telemetry::RunMonitor> run_monitor_;
-  telemetry::RunMonitor* monitor_ = nullptr;
-  std::uint64_t hb_interval_ = 0;
-  std::uint64_t hb_next_ = 0;
-  std::vector<std::vector<std::pair<topology::LaneId, topology::LaneId>>>
-      hb_stage_intervals_;
   std::uint64_t delivered_flits_total_ = 0;
 
   SimResult result_;
+  Observers observers_;
 };
 
 }  // namespace wormsim::sim

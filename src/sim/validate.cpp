@@ -4,7 +4,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
@@ -21,12 +20,6 @@ using topology::NodeId;
 using topology::PhysChannel;
 using topology::Side;
 using topology::Switch;
-
-bool validate_enabled_from_env() {
-  const char* value = std::getenv("WORMSIM_VALIDATE");
-  return value != nullptr && value[0] != '\0' &&
-         std::strcmp(value, "0") != 0;
-}
 
 namespace {
 

@@ -10,8 +10,8 @@
 // with a precise diagnostic —
 // invariant name, cycle, lane — the moment the engine's books disagree.
 //
-// Enabled by SimConfig::validate (either engine) or the
-// WORMSIM_VALIDATE=1 environment variable.  The validators are strictly
+// Enabled by SimConfig::validate (either engine), which defaults to the
+// WORMSIM_VALIDATE environment variable.  The validators are strictly
 // read-only observers: they never draw randomness or mutate engine
 // state, so validated runs are bitwise identical to unvalidated ones
 // (golden digests unchanged).  Cost is a full O(lanes + channels +
@@ -31,10 +31,6 @@ namespace wormsim::sim {
 class Engine;
 class StoreForwardEngine;
 struct SimResult;
-
-/// True when the WORMSIM_VALIDATE environment variable is set to a
-/// non-empty value other than "0".
-bool validate_enabled_from_env();
 
 /// Result of the wait-for-graph analysis run when a stall approaches the
 /// deadlock watchdog: distinguishes a true cyclic deadlock (or a

@@ -3,11 +3,17 @@
 // The engine compiles its telemetry hooks down to a null-pointer test when
 // everything here is off, so the default-constructed config is safe to
 // leave in every SimConfig (overhead budget: <= 2% on bench_engine_micro).
+//
+// The trace, heartbeat and profile fields default to their WORMSIM_*
+// variables, read when the config is constructed; an explicit assignment,
+// such as a CLI flag's, always wins (DESIGN.md §10, "The switch rule").
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+
+#include "util/cli.hpp"
 
 namespace wormsim::telemetry {
 
@@ -26,10 +32,10 @@ struct TelemetryConfig {
 
   /// Record a full per-worm lifecycle trace (telemetry/worm_trace.hpp):
   /// queue/routing/blocked/streaming decomposition with blocked intervals
-  /// attributed to the culprit lane + worm.  Also enabled by
-  /// WORMSIM_TRACE=1.  Memory scales with messages injected; intended for
-  /// single figure points, not full sweeps.
-  bool worm_trace = false;
+  /// attributed to the culprit lane + worm.  Defaults to WORMSIM_TRACE.
+  /// Memory scales with messages injected; intended for single figure
+  /// points, not full sweeps.
+  bool worm_trace = util::env_bool_or("WORMSIM_TRACE", false);
 
   /// Streaming run heartbeats (telemetry/run_monitor.hpp, DESIGN.md §15):
   /// every `heartbeat_cycles` cycles the engine appends one NDJSON
@@ -37,11 +43,12 @@ struct TelemetryConfig {
   /// flight, per-stage occupancy, drain progress) to
   /// `<heartbeat_dir>/<heartbeat_tag>.ndjson` and atomically rewrites
   /// `<heartbeat_dir>/<heartbeat_tag>.status.json` for cheap polling.
-  /// 0 disables; also enabled by WORMSIM_HEARTBEAT=<cycles> (+
-  /// WORMSIM_HEARTBEAT_DIR).  Zero-feedback: golden digests are bitwise
-  /// unchanged with heartbeats on.
-  std::uint64_t heartbeat_cycles = 0;
-  std::string heartbeat_dir;
+  /// 0 disables.  The cadence defaults to WORMSIM_HEARTBEAT and the
+  /// directory to WORMSIM_HEARTBEAT_DIR.  Zero-feedback: golden digests
+  /// are bitwise unchanged with heartbeats on.
+  std::uint64_t heartbeat_cycles = util::env_u64_or("WORMSIM_HEARTBEAT", 0);
+  std::string heartbeat_dir =
+      util::env_string_or("WORMSIM_HEARTBEAT_DIR", "");
   /// Stream file basename; sweeps derive one per point from the series
   /// label + offered load when empty ("run" for standalone engines).
   std::string heartbeat_tag;
@@ -50,11 +57,9 @@ struct TelemetryConfig {
   /// run's wall time to the step() phases (arrivals, routing, advance
   /// decide/apply, flow control, fault transitions, telemetry, validate)
   /// and surfaces them in the RunManifest and `telemetry_report
-  /// --profile`.  Also enabled by WORMSIM_PROFILE=1.  Zero-feedback like
-  /// the heartbeats; costs a few steady_clock reads per cycle when on.
-  bool profile = false;
-
-  bool enabled() const { return counters || sampling || worm_trace; }
+  /// --profile`.  Defaults to WORMSIM_PROFILE.  Zero-feedback like the
+  /// heartbeats; costs a few steady_clock reads per cycle when on.
+  bool profile = util::env_bool_or("WORMSIM_PROFILE", false);
 };
 
 }  // namespace wormsim::telemetry

@@ -21,9 +21,9 @@ std::uint64_t Counters::total_fault_terminated_flits() const {
   return sum(lane_fault_terminated);
 }
 
-std::uint64_t Counters::channel_flits(const topology::Network& network,
+std::uint64_t Counters::channel_flits(const topology::NetView& network,
                                       topology::ChannelId channel) const {
-  const topology::PhysChannel& ch = network.channel(channel);
+  const topology::PhysChannel ch = network.channel(channel);
   std::uint64_t flits = 0;
   for (unsigned v = 0; v < ch.num_lanes; ++v) {
     flits += lane_flits.at(ch.first_lane + v);

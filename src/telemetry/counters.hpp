@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "topology/net_view.hpp"
 #include "topology/network.hpp"
 
 namespace wormsim::telemetry {
@@ -54,7 +55,7 @@ struct Counters {
   std::uint64_t total_fault_terminated_flits() const;
 
   /// Flit crossings of one physical channel (sum over its lanes).
-  std::uint64_t channel_flits(const topology::Network& network,
+  std::uint64_t channel_flits(const topology::NetView& network,
                               topology::ChannelId channel) const;
 };
 

@@ -9,8 +9,8 @@
 // Same contract as every other telemetry hook: null-gated (one
 // predictable branch per phase boundary when off) and zero-feedback —
 // profiling never perturbs the simulation, so golden digests are
-// bitwise unchanged.  Enabled by TelemetryConfig::profile or
-// WORMSIM_PROFILE=1; surfaced in the RunManifest "profile" object and
+// bitwise unchanged.  Enabled by TelemetryConfig::profile (default:
+// WORMSIM_PROFILE); surfaced in the RunManifest "profile" object and
 // `telemetry_report --profile`.
 #pragma once
 
@@ -20,9 +20,6 @@
 #include <cstdint>
 
 namespace wormsim::telemetry {
-
-/// WORMSIM_PROFILE set to anything but "" or "0".
-bool profile_enabled_from_env();
 
 enum class EnginePhase : std::uint8_t {
   kFlowControl = 0,  ///< backpressure event drain (credits, on/off)

@@ -2,35 +2,12 @@
 
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/cli.hpp"
 
 namespace wormsim::telemetry {
-
-std::uint64_t heartbeat_cycles_from_env(const TelemetryConfig& config) {
-  // Like the directory: a configured cadence (a flag) beats the variable.
-  if (config.heartbeat_cycles > 0) return config.heartbeat_cycles;
-  return util::env_u64_or("WORMSIM_HEARTBEAT", 0);
-}
-
-std::string heartbeat_dir_from_env(const TelemetryConfig& config) {
-  // Config wins: run_figure derives a per-figure subdirectory from the
-  // env value, so folding env over config here would flatten it again.
-  if (!config.heartbeat_dir.empty()) return config.heartbeat_dir;
-  const char* value = std::getenv("WORMSIM_HEARTBEAT_DIR");
-  if (value != nullptr && value[0] != '\0') return value;
-  return {};
-}
-
-bool profile_enabled_from_env() {
-  const char* value = std::getenv("WORMSIM_PROFILE");
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
 
 void write_json_atomic(const std::string& path, const JsonValue& doc) {
   const std::string tmp =
@@ -72,9 +49,8 @@ RunMonitor::RunMonitor(RunInfo info)
   std::filesystem::create_directories(info_.dir.empty() ? "." : info_.dir);
   const std::string base =
       (info_.dir.empty() ? std::string(".") : info_.dir) + "/" + info_.tag;
-  stream_path_ = base + ".ndjson";
   status_path_ = base + ".status.json";
-  stream_.open(stream_path_, std::ios::trunc);
+  stream_.open(base + ".ndjson", std::ios::trunc);
   WORMSIM_CHECK_MSG(stream_.good(), "cannot open heartbeat stream file");
 
   JsonValue line = JsonValue::object();

@@ -2,7 +2,7 @@
 //
 // A RunMonitor makes a long simulation inspectable while it executes:
 // both engines tick it on a configurable cycle cadence
-// (TelemetryConfig::heartbeat_cycles / WORMSIM_HEARTBEAT), and every
+// (TelemetryConfig::heartbeat_cycles, default WORMSIM_HEARTBEAT), and every
 // tick appends one NDJSON snapshot line to
 // `<heartbeat_dir>/<heartbeat_tag>.ndjson` and atomically rewrites
 // `<heartbeat_dir>/<heartbeat_tag>.status.json` (write-to-temp +
@@ -39,7 +39,6 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/config.hpp"
 #include "telemetry/json.hpp"
 #include "topology/net_view.hpp"
 
@@ -48,13 +47,6 @@ namespace wormsim::telemetry {
 /// Sentinel for "onset never detected" (mirrors sim::kNoCycle, which
 /// telemetry cannot include).
 inline constexpr std::uint64_t kNoOnset = ~std::uint64_t{0};
-
-/// Effective heartbeat cadence / directory: a non-zero configured
-/// cadence wins over WORMSIM_HEARTBEAT, and a non-empty configured
-/// directory over WORMSIM_HEARTBEAT_DIR (run_figure derives per-figure
-/// subdirectories from the env value and stores them in the config).
-std::uint64_t heartbeat_cycles_from_env(const TelemetryConfig& config);
-std::string heartbeat_dir_from_env(const TelemetryConfig& config);
 
 /// One engine-built snapshot.  Every field is deterministic; the
 /// monitor adds the wall-clock-derived fields at emission time.
@@ -123,9 +115,6 @@ class RunMonitor {
   std::uint64_t saturation_onset_cycle() const { return saturation_onset_; }
   std::uint64_t fault_onset_cycle() const { return fault_onset_; }
 
-  const std::string& stream_path() const { return stream_path_; }
-  const std::string& status_path() const { return status_path_; }
-
  private:
   const char* phase_of(std::uint64_t cycle) const;
   double wall_seconds() const;
@@ -135,7 +124,6 @@ class RunMonitor {
   void write_status(const HeartbeatSnapshot& snap, bool finished);
 
   RunInfo info_;
-  std::string stream_path_;
   std::string status_path_;
   std::ofstream stream_;
   std::chrono::steady_clock::time_point start_;

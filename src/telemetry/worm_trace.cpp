@@ -1,7 +1,6 @@
 #include "telemetry/worm_trace.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -13,12 +12,6 @@ namespace wormsim::telemetry {
 using topology::ChannelId;
 using topology::kInvalidId;
 using topology::LaneId;
-
-bool worm_trace_enabled_from_env() {
-  const char* value = std::getenv("WORMSIM_TRACE");
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
 
 WormTracer::WormTracer(std::size_t lane_count, std::size_t channel_count) {
   lane_holder_.assign(lane_count, kNoWorm);

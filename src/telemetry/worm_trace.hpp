@@ -33,8 +33,8 @@
 // gated on a null pointer, so a trace-off run pays one predictable branch
 // per hook site, and the tracer draws no randomness and never feeds back
 // into the engine — golden digests are bitwise identical either way
-// (regression-tested).  Enable via TelemetryConfig::worm_trace or
-// WORMSIM_TRACE=1.
+// (regression-tested).  Enable via TelemetryConfig::worm_trace, which
+// defaults to WORMSIM_TRACE.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +53,6 @@ namespace wormsim::telemetry {
 using WormId = std::uint32_t;
 inline constexpr WormId kNoWorm = topology::kInvalidId;
 inline constexpr std::uint64_t kNoTraceCycle = ~std::uint64_t{0};
-
-/// WORMSIM_TRACE set to anything but "" or "0".
-bool worm_trace_enabled_from_env();
 
 /// One maximal run of cycles a worm spent denied (wormhole: arbitration
 /// denials; store-and-forward: waiting in a hop queue), pinned on one

@@ -182,7 +182,7 @@ class NetView {
     return fanout;
   }
 
-  /// Visits every channel / lane in ascending id order (the engines'
+  /// Visits every channel in ascending id order (the engines'
   /// construction scans).  On the implicit branch records are computed
   /// one at a time — nothing is materialized.
   template <typename Fn>
@@ -194,17 +194,6 @@ class NetView {
     const std::size_t count = implicit_->channel_count();
     for (std::size_t id = 0; id < count; ++id) {
       fn(implicit_->channel(static_cast<ChannelId>(id)));
-    }
-  }
-  template <typename Fn>
-  void for_each_lane(Fn&& fn) const {
-    if (net_ != nullptr) {
-      for (const Lane& lane : net_->lanes()) fn(lane);
-      return;
-    }
-    const std::size_t count = implicit_->lane_count();
-    for (std::size_t id = 0; id < count; ++id) {
-      fn(implicit_->lane(static_cast<LaneId>(id)));
     }
   }
 

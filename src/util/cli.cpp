@@ -195,10 +195,9 @@ bool parse_bool(const std::string& text, bool* out) {
 
 namespace {
 
-[[noreturn]] void die_bad_env(const char* name, const char* raw) {
-  std::fprintf(stderr,
-               "%s: expected a non-negative decimal integer, got '%s'\n",
-               name, raw);
+[[noreturn]] void die_bad_env(const char* name, const char* expected,
+                              const char* raw) {
+  std::fprintf(stderr, "%s: expected %s, got '%s'\n", name, expected, raw);
   std::abort();
 }
 
@@ -208,8 +207,24 @@ std::uint64_t env_u64_or(const char* name, std::uint64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   std::uint64_t value = 0;
-  if (!parse_u64(raw, &value)) die_bad_env(name, raw);
+  if (!parse_u64(raw, &value)) {
+    die_bad_env(name, "a non-negative decimal integer", raw);
+  }
   return value;
+}
+
+bool env_bool_or(const char* name, bool fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  bool value = false;
+  if (!parse_bool(raw, &value)) die_bad_env(name, "0, 1, true or false", raw);
+  return value;
+}
+
+std::string env_string_or(const char* name, std::string fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  return raw;
 }
 
 std::string CliParser::usage() const {

@@ -88,5 +88,9 @@ bool parse_bool(const std::string& text, bool* out);
 /// variable when it is set to something parse_u64 rejects — a mistyped
 /// knob silently falling back is worse than a hard stop.
 std::uint64_t env_u64_or(const char* name, std::uint64_t fallback);
+/// The same for a switch read with parse_bool.
+bool env_bool_or(const char* name, bool fallback);
+/// A string environment knob: `fallback` when unset or empty.
+std::string env_string_or(const char* name, std::string fallback);
 
 }  // namespace wormsim::util

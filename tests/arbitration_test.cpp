@@ -90,7 +90,7 @@ TEST(Arbitration, FirstFreeBiasesDilatedChannelUsage) {
     config.warmup_cycles = 1'000;
     config.measure_cycles = 20'000;
     config.drain_cycles = 1'000;
-    config.record_channel_utilization = true;
+    config.telemetry.counters = true;
     Engine engine(net, *router, &traffic, config);
     return engine.run();
   };

@@ -164,7 +164,6 @@ TEST(CacheFingerprint, ObservabilityTogglesDoNotSplitTheAddressSpace) {
   config.telemetry.counters = true;
   config.telemetry.sampling = true;
   config.validate = true;
-  config.record_channel_utilization = true;
   EXPECT_EQ(fp, ResultCache::fingerprint(spec, 0.3, config));
 }
 

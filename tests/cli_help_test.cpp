@@ -128,6 +128,63 @@ TEST(CliExitStatus, OverflowSeedEnvDies) {
             0);
 }
 
+// Regression: the engines re-read WORMSIM_HEARTBEAT over the config, so
+// --heartbeat-cycles=0 could not switch a set variable off (fig18a still
+// wrote 12 streams).  The variable is only the flag's default now.
+TEST(CliExitStatus, HeartbeatFlagZeroBeatsEnv) {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "wormsim_cli_hb_off";
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(run(std::string("WORMSIM_HEARTBEAT=1000 ") +
+                WORMSIM_FIGURES_CLI_PATH +
+                " --quick --figure=fig18a --heartbeat-cycles=0"
+                " --heartbeat-dir=" + dir.string() + " > /dev/null 2>&1"),
+            0);
+  std::size_t streams = 0;
+  if (std::filesystem::exists(dir)) {
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+      streams += entry.path().extension() == ".ndjson" ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(streams, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// Regression: likewise WORMSIM_PROFILE=1 kept the profiler on under
+// --profile=false.  The variable alone still prints the phase tables.
+TEST(CliExitStatus, ProfileFlagFalseBeatsEnv) {
+  const std::string report = std::string("WORMSIM_PROFILE=1 ") +
+                             WORMSIM_TELEMETRY_REPORT_PATH +
+                             " --quick --figure=fig18a --load=0.3";
+  const std::string on = testing::TempDir() + "profile_env_on.txt";
+  const std::string off = testing::TempDir() + "profile_flag_off.txt";
+  ASSERT_EQ(run(report + " > " + on + " 2> /dev/null"), 0);
+  ASSERT_EQ(run(report + " --profile=false > " + off + " 2> /dev/null"), 0);
+  EXPECT_EQ(run("grep -q engine_phase " + on), 0);
+  EXPECT_NE(run("grep -q engine_phase " + off), 0);
+}
+
+// Regression: the engines' own reader took any value but "0" as on, so a
+// mistyped WORMSIM_VALIDATE ran validated and exited 0.  It now aborts
+// naming the variable, like every other knob.
+TEST(CliExitStatus, BogusValidateEnvDiesNamingIt) {
+  const std::string err = testing::TempDir() + "validate_bogus.txt";
+  EXPECT_NE(run(std::string("WORMSIM_VALIDATE=bogus ") +
+                WORMSIM_QUICKSTART_PATH + " --cycles=100 > /dev/null 2> " +
+                err),
+            0);
+  EXPECT_EQ(run("grep -q WORMSIM_VALIDATE " + err), 0);
+}
+
+// Regression: the heatmap aborted (exit 134) on the store-and-forward
+// series, which keeps no per-lane counters.
+TEST(CliExitStatus, ReportStoreForwardFigureSucceeds) {
+  EXPECT_EQ(run(std::string(WORMSIM_TELEMETRY_REPORT_PATH) +
+                " --quick --figure=ablation_switching > /dev/null 2>&1"),
+            0);
+}
+
 // telemetry_report --dir must fail loudly (exit 1) for every flavor of
 // useless directory — missing, empty, and "every file unparseable" (the
 // last used to print a bare table header and exit 0).

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
+#include "sim/validate.hpp"
 #include "topology/network.hpp"
 #include "traffic/workload.hpp"
 
@@ -355,7 +359,7 @@ TEST(Engine, ChannelUtilizationRecording) {
   config.warmup_cycles = 2'000;
   config.measure_cycles = 10'000;
   config.drain_cycles = 1'000;
-  config.record_channel_utilization = true;
+  config.telemetry.counters = true;
   Engine engine(net, *router, &traffic, config);
   const SimResult result = engine.run();
   ASSERT_EQ(result.channel_busy_cycles.size(), net.channels().size());
@@ -384,6 +388,79 @@ TEST(Engine, IdleReportsCorrectly) {
   engine.inject_message(0, 5, 4);
   EXPECT_FALSE(engine.idle());
   EXPECT_TRUE(engine.run_until_idle(1'000));
+}
+
+/// Sets an environment variable for one scope, restoring what it was
+/// (CI runs the suite with WORMSIM_VALIDATE=1).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, /*overwrite=*/1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+// Regression: the engines re-read the variables with their own rule,
+// which took any value but "0" as on, so "false" switched all three on.
+TEST(Observers, FalseInEnvironmentSwitchesOff) {
+  const ScopedEnv trace("WORMSIM_TRACE", "false");
+  const ScopedEnv profile("WORMSIM_PROFILE", "false");
+  const ScopedEnv validate("WORMSIM_VALIDATE", "false");
+  const Network net =
+      topology::build_network(make_config(NetworkKind::kTMIN, "cube", 2, 3));
+  const auto router = routing::make_router(net);
+  Engine engine(net, *router, nullptr, SimConfig{});
+  EXPECT_EQ(engine.worm_tracer(), nullptr);
+  EXPECT_EQ(engine.profiler(), nullptr);
+  EXPECT_EQ(engine.validator(), nullptr);
+}
+
+// The variables are defaults: a config that says otherwise wins, in
+// both directions.
+TEST(Observers, ExplicitConfigBeatsEnvironment) {
+  const Network net =
+      topology::build_network(make_config(NetworkKind::kTMIN, "cube", 2, 3));
+  const auto router = routing::make_router(net);
+  {
+    const ScopedEnv trace("WORMSIM_TRACE", "1");
+    const ScopedEnv profile("WORMSIM_PROFILE", "true");
+    const ScopedEnv validate("WORMSIM_VALIDATE", "1");
+    SimConfig config;
+    EXPECT_TRUE(config.telemetry.worm_trace);
+    EXPECT_TRUE(config.telemetry.profile);
+    EXPECT_TRUE(config.validate);
+    config.telemetry.worm_trace = false;
+    config.telemetry.profile = false;
+    config.validate = false;
+    Engine engine(net, *router, nullptr, config);
+    EXPECT_EQ(engine.worm_tracer(), nullptr);
+    EXPECT_EQ(engine.profiler(), nullptr);
+    EXPECT_EQ(engine.validator(), nullptr);
+  }
+  {
+    const ScopedEnv trace("WORMSIM_TRACE", "0");
+    const ScopedEnv profile("WORMSIM_PROFILE", "0");
+    const ScopedEnv validate("WORMSIM_VALIDATE", "0");
+    SimConfig config;
+    config.telemetry.worm_trace = true;
+    config.telemetry.profile = true;
+    config.validate = true;
+    Engine engine(net, *router, nullptr, config);
+    EXPECT_NE(engine.worm_tracer(), nullptr);
+    EXPECT_NE(engine.profiler(), nullptr);
+    EXPECT_NE(engine.validator(), nullptr);
+  }
 }
 
 }  // namespace

@@ -187,7 +187,6 @@ TEST(FaultInjection, EmptyPlanDigestsMatchCommittedSnapshot) {
       config.warmup_cycles = 500;
       config.measure_cycles = 4'000;
       config.drain_cycles = 1'500;
-      config.record_channel_utilization = true;
       config.telemetry.counters = true;
       config.telemetry.sampling = true;
       config.telemetry.sample_interval_cycles = 256;

@@ -21,6 +21,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "routing/router.hpp"
@@ -141,36 +143,47 @@ traffic::WorkloadSpec golden_workload() {
   return workload;
 }
 
-SimResult run_case(const GoldenCase& gc, bool worm_trace = false) {
+SimConfig case_config(const GoldenCase& gc) {
+  SimConfig config;
+  config.seed = 7;
+  config.warmup_cycles = 500;
+  config.measure_cycles = 4'000;
+  config.drain_cycles = 1'500;
+  if (gc.store_forward) {
+    config.buffer_depth = 2;
+    return config;
+  }
+  config.arbitration = gc.arbitration;
+  config.telemetry.counters = true;
+  config.telemetry.sampling = true;
+  config.telemetry.sample_interval_cycles = 256;
+  config.telemetry.sample_capacity = 64;
+  return config;
+}
+
+/// Runs `gc` under `config`.  On wormhole cases `sink` sees every engine
+/// event and `packets` receives the engine's packet_count().
+SimResult run_case(const GoldenCase& gc, const SimConfig& config,
+                   TraceSink* sink = nullptr, std::size_t* packets = nullptr) {
   const topology::Network net = topology::build_network(golden_network(gc.kind));
   const auto router = routing::make_router(net);
   traffic::WorkloadSpec workload = golden_workload();
   traffic::StandardTraffic traffic(net, workload);
   if (gc.store_forward) {
-    SimConfig config;
-    config.seed = 7;
-    config.buffer_depth = 2;
-    config.warmup_cycles = 500;
-    config.measure_cycles = 4'000;
-    config.drain_cycles = 1'500;
-    config.telemetry.worm_trace = worm_trace;
     StoreForwardEngine engine(net, *router, &traffic, config);
     return engine.run();
   }
-  SimConfig config;
-  config.seed = 7;
-  config.arbitration = gc.arbitration;
-  config.warmup_cycles = 500;
-  config.measure_cycles = 4'000;
-  config.drain_cycles = 1'500;
-  config.record_channel_utilization = true;
-  config.telemetry.counters = true;
-  config.telemetry.sampling = true;
-  config.telemetry.sample_interval_cycles = 256;
-  config.telemetry.sample_capacity = 64;
-  config.telemetry.worm_trace = worm_trace;
   Engine engine(net, *router, &traffic, config);
-  return engine.run();
+  engine.set_trace_sink(sink);
+  SimResult result = engine.run();
+  if (packets != nullptr) *packets = engine.packet_count();
+  return result;
+}
+
+SimResult run_case(const GoldenCase& gc, bool worm_trace = false) {
+  SimConfig config = case_config(gc);
+  config.telemetry.worm_trace = worm_trace;
+  return run_case(gc, config);
 }
 
 std::uint64_t bits_of(double v) {
@@ -222,6 +235,51 @@ TEST(Golden, TraceOnDigestsBitwiseUnchanged) {
               kExpected[i].delivered_messages_total);
     EXPECT_EQ(bits_of(r.latency_cycles.mean()),
               kExpected[i].latency_mean_bits);
+  }
+}
+
+// Every observer at once — counters, sampling, worm trace, heartbeats,
+// profiler, validator, and a recording sink on the wormhole cases — still
+// leaves every digest on the committed snapshot, and the sink sees one
+// creation per packet and one delivery per delivered message.  The
+// store-and-forward engine ignores the per-cycle observers it has no use
+// for, so its digests cannot move either.
+TEST(Golden, EveryObserverOnDigestsBitwiseUnchanged) {
+  ASSERT_EQ(std::size(kExpected), std::size(kCases));
+  const std::string dir = testing::TempDir() + "golden_all_observers";
+  for (std::size_t i = 0; i < std::size(kCases); ++i) {
+    const GoldenCase& gc = kCases[i];
+    SCOPED_TRACE(gc.name);
+    SimConfig config = case_config(gc);
+    config.telemetry.counters = true;
+    config.telemetry.sampling = true;
+    config.telemetry.worm_trace = true;
+    config.telemetry.heartbeat_cycles = 256;
+    config.telemetry.heartbeat_dir = dir;
+    config.telemetry.heartbeat_tag = gc.name;
+    config.telemetry.profile = true;
+    config.validate = true;
+    RecordingTraceSink sink;
+    std::size_t packets = 0;
+    const SimResult r = run_case(gc, config, &sink, &packets);
+    EXPECT_EQ(digest(r), kExpected[i].digest);
+    EXPECT_EQ(r.delivered_messages_total,
+              kExpected[i].delivered_messages_total);
+    EXPECT_EQ(bits_of(r.latency_cycles.mean()),
+              kExpected[i].latency_mean_bits);
+    EXPECT_NE(r.worm_trace, nullptr);
+    EXPECT_TRUE(std::filesystem::exists(dir + "/" + gc.name + ".ndjson"));
+    if (gc.store_forward) continue;
+    EXPECT_TRUE(r.phase_profile.enabled);
+    std::size_t created = 0;
+    std::size_t delivered = 0;
+    for (const TraceEvent& event : sink.events()) {
+      created += event.kind == TraceEvent::Kind::kCreated ? 1 : 0;
+      delivered += event.kind == TraceEvent::Kind::kDelivered ? 1 : 0;
+    }
+    EXPECT_GT(created, 0u);
+    EXPECT_EQ(created, packets);
+    EXPECT_EQ(delivered, r.delivered_messages_total);
   }
 }
 

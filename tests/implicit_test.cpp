@@ -242,7 +242,6 @@ sim::SimConfig test_sim_config() {
   config.warmup_cycles = 500;
   config.measure_cycles = 4'000;
   config.drain_cycles = 1'500;
-  config.record_channel_utilization = true;
   config.telemetry.counters = true;
   config.telemetry.sampling = true;
   config.telemetry.sample_interval_cycles = 256;

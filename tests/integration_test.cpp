@@ -46,7 +46,7 @@ sim::SimResult run_clustered(const Network& net,
   config.warmup_cycles = 3'000;
   config.measure_cycles = 30'000;
   config.drain_cycles = 3'000;
-  config.record_channel_utilization = true;
+  config.telemetry.counters = true;
   sim::Engine engine(net, *router, &traffic, config);
   return engine.run();
 }
@@ -188,7 +188,7 @@ TEST(Integration, PermutationTrafficUsesOnlyPermutationPaths) {
   config.warmup_cycles = 2'000;
   config.measure_cycles = 20'000;
   config.drain_cycles = 2'000;
-  config.record_channel_utilization = true;
+  config.telemetry.counters = true;
   sim::Engine engine(net, *router, &traffic, config);
   const sim::SimResult result = engine.run();
 

@@ -605,5 +605,23 @@ TEST(EnvKnobsDeath, GarbageValueDiesWithDiagnostic) {
   unsetenv("WORMSIM_TEST_KNOB");
 }
 
+// Switches read the binder's spelling: 0/1/true/false, nothing else.
+// Regression: the engines' own readers took any value but "0" — "false"
+// included — as on.
+TEST(EnvKnobs, SwitchTakesBinderSpelling) {
+  unsetenv("WORMSIM_TEST_KNOB");
+  EXPECT_TRUE(env_bool_or("WORMSIM_TEST_KNOB", true));
+  setenv("WORMSIM_TEST_KNOB", "", 1);
+  EXPECT_FALSE(env_bool_or("WORMSIM_TEST_KNOB", false));
+  setenv("WORMSIM_TEST_KNOB", "false", 1);
+  EXPECT_FALSE(env_bool_or("WORMSIM_TEST_KNOB", true));
+  setenv("WORMSIM_TEST_KNOB", "1", 1);
+  EXPECT_TRUE(env_bool_or("WORMSIM_TEST_KNOB", false));
+  setenv("WORMSIM_TEST_KNOB", "yes", 1);
+  EXPECT_DEATH(env_bool_or("WORMSIM_TEST_KNOB", false),
+               "WORMSIM_TEST_KNOB.*0, 1, true or false.*yes");
+  unsetenv("WORMSIM_TEST_KNOB");
+}
+
 }  // namespace
 }  // namespace wormsim::util

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "experiment/figures.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
 #include "sim/store_forward.hpp"
@@ -797,6 +798,31 @@ TEST(Validation, DeepBufferBminRunIsClean) {
   Engine engine(net, *router, &traffic, sim);
   const SimResult result = engine.run();
   EXPECT_GT(result.delivered_messages_total, 0u);
+}
+
+// Regression: a fault kill stopped the worm's source before collecting
+// the routes it held, and chain_worm traces a chain of empty lanes (the
+// credit bubbles between flits under credit delay) back to the source.
+// Routes reachable only that way were never released, so the dead lane
+// stayed allocated: 'fault-quiescence' at cycle 503, lane 191.
+TEST(Validation, FaultKillWithDelayedCreditsReleasesEveryRoute) {
+  const Network net = topology::build_network(experiment::tmin_config());
+  const auto router = routing::make_router(net);
+  traffic::WorkloadSpec workload;
+  workload.offered = 0.5;
+  traffic::StandardTraffic traffic(net, workload);
+  SimConfig sim;
+  sim.seed = 1;
+  sim.warmup_cycles = 500;
+  sim.measure_cycles = 100;
+  sim.drain_cycles = 0;
+  sim.credit_delay = 2;
+  sim.fault_fraction = 0.1;
+  sim.fault_at_cycle = 500;
+  sim.validate = true;
+  Engine engine(net, *router, &traffic, sim);
+  const SimResult result = engine.run();
+  EXPECT_GT(result.terminated_messages, 0u);
 }
 
 }  // namespace
