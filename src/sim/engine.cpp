@@ -70,9 +70,11 @@ Engine::Engine(const topology::NetView& network,
   ch_dst_is_switch_.resize(channels);
   lane_channel_.assign(lanes, kInvalidId);
   lane_scan_pos_.assign(lanes, kInvalidId);
+  bool single_lane = true;
   network_.for_each_channel([&](const PhysChannel& ch) {
     ch_first_lane_[ch.id] = ch.first_lane;
     ch_num_lanes_[ch.id] = static_cast<std::uint8_t>(ch.num_lanes);
+    single_lane = single_lane && ch.num_lanes == 1;
     if (ch.src.is_node()) {
       ch_src_node_[ch.id] = static_cast<std::uint32_t>(ch.src.id);
     }
@@ -89,6 +91,8 @@ Engine::Engine(const topology::NetView& network,
     }
   });
   header_bits_.resize(switch_input_lanes_.size());
+  chase_ = single_lane && fc_.scheme == FlowControlScheme::kCredit &&
+           fc_.depth == 1 && fc_.delay == 0;
 
   const std::size_t node_count = network_.node_count();
   node_queue_.resize(node_count);
@@ -141,7 +145,7 @@ PacketId Engine::inject_message(NodeId src, std::uint64_t dst,
   pkt.create_cycle = cycle_;
   pkt.measured = in_measure_window();
   pkt.turn_stage = routing::make_query(network_, src, dst).turn_stage;
-  const auto id = static_cast<PacketId>(packets_.size());
+  const PacketId id = next_packet_id(packets_.size());
   packets_.push_back(pkt);
   enqueue_packet(src, id);
   observers_.created(id, cycle_, src, dst, length, pkt.measured);
@@ -635,6 +639,74 @@ void Engine::apply_move(ChannelId ch_id, unsigned pick) {
   last_move_cycle_ = cycle_;
 }
 
+bool Engine::try_single_lane(ChannelId ch) {
+  // decide_channel with one lane: vc_rr_ stays 0, and fc_open_starve is a
+  // no-op because at depth 1 a sender without credit faces a full buffer.
+  // Single-flit buffers keep each worm contiguous (the validator's worm
+  // continuity), so a body flit only moves into a lane the flit ahead of
+  // it just left: the lane's next hop moved this cycle and seed_next_hop
+  // would skip it.
+  if (channel_used_epoch_[ch] == epoch_ ||
+      (fault_any_ && channel_faulty_.test(ch))) {
+    return false;
+  }
+  const LaneId lane = ch_first_lane_[ch];
+  const std::uint32_t src_node = ch_src_node_[ch];
+  PacketId pid = kNoPacket;
+  std::uint32_t seq = 0;
+  if (src_node != kInvalidId) {
+    pid = node_tx_packet_[src_node];
+    if (pid == kNoPacket || fc_.credits[lane] == 0) return false;
+    seq = node_tx_sent_[src_node];
+    if (seq == 0 || seq + 1 == packets_[pid].length) {
+      apply_move(ch, 0);
+      return true;
+    }
+    // Body injection: the fc_push of move_from_node at depth 1.
+    buf_packet_[lane] = pid;
+    buf_seq_[lane] = seq;
+    arrived_epoch_[lane] = epoch_;
+    fc_.count[lane] = 1;
+    fc_.credits[lane] = 0;
+    ++occupied_;
+    node_tx_sent_[src_node] = seq + 1;
+  } else {
+    const LaneId u = alloc_owner_[lane];
+    if (u == kInvalidId) return false;
+    pid = buf_packet_[u];
+    if (pid == kNoPacket || arrived_epoch_[u] == epoch_) return false;
+    const bool eject = !ch_dst_is_switch_.test(ch);
+    if (!eject && fc_.credits[lane] == 0) return false;
+    seq = buf_seq_[u];
+    if (seq == 0 || seq + 1 == packets_[pid].length) {
+      apply_move(ch, 0);
+      return true;
+    }
+    // Body flit: fc_pop(u), then either deliver_flit's flit count or
+    // fc_push(lane).  At depth 1 the pop and the push exchange the two
+    // lanes' count and credit, so occupied_ is unchanged by a shift.
+    buf_packet_[u] = kNoPacket;
+    fc_.count[u] = 0;
+    fc_.credits[u] = 1;
+    popped_ = u;
+    if (eject) {
+      --occupied_;
+      if (in_measure_window()) ++result_.delivered_flits_in_window;
+      ++delivered_flits_total_;
+    } else {
+      buf_packet_[lane] = pid;
+      buf_seq_[lane] = seq;
+      arrived_epoch_[lane] = epoch_;
+      fc_.count[lane] = 1;
+      fc_.credits[lane] = 0;
+    }
+  }
+  observers_.moved(pid, seq, lane, cycle_);
+  channel_used_epoch_[ch] = epoch_;
+  last_move_cycle_ = cycle_;
+  return true;
+}
+
 void Engine::move_from_node(NodeId node_id, LaneId lane) {
   const PacketId tx = node_tx_packet_[node_id];
   const std::uint32_t sent = node_tx_sent_[node_id];
@@ -642,9 +714,7 @@ void Engine::move_from_node(NodeId node_id, LaneId lane) {
   const bool was_head = fc_push(lane, tx, sent);
   // The arrived flit can cross its (already routed) next hop next cycle.
   // A flit landing behind the head changes nothing about readiness.
-  if (was_head && route_out_[lane] != kInvalidId) {
-    schedule_channel(lane_channel_[route_out_[lane]]);
-  }
+  if (was_head) seed_next_hop(lane);
   if (sent == 0) {
     pkt.inject_cycle = cycle_;
     ++worms_in_flight_;
@@ -676,9 +746,9 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
   const ChannelId out_ch = lane_channel_[out_lane];
 
   fc_pop(in_lane);
-  // The channel feeding in_lane's buffer may now transmit its next flit;
-  // the worklist re-tries it at the scan position this move sits at.
-  unblocked_ = lane_channel_[in_lane];
+  // The channel feeding in_lane's buffer may now transmit its next flit:
+  // the scan re-tries it, the chase tries it at once.
+  popped_ = in_lane;
   observers_.moved(pkt_id, seq, out_lane, cycle_);
   telemetry::WormTracer* tracer = observers_.worm_tracer();
   if (!ch_dst_is_switch_.test(out_ch)) {
@@ -692,9 +762,7 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
       }
     }
     // The arrived flit can cross its (already routed) next hop next cycle.
-    if (was_head && route_out_[out_lane] != kInvalidId) {
-      schedule_channel(lane_channel_[route_out_[out_lane]]);
-    }
+    if (was_head) seed_next_hop(out_lane);
   }
   if (tail) {
     // The worm's tail has crossed this hop: release both the input unit's
@@ -890,6 +958,30 @@ void Engine::advance_flits() {
   // original full scan.
   cur_pass_.swap(seed_bits_);
 
+  if (chase_) {
+    // One ascending pass.  A single-lane channel's readiness depends only
+    // on its lane's credit, which only its downstream channel's move
+    // returns, and on a source flit whose age is fixed at cycle start, so
+    // the cycle's move set does not depend on visiting order.  Each move
+    // that empties a lane tries the lane's channel at once and keeps
+    // walking upstream while tries succeed, so a worm moves as one unit.
+    // Ejections, the one order-sensitive step (floating-point latency
+    // sums), are never chased (ejection lanes have no buffer) and so
+    // still happen in ascending channel order.  Only a scan-reached mover
+    // is re-seeded: a chased one refilled its own lane.
+    cur_pass_.consume([&](std::uint32_t ch) {
+      popped_ = kInvalidId;
+      if (!try_channel(ch)) return;
+      schedule_channel(ch);
+      while (popped_ != kInvalidId) {
+        const ChannelId up = lane_channel_[popped_];
+        popped_ = kInvalidId;
+        if (!try_channel(up)) break;
+      }
+    });
+    return;
+  }
+
   // Resolve movement to a fixpoint: a move can free a buffer that enables
   // another move in the same cycle, which is exactly how an unblocked worm
   // slides forward one hop as a unit.  Invariant reproducing the original
@@ -903,16 +995,16 @@ void Engine::advance_flits() {
 
 void Engine::advance_pass() {
   cur_pass_.consume([&](std::uint32_t ch) {
-    unblocked_ = kInvalidId;
+    popped_ = kInvalidId;
     if (!try_channel(ch)) return;
     // A multi-lane channel may still hold another ready lane, and a
     // streaming channel wants its next flit: a mover is always a
     // candidate again next cycle.
     schedule_channel(ch);
-    const ChannelId u = unblocked_;
-    if (u == kInvalidId || channel_sources_[u] == 0 ||
-        channel_used_epoch_[u] == epoch_) {
-      // Nothing upstream, or it already transmitted this cycle (in
+    if (popped_ == kInvalidId) return;  // nothing upstream
+    const ChannelId u = lane_channel_[popped_];
+    if (channel_sources_[u] == 0 || channel_used_epoch_[u] == epoch_) {
+      // No sender upstream, or it already transmitted this cycle (in
       // which case its own move rescheduled it for the next one).
       return;
     }

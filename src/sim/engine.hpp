@@ -17,7 +17,10 @@
 //      multiplexing, Section 2.2).  Movement is resolved to a fixpoint so
 //      an unblocked worm advances as a unit — every flit behind a moving
 //      flit moves in the same cycle, giving the full one-flit-per-cycle
-//      wormhole pipeline with single-flit buffers.
+//      wormhole pipeline with single-flit buffers.  On single-lane
+//      networks with the paper's buffers the fixpoint is one ascending
+//      pass that chases each move up its worm's allocation chain
+//      (DESIGN.md §7).
 //
 // Buffers default to exactly one flit (Section 5: "each input channel in
 // a switch has a buffer the size of a single flit").  A buffer lives at
@@ -182,6 +185,16 @@ class Engine {
   void route_and_allocate();
   void advance_flits();
   void advance_pass();
+  /// Moves one flit across `ch` if it can transmit now: the one entry of
+  /// the multi-pass scan and of the chase's scan and upstream walk.  A
+  /// move that empties a switch-input lane leaves it in popped_.
+  bool try_channel(topology::ChannelId ch) {
+    if (chase_) return try_single_lane(ch);
+    const int pick = decide_channel(ch);
+    if (pick < 0) return false;
+    apply_move(ch, static_cast<unsigned>(pick));
+    return true;
+  }
   /// Transmit decision for one channel against current state: gathers the
   /// ready lanes, advances the round-robin pointer, opens starvation
   /// intervals on gated lanes.  Returns the picked lane index or -1.
@@ -189,14 +202,24 @@ class Engine {
   /// Applies a granted decision: moves the flit and stamps the channel
   /// used.
   void apply_move(topology::ChannelId ch, unsigned pick);
-  bool try_channel(topology::ChannelId ch) {
-    const int pick = decide_channel(ch);
-    if (pick < 0) return false;
-    apply_move(ch, static_cast<unsigned>(pick));
-    return true;
-  }
+  /// try_channel on a chase_ network: decide_channel's readiness test for
+  /// one lane, then a body flit (neither header nor tail) moves by direct
+  /// copy and every other flit through apply_move.
+  bool try_single_lane(topology::ChannelId ch);
   void move_from_node(topology::NodeId node, topology::LaneId lane);
   void move_from_switch(topology::LaneId in_lane, topology::LaneId out_lane);
+  /// Seeds the next hop of `lane`, whose head slot just filled, when its
+  /// worm already holds one.  On a chase_ network a hop that moved this
+  /// cycle is skipped: it refilled its own lane (ejection hops are reached
+  /// only by the scan, which re-seeds them), so it cannot move again until
+  /// its downstream channel moves, and that move chases it.
+  void seed_next_hop(topology::LaneId lane) {
+    const topology::LaneId next = route_out_[lane];
+    if (next == topology::kInvalidId) return;
+    const topology::ChannelId ch = lane_channel_[next];
+    if (chase_ && channel_used_epoch_[ch] == epoch_) return;
+    schedule_channel(ch);
+  }
   void deliver_flit(PacketId pkt, std::uint32_t seq);
   void enqueue_packet(topology::NodeId src, PacketId id);
   bool in_measure_window() const {
@@ -359,6 +382,13 @@ class Engine {
   std::vector<std::uint8_t> vc_rr_;                // round-robin lane pointer
   util::DenseBitset channel_faulty_;               // failed channels
 
+  // Every channel has one lane and buffers are the paper's (credit,
+  // depth 1, delay 0): advance_flits() runs one ascending pass with the
+  // upstream chase and direct body moves (DESIGN.md §7).  Fixed at
+  // construction; multi-lane networks and other buffers keep the
+  // multi-pass scan.
+  bool chase_ = false;
+
   // Runtime fault plan and its transition bookkeeping; fault_any_ stays
   // true once any channel has ever faulted (fail_channel or a plan), so
   // the zero-fault hot paths and validator sweeps stay branch-cheap.
@@ -402,12 +432,12 @@ class Engine {
   // pass; cur_pass_/next_pass_ are the fixpoint worklists.  The ascending
   // ctz scan replaces the per-pass std::sort (bit order == id order), and
   // bit idempotency replaces the seed/pass epoch-stamp dedup arrays.
-  // `unblocked_` carries the channel whose downstream buffer the current
-  // move freed.
+  // `popped_` carries the switch-input lane the current move emptied; its
+  // channel, lane_channel_[popped_], is the one that may move next.
   util::DenseBitset seed_bits_;
   util::DenseBitset cur_pass_;
   util::DenseBitset next_pass_;
-  topology::ChannelId unblocked_ = topology::kInvalidId;
+  topology::LaneId popped_ = topology::kInvalidId;
 
   // Switch input lanes holding an unrouted header (exact set: a header
   // enters on arrival and leaves on grant; blocked headers persist),

@@ -1,15 +1,28 @@
 // Packet bookkeeping for the wormhole engine.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "topology/network.hpp"
+#include "util/check.hpp"
 
 namespace wormsim::sim {
 
 using PacketId = std::uint32_t;
 inline constexpr PacketId kNoPacket = topology::kInvalidId;
 inline constexpr std::uint64_t kNoCycle = ~std::uint64_t{0};
+
+/// Id of the packet appended to a run's packet table holding `count`
+/// packets.  Ids are 32 bits and the last value is kNoPacket, so a run's
+/// 2^32-th message aborts here instead of taking kNoPacket as its id and
+/// the messages after it wrapping onto live ids.
+inline PacketId next_packet_id(std::size_t count) {
+  WORMSIM_CHECK_MSG(count < kNoPacket,
+                    "packet id space exhausted: a run holds at most "
+                    "2^32 - 1 packets");
+  return static_cast<PacketId>(count);
+}
 
 /// Lifetime record of one message.  The paper treats packets and messages
 /// interchangeably (no packetization), and so do we.

@@ -94,7 +94,7 @@ PacketId StoreForwardEngine::inject_message(NodeId src, std::uint64_t dst,
   pkt.length = length;
   pkt.create_cycle = when;
   pkt.turn_stage = routing::make_query(network_, src, dst).turn_stage;
-  const auto id = static_cast<PacketId>(packets_.size());
+  const PacketId id = next_packet_id(packets_.size());
   packets_.push_back(pkt);
   observers_.created(id, when, src, dst, length, false);
   if (when == now_) {

@@ -379,6 +379,14 @@ TEST(Engine, InjectRejectsSelfMessages) {
   EXPECT_DEATH(engine.inject_message(3, 3, 8), "self-addressed");
 }
 
+// Both engines take packet ids from next_packet_id: the last 32-bit value
+// is kNoPacket, so the id space ends one short of it instead of wrapping.
+TEST(Engine, PacketIdSpaceExhaustionAborts) {
+  EXPECT_EQ(next_packet_id(0), 0u);
+  EXPECT_EQ(next_packet_id(kNoPacket - 1), kNoPacket - 1);
+  EXPECT_DEATH(next_packet_id(kNoPacket), "packet id space exhausted");
+}
+
 TEST(Engine, IdleReportsCorrectly) {
   const Network net = topology::build_network(
       make_config(NetworkKind::kTMIN, "cube", 2, 3));

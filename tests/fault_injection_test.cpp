@@ -110,6 +110,7 @@ struct GoldenCase {
   topology::NetworkKind kind;
   ArbitrationOrder arbitration;
   bool store_forward;
+  unsigned vcs = 2;
 };
 
 constexpr GoldenCase kCases[] = {
@@ -119,6 +120,8 @@ constexpr GoldenCase kCases[] = {
     {"BMIN", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating, false},
     {"TMIN_rand_arb", topology::NetworkKind::kTMIN, ArbitrationOrder::kRandom,
      false},
+    {"BMIN_1vc", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating,
+     false, 1},
     {"SF_TMIN", topology::NetworkKind::kTMIN, ArbitrationOrder::kRotating,
      true},
     {"SF_BMIN", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating,
@@ -136,14 +139,14 @@ constexpr GoldenExpect kExpected[] = {
 #include "engine_golden.inc"
 };
 
-NetworkConfig golden_network(NetworkKind kind) {
+NetworkConfig golden_network(NetworkKind kind, unsigned vcs = 2) {
   NetworkConfig config;
   config.kind = kind;
   config.topology = "cube";
   config.radix = 2;
   config.stages = 3;
   config.dilation = 2;
-  config.vcs = 2;
+  config.vcs = vcs;
   return config;
 }
 
@@ -163,7 +166,8 @@ TEST(FaultInjection, EmptyPlanDigestsMatchCommittedSnapshot) {
   for (std::size_t i = 0; i < std::size(kCases); ++i) {
     const GoldenCase& gc = kCases[i];
     SCOPED_TRACE(gc.name);
-    const Network net = topology::build_network(golden_network(gc.kind));
+    const Network net =
+        topology::build_network(golden_network(gc.kind, gc.vcs));
     const auto router = routing::make_router(net);
     traffic::WorkloadSpec workload = golden_workload();
     traffic::StandardTraffic traffic(net, workload);

@@ -3,12 +3,14 @@
 // Pins the *bitwise* content of SimResult — latency statistics, histogram
 // bins, channel busy cycles, telemetry counters and samples — for one
 // small configuration per network kind (TMIN/DMIN/VMIN/BMIN), plus a
-// random-arbitration variant and two store-and-forward references.  The
-// expected digests in engine_golden.inc were emitted by the
-// pre-optimization scan-order engine, so they prove the active-set
-// scheduler reproduces the exact same fixpoint move-set and RNG draw
-// order (same seed -> identical results, no silent behavior drift in any
-// figure).
+// random-arbitration variant, a single-VC BMIN (the single-lane advance
+// path on a network whose channel ids are not feed-forward) and two
+// store-and-forward references.  The expected digests in
+// engine_golden.inc were emitted by the pre-optimization scan-order
+// engine, so they prove the active-set scheduler reproduces the exact
+// same fixpoint move-set and RNG draw order (same seed -> identical
+// results, no silent behavior drift in any figure).  BMIN_1vc was
+// emitted later, by the multi-pass scan the worm chase replaced.
 //
 // Regenerating (only legitimate after an *intentional* semantic change):
 //   WORMSIM_EMIT_GOLDEN=1 ./tests/golden_test --gtest_filter='Golden.Emit'
@@ -99,6 +101,7 @@ struct GoldenCase {
   topology::NetworkKind kind;
   ArbitrationOrder arbitration;
   bool store_forward;
+  unsigned vcs = 2;
 };
 
 constexpr GoldenCase kCases[] = {
@@ -108,6 +111,8 @@ constexpr GoldenCase kCases[] = {
     {"BMIN", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating, false},
     {"TMIN_rand_arb", topology::NetworkKind::kTMIN, ArbitrationOrder::kRandom,
      false},
+    {"BMIN_1vc", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating,
+     false, 1},
     {"SF_TMIN", topology::NetworkKind::kTMIN, ArbitrationOrder::kRotating,
      true},
     {"SF_BMIN", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating,
@@ -125,14 +130,15 @@ constexpr GoldenExpect kExpected[] = {
 #include "engine_golden.inc"
 };
 
-topology::NetworkConfig golden_network(topology::NetworkKind kind) {
+topology::NetworkConfig golden_network(topology::NetworkKind kind,
+                                       unsigned vcs) {
   topology::NetworkConfig config;
   config.kind = kind;
   config.topology = "cube";
   config.radix = 2;
   config.stages = 3;
   config.dilation = 2;
-  config.vcs = 2;
+  config.vcs = vcs;
   return config;
 }
 
@@ -165,7 +171,8 @@ SimConfig case_config(const GoldenCase& gc) {
 /// event and `packets` receives the engine's packet_count().
 SimResult run_case(const GoldenCase& gc, const SimConfig& config,
                    TraceSink* sink = nullptr, std::size_t* packets = nullptr) {
-  const topology::Network net = topology::build_network(golden_network(gc.kind));
+  const topology::Network net =
+      topology::build_network(golden_network(gc.kind, gc.vcs));
   const auto router = routing::make_router(net);
   traffic::WorkloadSpec workload = golden_workload();
   traffic::StandardTraffic traffic(net, workload);

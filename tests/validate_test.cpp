@@ -800,6 +800,32 @@ TEST(Validation, DeepBufferBminRunIsClean) {
   EXPECT_GT(result.delivered_messages_total, 0u);
 }
 
+// The paper's single-lane networks with long worms (the default 8-1024
+// flit lengths) under every invariant: these take the one-pass worm chase
+// and the direct body-flit moves, whose seeding rule the event-frontier
+// invariant checks.
+TEST(Validation, LongWormSingleLaneRunsAreClean) {
+  for (const NetworkConfig& config :
+       {experiment::tmin_config(), experiment::dmin_config(),
+        experiment::bmin_config()}) {
+    SCOPED_TRACE(topology::to_string(config.kind));
+    const Network net = topology::build_network(config);
+    const auto router = routing::make_router(net);
+    traffic::WorkloadSpec workload;
+    workload.offered = 0.6;
+    traffic::StandardTraffic traffic(net, workload);
+    SimConfig sim;
+    sim.seed = 1;
+    sim.warmup_cycles = 500;
+    sim.measure_cycles = 2'000;
+    sim.drain_cycles = 500;
+    sim.validate = true;
+    Engine engine(net, *router, &traffic, sim);
+    const SimResult result = engine.run();
+    EXPECT_GT(result.delivered_messages_total, 0u);
+  }
+}
+
 // Regression: a fault kill stopped the worm's source before collecting
 // the routes it held, and chain_worm traces a chain of empty lanes (the
 // credit bubbles between flits under credit delay) back to the source.
