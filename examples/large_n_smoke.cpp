@@ -16,8 +16,8 @@
 //
 // The default configuration is the 2,097,152-node radix-8 TMIN from
 // DESIGN.md §13 (k=8, n=7: ~16.8M channels, ~16.8M lanes).  CI runs a
-// short-window variant of exactly this binary; see results/BENCH_engine
-// .json's `large_n_implicit` record for a full-window reference run.
+// short-window variant of exactly this binary; DESIGN.md §13 records a
+// full-window reference run.
 //
 // Usage: large_n_smoke [--radix=8] [--stages=7] [--load=1.0]
 //                      [--length=32] [--warmup=400] [--measure=1200]

@@ -2,7 +2,7 @@
 // with global uniform traffic at one offered load, and print the headline
 // metrics.  This is the five-minute tour of the public API:
 //
-//   NetworkConfig -> build_network -> make_router -> StandardTraffic
+//   NetworkConfig -> build_net_view -> make_router -> StandardTraffic
 //                 -> Engine::run -> SimResult
 //
 // Usage:  quickstart [--load=0.4] [--seed=1] [--cycles=100000]
@@ -10,13 +10,11 @@
 // (--help lists the shared knobs, which default to WORMSIM_* variables.)
 
 #include <iostream>
-#include <memory>
 
 #include "experiment/figures.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
-#include "topology/implicit.hpp"
-#include "topology/network.hpp"
+#include "topology/net_view.hpp"
 #include "traffic/workload.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -55,20 +53,9 @@ int main(int argc, char** argv) {
   util::Table table({"network", "accepted%", "latency_us", "net_lat_us",
                      "sustainable", "max_queue"});
   for (const topology::NetworkConfig& config : configs) {
-    const bool implicit = options.sim.implicit_topology &&
-                          topology::ImplicitTopology::supports(config);
-    std::unique_ptr<const topology::Network> materialized;
-    topology::ImplicitTopologyPtr implicit_topo;
-    if (implicit) {
-      implicit_topo =
-          std::make_shared<const topology::ImplicitTopology>(config);
-    } else {
-      materialized = std::make_unique<const topology::Network>(
-          topology::build_network(config));
-    }
-    const topology::NetView network =
-        implicit ? topology::NetView(implicit_topo)
-                 : topology::NetView(*materialized);
+    const topology::OwnedNetView built =
+        topology::build_net_view(config, options.sim.implicit_topology);
+    const topology::NetView& network = built.view;
     const auto router = routing::make_router(network);
 
     traffic::WorkloadSpec workload;

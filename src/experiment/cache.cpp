@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -13,8 +12,7 @@
 
 #include "experiment/results_json.hpp"
 #include "telemetry/json.hpp"
-#include "topology/implicit.hpp"
-#include "topology/network.hpp"
+#include "topology/net_view.hpp"
 #include "util/check.hpp"
 
 namespace wormsim::experiment {
@@ -192,21 +190,9 @@ std::string ResultCache::fingerprint(const SeriesSpec& spec, double load,
   // Fingerprinting must not materialize the graph when run_point would
   // not — at 2M nodes that allocation is the whole point of the
   // implicit backend.
-  const bool implicit = sim_config.implicit_topology &&
-                        topology::ImplicitTopology::supports(spec.net);
-  std::unique_ptr<const topology::Network> materialized;
-  topology::ImplicitTopologyPtr implicit_topo;
-  if (implicit) {
-    implicit_topo =
-        std::make_shared<const topology::ImplicitTopology>(spec.net);
-  } else {
-    materialized = std::make_unique<const topology::Network>(
-        topology::build_network(spec.net));
-  }
-  const topology::NetView network =
-      implicit ? topology::NetView(implicit_topo)
-               : topology::NetView(*materialized);
-  const traffic::WorkloadSpec workload = spec.workload(network, load);
+  const topology::OwnedNetView built =
+      topology::build_net_view(spec.net, sim_config.implicit_topology);
+  const traffic::WorkloadSpec workload = spec.workload(built.view, load);
   key.field("load", load);
   key.field("wl.pattern", static_cast<unsigned>(workload.pattern));
   key.field("wl.hotspot_extra", workload.hotspot_extra);

@@ -1,13 +1,12 @@
 #include "experiment/sweep.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
 #include "sim/store_forward.hpp"
-#include "topology/implicit.hpp"
+#include "topology/net_view.hpp"
 #include "util/check.hpp"
 
 namespace wormsim::experiment {
@@ -50,25 +49,9 @@ SweepPoint run_point(const SeriesSpec& spec, double load,
       sim_config.telemetry.heartbeat_tag.empty()) {
     sim_config.telemetry.heartbeat_tag = heartbeat_tag_for(spec.label, load);
   }
-  // Backend selection: the implicit backend computes topology records on
-  // the fly (O(stages) state) and is bitwise identical to the
-  // materialized graph; networks it cannot express (random
-  // multibutterfly wiring) fall back to materializing.
-  const bool implicit = sim_config.implicit_topology &&
-                        topology::ImplicitTopology::supports(spec.net);
-  std::unique_ptr<const topology::Network> materialized;
-  topology::ImplicitTopologyPtr implicit_topo;
-  if (implicit) {
-    implicit_topo = std::make_shared<const topology::ImplicitTopology>(
-        spec.net);
-  } else {
-    materialized =
-        std::make_unique<const topology::Network>(
-            topology::build_network(spec.net));
-  }
-  const topology::NetView network =
-      implicit ? topology::NetView(implicit_topo)
-               : topology::NetView(*materialized);
+  const topology::OwnedNetView built =
+      topology::build_net_view(spec.net, sim_config.implicit_topology);
+  const topology::NetView& network = built.view;
   const auto router = routing::make_router(network);
   traffic::WorkloadSpec workload = spec.workload(network, load);
   WORMSIM_CHECK_MSG(workload.offered == load,

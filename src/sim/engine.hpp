@@ -134,19 +134,15 @@ class Engine {
     return observers_.sampler();
   }
 
-  /// Marks a physical channel as failed: headers never route onto it and
-  /// no flit crosses it.  Only adaptive networks (DMIN, VMIN with spare
-  /// lanes, BMIN, extra-stage MINs) can route around interior faults; a
-  /// worm whose every legal lane is faulty is terminated and counted as
-  /// undelivered (DESIGN.md §14).  Must be called before the first
-  /// step(); node links cannot be failed (a one-port node would be
-  /// disconnected).  For mid-run kills use set_fault_plan / the
-  /// SimConfig fault knobs instead.
-  void fail_channel(topology::ChannelId channel);
-
   /// Installs an explicit fault plan (tests / drivers that pick exact
-  /// channels instead of SimConfig::fault_fraction's seeded draw).  Must
-  /// be called before the first step(); replaces any config-built plan.
+  /// channels with fault_injection::add_channel_kill instead of
+  /// SimConfig::fault_fraction's seeded draw).  Dead channels take no
+  /// header and carry no flit; only adaptive networks (DMIN, VMIN with
+  /// spare lanes, BMIN, extra-stage MINs) can route around them, and a
+  /// worm whose every legal lane is dead is terminated and counted as
+  /// undelivered (DESIGN.md §14).  A plan at cycle 0 faults its channels
+  /// before any flit moves.  Must be called before the first step();
+  /// replaces any config-built plan.
   void set_fault_plan(fault_injection::FaultPlan plan);
 
   /// The active fault plan (empty when fault injection is off).
@@ -390,8 +386,8 @@ class Engine {
   bool chase_ = false;
 
   // Runtime fault plan and its transition bookkeeping; fault_any_ stays
-  // true once any channel has ever faulted (fail_channel or a plan), so
-  // the zero-fault hot paths and validator sweeps stay branch-cheap.
+  // true once any channel has ever faulted, so the zero-fault hot paths
+  // and validator sweeps stay branch-cheap.
   fault_injection::FaultState fault_state_;
   bool fault_any_ = false;
 

@@ -11,7 +11,7 @@
 //
 // Only interior channels are ever faulted: a dead injection or ejection
 // link just removes the node from the experiment, which says nothing
-// about the network (engine::fail_channel enforces the same rule).
+// about the network.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,7 @@ FaultPlan build_fault_plan(const topology::NetView& view, double fraction,
                            std::uint64_t repair_cycle = kNoCycle);
 
 /// Adds one interior channel to `plan` (keeps the list sorted unique).
-/// Aborts on injection/ejection channels, mirroring engine::fail_channel.
+/// Aborts on injection/ejection channels.
 void add_channel_kill(FaultPlan& plan, const topology::NetView& view,
                       topology::ChannelId channel);
 

@@ -15,8 +15,10 @@
 // read-only observers: they never draw randomness or mutate engine
 // state, so validated runs are bitwise identical to unvalidated ones
 // (golden digests unchanged).  Cost is a full O(lanes + channels +
-// nodes) sweep every kSweepStride-th cycle — under 2x slowdown,
-// measured in results/BENCH_engine.json.
+// nodes) sweep every kSweepStride-th cycle.  No gate holds it.  Last
+// measured when the engine micro-benchmark was removed (quick mode, 11
+// 64-node configurations): validated runs were 1.9-3.2x slower, median
+// 2.2x.
 #pragma once
 
 #include <cstdint>

@@ -93,10 +93,9 @@ class RunMonitor {
   /// most one per kSyncIntervalSeconds of wall time: the stream still
   /// records every window (buffered), watchers poll at ~1 Hz anyway,
   /// and the throttle is what keeps chatty cadences inside the 1.05x
-  /// overhead budget (heartbeat_on_slowdown_x in
-  /// results/BENCH_engine.json).  A crashed run can lose at most the
-  /// last interval's buffered lines; fault lines and finalize() always
-  /// sync.
+  /// overhead budget (CI's heartbeat budget step, DESIGN.md §15).  A
+  /// crashed run can lose at most the last interval's buffered lines;
+  /// fault lines and finalize() always sync.
   void on_heartbeat(const HeartbeatSnapshot& snap);
 
   static constexpr double kSyncIntervalSeconds = 0.25;

@@ -202,4 +202,27 @@ class NetView {
   ImplicitTopologyPtr implicit_;
 };
 
+/// A view together with the graph it reads: `network` holds the
+/// materialized graph, or is null on the implicit backend, whose view
+/// owns its topology.  Moving it keeps `view` valid: the graph lives on
+/// the heap.
+struct OwnedNetView {
+  std::unique_ptr<const Network> network;
+  NetView view;
+};
+
+/// The one backend rule: the implicit backend when `implicit` asks for it
+/// (SimConfig::implicit_topology) and it can express `config`, otherwise
+/// the materialized graph (random multibutterfly wiring has no implicit
+/// form).  Both give bitwise-identical simulations.
+inline OwnedNetView build_net_view(const NetworkConfig& config,
+                                   bool implicit) {
+  if (implicit && ImplicitTopology::supports(config)) {
+    return {nullptr, NetView(std::make_shared<const ImplicitTopology>(config))};
+  }
+  auto network = std::make_unique<const Network>(build_network(config));
+  const NetView view(*network);
+  return {std::move(network), view};
+}
+
 }  // namespace wormsim::topology

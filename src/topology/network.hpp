@@ -32,6 +32,8 @@ using ChannelId = std::uint32_t;
 using LaneId = std::uint32_t;
 
 inline constexpr std::uint32_t kInvalidId = 0xffffffffu;
+// RadixSpec rejects node counts >= kInvalidId, so node ids never meet it.
+static_assert(kInvalidId == util::kAddressSpaceLimit);
 
 enum class NetworkKind : std::uint8_t { kTMIN, kDMIN, kVMIN, kBMIN };
 

@@ -1,5 +1,5 @@
-// Minimal command-line flag parsing for the example binaries and the
-// benchmark runner.
+// Minimal command-line flag parsing for the example binaries and
+// perfbench's runner.
 //
 // Supports --name=value and --name value forms plus boolean switches.
 // Unrecognized flags abort with a usage message listing registered flags.

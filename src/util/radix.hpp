@@ -30,7 +30,8 @@ constexpr unsigned log2_exact(std::uint64_t value) {
   return result;
 }
 
-/// radix^exponent with overflow check suitable for address spaces.
+/// radix^exponent.  The overflow check is debug-only: address spaces are
+/// bounded once, always on, by RadixSpec's constructor.
 constexpr std::uint64_t ipow(std::uint64_t radix, unsigned exponent) {
   std::uint64_t result = 1;
   for (unsigned i = 0; i < exponent; ++i) {
@@ -40,13 +41,25 @@ constexpr std::uint64_t ipow(std::uint64_t radix, unsigned exponent) {
   return result;
 }
 
+/// Exclusive bound on an address space's size: every address must fit a
+/// 32-bit id below the all-ones sentinel (topology::kInvalidId).
+inline constexpr std::uint64_t kAddressSpaceLimit = 0xffffffffu;
+
 /// Describes an n-digit radix-k address space (N = k^n addresses).
 class RadixSpec {
  public:
+  /// Aborts, in every build type, unless N < kAddressSpaceLimit: this is
+  /// the one place a network's size is checked before any builder
+  /// allocates for it.
   RadixSpec(unsigned radix, unsigned digits)
-      : radix_(radix), digits_(digits), size_(ipow(radix, digits)) {
+      : radix_(radix), digits_(digits) {
     WORMSIM_CHECK_MSG(radix >= 2, "radix must be at least 2");
     WORMSIM_CHECK_MSG(digits >= 1, "need at least one digit");
+    for (unsigned i = 0; i < digits; ++i) {
+      WORMSIM_CHECK_MSG(size_ <= (kAddressSpaceLimit - 1) / radix,
+                        "address space exceeds the 32-bit id space");
+      size_ *= radix;
+    }
   }
 
   unsigned radix() const { return radix_; }
@@ -92,7 +105,7 @@ class RadixSpec {
  private:
   unsigned radix_;
   unsigned digits_;
-  std::uint64_t size_;
+  std::uint64_t size_ = 1;
 };
 
 /// FirstDifference(S, D) from Definition 3 of the paper: the most

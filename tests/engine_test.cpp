@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "routing/router.hpp"
@@ -16,6 +20,14 @@
 #include "traffic/workload.hpp"
 
 namespace wormsim::sim {
+
+// Friend of Engine: turns the worm chase off before the first step, so a
+// chase network runs on the multi-pass scan instead.
+struct EngineTestPeer {
+  static bool chase(const Engine& e) { return e.chase_; }
+  static void disable_chase(Engine& e) { e.chase_ = false; }
+};
+
 namespace {
 
 using topology::Network;
@@ -470,6 +482,125 @@ TEST(Observers, ExplicitConfigBeatsEnvironment) {
     EXPECT_NE(engine.validator(), nullptr);
   }
 }
+
+// ---- The worm chase against the multi-pass scan -------------------------
+
+/// One digest per cycle of that cycle's kFlitMoved events, sorted: the
+/// cycle's move set, whatever order the engine found the moves in.
+class MoveSetSink final : public TraceSink {
+ public:
+  void on_event(const TraceEvent& event) override {
+    if (event.kind != TraceEvent::Kind::kFlitMoved) return;
+    if (event.cycle != cycle_) {
+      flush();
+      cycle_ = event.cycle;
+    }
+    moves_.emplace_back(event.lane, event.packet, event.flit_seq);
+  }
+  /// (cycle, move-set digest) for every cycle with at least one move.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> take() {
+    flush();
+    return std::move(digests_);
+  }
+
+ private:
+  void flush() {
+    if (moves_.empty()) return;
+    std::sort(moves_.begin(), moves_.end());
+    std::uint64_t h = 14695981039346656037ull;  // FNV-1a
+    for (const auto& [lane, packet, seq] : moves_) {
+      for (const std::uint64_t word : {std::uint64_t{lane},
+                                       std::uint64_t{packet},
+                                       std::uint64_t{seq}}) {
+        h = (h ^ word) * 1099511628211ull;
+      }
+    }
+    digests_.emplace_back(cycle_, h);
+    moves_.clear();
+  }
+
+  std::uint64_t cycle_ = 0;
+  std::vector<std::tuple<topology::LaneId, PacketId, std::uint32_t>> moves_;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> digests_;
+};
+
+struct ChaseRun {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> move_sets;
+  std::uint64_t latency_mean_bits = 0;
+};
+
+ChaseRun run_chase_case(const Network& net, double load, std::uint64_t seed,
+                        bool chase) {
+  const auto router = routing::make_router(net);
+  traffic::WorkloadSpec workload;
+  workload.offered = load;
+  workload.length = traffic::LengthSpec::uniform(8, 64);
+  traffic::StandardTraffic traffic(net, workload);
+  SimConfig config;
+  config.seed = seed;
+  config.warmup_cycles = 500;
+  config.measure_cycles = 2'000;
+  config.drain_cycles = 500;
+  Engine engine(net, *router, &traffic, config);
+  EXPECT_TRUE(EngineTestPeer::chase(engine));
+  if (!chase) EngineTestPeer::disable_chase(engine);
+  MoveSetSink sink;
+  engine.set_trace_sink(&sink);
+  const SimResult result = engine.run();
+  return {sink.take(), std::bit_cast<std::uint64_t>(result.mean_latency_us())};
+}
+
+struct ChaseNet {
+  const char* name;
+  NetworkKind kind;
+  unsigned extra_stages;
+};
+
+void PrintTo(const ChaseNet& net, std::ostream* os) { *os << net.name; }
+
+class ChaseMatchesScan : public ::testing::TestWithParam<ChaseNet> {};
+
+// The chase (DESIGN.md §7) must find exactly the moves the multi-pass
+// scan finds, cycle by cycle, on every single-lane network with the
+// paper's buffers; the golden rows pin it at one seed only.
+TEST_P(ChaseMatchesScan, SameMovesEveryCycle) {
+  const ChaseNet& p = GetParam();
+  for (const auto& [k, n] : {std::pair{2u, 6u}, std::pair{4u, 3u}}) {
+    NetworkConfig nc = make_config(p.kind, "cube", k, n);
+    nc.extra_stages = p.extra_stages;
+    const Network net = topology::build_network(nc);
+    for (const double load : {0.3, 0.9}) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        SCOPED_TRACE(nc.describe() + " load " + std::to_string(load) +
+                     " seed " + std::to_string(seed));
+        const ChaseRun chase = run_chase_case(net, load, seed, true);
+        const ChaseRun scan = run_chase_case(net, load, seed, false);
+        ASSERT_FALSE(chase.move_sets.empty());
+        const auto diverged = std::mismatch(
+            chase.move_sets.begin(), chase.move_sets.end(),
+            scan.move_sets.begin(), scan.move_sets.end());
+        ASSERT_TRUE(diverged.first == chase.move_sets.end() &&
+                    diverged.second == scan.move_sets.end())
+            << "move sets differ from cycle "
+            << (diverged.first != chase.move_sets.end()
+                    ? diverged.first->first
+                    : diverged.second->first);
+        EXPECT_EQ(chase.latency_mean_bits, scan.latency_mean_bits);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SingleLaneNets, ChaseMatchesScan,
+    ::testing::Values(ChaseNet{"TMIN", NetworkKind::kTMIN, 0},
+                      ChaseNet{"DMIN", NetworkKind::kDMIN, 0},
+                      ChaseNet{"BMIN_1vc", NetworkKind::kBMIN, 0},
+                      ChaseNet{"TMIN_x1", NetworkKind::kTMIN, 1},
+                      ChaseNet{"DMIN_x1", NetworkKind::kDMIN, 1}),
+    [](const ::testing::TestParamInfo<ChaseNet>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace wormsim::sim

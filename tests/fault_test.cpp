@@ -5,6 +5,7 @@
 #include "analysis/fault.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
+#include "sim/fault_injection/plan.hpp"
 #include "topology/network.hpp"
 #include "util/rng.hpp"
 
@@ -38,6 +39,14 @@ topology::ChannelId first_interstage(const Network& net) {
     }
   }
   return topology::kInvalidId;
+}
+
+/// A plan that kills `channel` at cycle 0, before any flit moves.
+sim::fault_injection::FaultPlan kill_at_start(const Network& net,
+                                              topology::ChannelId channel) {
+  sim::fault_injection::FaultPlan plan;
+  sim::fault_injection::add_channel_kill(plan, net, channel);
+  return plan;
 }
 
 TEST(Fault, NoFaultsMeansFullCoverage) {
@@ -153,7 +162,7 @@ TEST(Fault, EngineRoutesAroundFaultsInDmin) {
   config.measure_cycles = 1u << 30;
   config.drain_cycles = 0;
   sim::Engine engine(net, *router, nullptr, config);
-  engine.fail_channel(first_interstage(net));
+  engine.set_fault_plan(kill_at_start(net, first_interstage(net)));
 
   util::Rng rng(77);
   std::vector<sim::PacketId> ids;
@@ -178,7 +187,7 @@ TEST(Fault, EngineRoutesAroundUpFaultInBmin) {
   config.measure_cycles = 1u << 30;
   config.drain_cycles = 0;
   sim::Engine engine(net, *router, nullptr, config);
-  engine.fail_channel(first_interstage(net));
+  engine.set_fault_plan(kill_at_start(net, first_interstage(net)));
 
   util::Rng rng(78);
   std::vector<sim::PacketId> ids;
@@ -197,11 +206,7 @@ TEST(Fault, EngineRoutesAroundUpFaultInBmin) {
 TEST(FaultDeath, NodeLinksCannotFail) {
   const Network net =
       topology::build_network(make_config(NetworkKind::kTMIN, 2, 3));
-  const auto router = routing::make_router(net);
-  sim::SimConfig config;
-  sim::Engine engine(net, *router, nullptr, config);
-  EXPECT_DEATH(engine.fail_channel(net.injection_channel(0)),
-               "one-port");
+  EXPECT_DEATH(kill_at_start(net, net.injection_channel(0)), "one-port");
 }
 
 }  // namespace

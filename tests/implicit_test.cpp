@@ -170,6 +170,20 @@ TEST(ImplicitTopologyTest, RejectsMultibutterflies) {
   EXPECT_FALSE(ImplicitTopology::supports(config));
 }
 
+// At n = 21 the 64-bit channel and lane products wrap to 0, which the
+// constructor's own id-space check would accept; the node count must be
+// rejected first.
+TEST(ImplicitTopologyDeath, NodeCountBeyond32BitIdsAborts) {
+  for (const unsigned n : {21u, 22u}) {
+    for (const NetworkKind kind : {NetworkKind::kTMIN, NetworkKind::kBMIN}) {
+      NetworkConfig config = base_config(kind);
+      config.radix = 8;
+      config.stages = n;
+      EXPECT_DEATH(ImplicitTopology{config}, "32-bit id space");
+    }
+  }
+}
+
 // ---- Simulation-level bitwise equivalence -------------------------------
 
 // FNV-1a over the exact bit patterns of a SimResult, the same digest

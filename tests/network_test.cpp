@@ -220,6 +220,18 @@ TEST(Network, DescribeStrings) {
             "BMIN(butterfly,k=4,n=3)");
 }
 
+// 8^21 = 2^63 nodes and 8^22 (which wraps to 0 in 64 bits) must abort on
+// the size check before the builder allocates anything.
+TEST(NetworkDeath, NodeCountBeyond32BitIdsAborts) {
+  for (const unsigned n : {21u, 22u}) {
+    EXPECT_DEATH(build_network(base_config(NetworkKind::kTMIN, "cube", 8, n)),
+                 "32-bit id space");
+    EXPECT_DEATH(
+        build_network(base_config(NetworkKind::kBMIN, "butterfly", 8, n)),
+        "32-bit id space");
+  }
+}
+
 // Parameterized structural sweep across kinds, topologies and shapes.
 struct ShapeParam {
   NetworkKind kind;

@@ -180,6 +180,16 @@ TEST(Radix, FirstDifferenceRadix4) {
   EXPECT_EQ(first_difference(spec, 5, 6), 0u);    // 011 vs 012
 }
 
+// Release builds compile ipow's overflow check out, so RadixSpec bounds
+// the size itself: 8^21 = 2^63 fits 64 bits but no 32-bit id, and 8^22
+// wraps to 0.
+TEST(RadixDeath, AddressSpaceBeyond32BitIdsAborts) {
+  EXPECT_EQ(RadixSpec(8, 10).size(), std::uint64_t{1} << 30);
+  EXPECT_DEATH(RadixSpec(8, 11), "32-bit id space");
+  EXPECT_DEATH(RadixSpec(8, 21), "32-bit id space");
+  EXPECT_DEATH(RadixSpec(8, 22), "32-bit id space");
+}
+
 // ---- Stats ---------------------------------------------------------------
 
 TEST(OnlineStats, BasicMoments) {
