@@ -87,10 +87,17 @@ Engine::Engine(const topology::NetView& network,
         lane_scan_pos_[lane] =
             static_cast<std::uint32_t>(switch_input_lanes_.size());
         switch_input_lanes_.push_back(lane);
+        pos_switch_.push_back(static_cast<std::uint32_t>(ch.dst.id));
       }
     }
   });
-  header_bits_.resize(switch_input_lanes_.size());
+  const std::size_t scan_lanes = switch_input_lanes_.size();
+  pos_switch_.shrink_to_fit();
+  header_bits_.resize(scan_lanes);
+  sleep_bits_.resize(scan_lanes);
+  sleep_head_.assign(network_.switch_count(), kInvalidId);
+  sleep_next_.assign(scan_lanes, kInvalidId);
+  sleep_since_.assign(scan_lanes, kNoCycle);
   chase_ = single_lane && fc_.scheme == FlowControlScheme::kCredit &&
            fc_.depth == 1 && fc_.delay == 0;
 
@@ -100,10 +107,12 @@ Engine::Engine(const topology::NetView& network,
   node_tx_sent_.assign(node_count, 0);
   node_next_arrival_.assign(node_count, 0.0);
   tx_pending_flag_.assign(node_count, 0);
+  wheel_head_.assign(kWheelSlots, kInvalidId);
+  wheel_next_.assign(node_count, kInvalidId);
   for (NodeId node = 0; node < node_count; ++node) {
     if (traffic_ != nullptr && traffic_->node_active(node)) {
       node_next_arrival_[node] = traffic_->next_gap(node, rng_);
-      arrival_calendar_.emplace(fire_cycle(node_next_arrival_[node]), node);
+      wheel_insert(node);
     }
   }
 
@@ -168,16 +177,30 @@ void Engine::enqueue_packet(NodeId src, PacketId id) {
   }
 }
 
+void Engine::wheel_insert(NodeId node) {
+  const std::size_t slot =
+      fire_cycle(node_next_arrival_[node]) & (kWheelSlots - 1);
+  wheel_next_[node] = wheel_head_[slot];
+  wheel_head_[slot] = node;
+}
+
 void Engine::generate_arrivals() {
   if (traffic_ == nullptr) return;
   const auto now = static_cast<double>(cycle_);
-  // Drain every due calendar entry, then process the due nodes in id
-  // order: the RNG draw sequence must match the original all-nodes scan.
+  // Unlink every due node of this cycle's bucket (fire_cycle(next) <=
+  // cycle_, i.e. next <= now; the others are due in a later round), then
+  // process the due nodes in id order: the RNG draw sequence must match
+  // the original all-nodes scan.
   due_nodes_.clear();
-  while (!arrival_calendar_.empty() &&
-         arrival_calendar_.top().first <= cycle_) {
-    due_nodes_.push_back(arrival_calendar_.top().second);
-    arrival_calendar_.pop();
+  NodeId* link = &wheel_head_[cycle_ & (kWheelSlots - 1)];
+  while (*link != kInvalidId) {
+    const NodeId node = *link;
+    if (node_next_arrival_[node] <= now) {
+      *link = wheel_next_[node];
+      due_nodes_.push_back(node);
+    } else {
+      link = &wheel_next_[node];
+    }
   }
   if (due_nodes_.empty()) return;
   std::sort(due_nodes_.begin(), due_nodes_.end());
@@ -195,7 +218,7 @@ void Engine::generate_arrivals() {
       next += std::max(traffic_->next_gap(node, rng_), 1e-9);
     }
     node_next_arrival_[node] = next;
-    arrival_calendar_.emplace(fire_cycle(next), node);
+    wheel_insert(node);
   }
 }
 
@@ -219,30 +242,26 @@ void Engine::start_transmissions() {
   tx_pending_.clear();
 }
 
-void Engine::route_and_allocate() {
+bool Engine::route_and_allocate() {
   // Headers are served in a configurable order; the default rotation
   // keeps any single switch or lane from a systematic priority advantage.
   const std::size_t count = switch_input_lanes_.size();
-  if (count == 0) return;
+  if (count == 0) return false;
   std::size_t offset = 0;
-  switch (config_.arbitration) {
-    case ArbitrationOrder::kRotating:
-      offset = static_cast<std::size_t>(cycle_ % count);
-      break;
-    case ArbitrationOrder::kRandom:
-      // Drawn every cycle — even with no waiting header — to keep the RNG
-      // stream identical to the original full scan (golden tests).
-      offset = static_cast<std::size_t>(rng_.below(count));
-      break;
-    case ArbitrationOrder::kFixed:
-      break;
+  if (config_.arbitration == ArbitrationOrder::kRandom) {
+    // Drawn every cycle — even with no awake header — to keep the RNG
+    // stream identical to the original full scan (golden tests).
+    offset = static_cast<std::size_t>(rng_.below(count));
   }
-  if (header_count_ == 0) return;
+  if (header_count_ == sleep_count_) return false;  // every header asleep
+  if (config_.arbitration == ArbitrationOrder::kRotating) {
+    offset = static_cast<std::size_t>(cycle_ % count);
+  }
   const bool vct =
       config_.flow_control == FlowControlScheme::kVirtualCutThrough;
   routing::CandidateList fresh;
   routing::CandidateList free_lanes;
-  // Visit exactly the set positions, rotated: [offset, count) then
+  // Visit exactly the awake set positions, rotated: [offset, count) then
   // [0, offset) — the same order the old rotated sort produced.  A grant
   // clears its own bit; blocked headers keep theirs for next cycle.
   const auto serve = [&](std::uint32_t pos) {
@@ -250,6 +269,7 @@ void Engine::route_and_allocate() {
     WORMSIM_DCHECK(buf_packet_[u] != kNoPacket);
     WORMSIM_DCHECK(buf_seq_[u] == 0);
     WORMSIM_DCHECK(route_out_[u] == kInvalidId);
+    if (sleep_since_[pos] != kNoCycle) charge_sleep(pos);
     const PacketId pid = buf_packet_[u];
     const PacketState& pkt = packets_[pid];
     // Router::candidates is pure in (packet, lane) and packet ids are
@@ -325,6 +345,11 @@ void Engine::route_and_allocate() {
         if (credit_gated != kInvalidId) return std::pair{credit_gated, true};
         return std::pair{cand_count == 0 ? kInvalidId : cand[0], false};
       });
+      // With every candidate allocated or dead, only a release at this
+      // switch or a fault transition can change the outcome: sleep until
+      // one does.  A credit-short lane can refill without either, so a
+      // header that met one stays awake.
+      if (credit_gated == kInvalidId && cand_count > 0) sleep_header(pos);
       return;
     }
     const LaneId chosen =
@@ -339,8 +364,55 @@ void Engine::route_and_allocate() {
     activate_channel(lane_channel_[chosen]);
     observers_.granted(pid, u, chosen, cycle_);
   };
-  header_bits_.for_each_in(offset, count, serve);
-  header_bits_.for_each_in(0, offset, serve);
+  // Sleepers are masked out word by word; the sleep word is re-read after
+  // every serve, so a header woken mid-walk (a termination released a
+  // lane at its switch) is served if the walk has not yet passed it —
+  // exactly where serving every header would have served it.
+  header_bits_.for_each_in_except(offset, count, sleep_bits_, serve);
+  header_bits_.for_each_in_except(0, offset, sleep_bits_, serve);
+  return true;
+}
+
+void Engine::wake_waiters(LaneId in_lane, LaneId out_lane) {
+  // A sleeper's candidate list is memoized (it was served before it
+  // slept); one too long for the memo wakes on any release.
+  std::uint32_t* link = &sleep_head_[pos_switch_[lane_scan_pos_[in_lane]]];
+  while (*link != kInvalidId) {
+    const std::uint32_t pos = *link;
+    const LaneId u = switch_input_lanes_[pos];
+    WORMSIM_DCHECK(cand_pkt_[u] == buf_packet_[u]);
+    bool waits = cand_len_[u] == kCandOverflow;
+    if (!waits) {
+      const LaneId* cand = &cand_store_[std::size_t{u} * cand_stride_];
+      waits = std::find(cand, cand + cand_len_[u], out_lane) !=
+              cand + cand_len_[u];
+    }
+    if (waits) {
+      sleep_bits_.clear(pos);
+      --sleep_count_;
+      *link = sleep_next_[pos];
+    } else {
+      link = &sleep_next_[pos];
+    }
+  }
+}
+
+void Engine::wake_all() {
+  sleep_bits_.for_each(
+      [&](std::uint32_t pos) { sleep_head_[pos_switch_[pos]] = kInvalidId; });
+  sleep_bits_.reset();
+  sleep_count_ = 0;
+}
+
+void Engine::charge_sleep(std::uint32_t pos) {
+  // A sleeper's denials all name the culprit of its last serve: nothing
+  // at its switch was released meanwhile, so the serves it skipped would
+  // each have extended that one blocked interval.
+  const std::uint64_t first = sleep_since_[pos];
+  sleep_since_[pos] = sleep_bits_.test(pos) ? cycle_ : kNoCycle;
+  if (first >= cycle_) return;
+  const LaneId u = switch_input_lanes_[pos];
+  observers_.slept(buf_packet_[u], u, first, cycle_ - 1);
 }
 
 void Engine::set_fault_plan(fault_injection::FaultPlan plan) {
@@ -393,11 +465,17 @@ std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
 
   // Unregister the worm's unrouted header if it sat at this head slot
   // (the bit state is authoritative: set iff an unrouted header is
-  // registered — a granted header already cleared it).
+  // registered — a granted header already cleared it).  No header sleeps
+  // here (a kill wakes them all first, and routing terminates only the
+  // header it serves), but one may still owe the denials it slept
+  // through.
   if (head_removed && buf_seq_[lane] == 0 &&
       lane_scan_pos_[lane] != kInvalidId &&
       header_bits_.test(lane_scan_pos_[lane])) {
-    header_bits_.clear(lane_scan_pos_[lane]);
+    const std::uint32_t pos = lane_scan_pos_[lane];
+    WORMSIM_DCHECK(!sleep_bits_.test(pos));
+    if (sleep_since_[pos] != kNoCycle) charge_sleep(pos);
+    header_bits_.clear(pos);
     --header_count_;
   }
 
@@ -493,12 +571,14 @@ void Engine::terminate_worm(PacketId pid) {
     deactivate_channel(network_.injection_channel(src));
     if (!node_queue_[src].empty()) mark_tx_pending(src);
   }
-  // (3) Release the allocation chain.
+  // (3) Release the allocation chain, waking the sleepers that wait on
+  // each released lane.
   for (const LaneId u : held) {
     const LaneId out = route_out_[u];
     route_out_[u] = kInvalidId;
     alloc_owner_[out] = kInvalidId;
     deactivate_channel(lane_channel_[out]);
+    wake_waiters(u, out);
     if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
       tracer->on_lane_released(out);
     }
@@ -528,6 +608,9 @@ void Engine::apply_fault_plan() {
   observers_.fault(cycle_, "kill", fault_state_.plan.channels.size());
   const std::vector<ChannelId>& channels = fault_state_.plan.channels;
   for (const ChannelId ch : channels) channel_faulty_.set(ch);
+  // A sleeper may have just lost its last live candidate (routing must
+  // terminate it) or be about to lose its worm.
+  wake_all();
   // Victims: every worm resident in, streaming through, or allocated
   // onto a dead lane (a dead channel takes its input buffers with it).
   // Worms whose only *future* paths died are caught by the next
@@ -566,8 +649,9 @@ void Engine::repair_fault_plan() {
   for (const ChannelId ch : fault_state_.plan.channels) {
     channel_faulty_.clear(ch);
   }
-  // Blocked headers re-arbitrate every cycle and new grants re-seed the
-  // repaired channels, so no explicit wake-up is needed.
+  // A repaired candidate may be free: every sleeper re-arbitrates, and
+  // new grants re-seed the repaired channels.
+  wake_all();
 }
 
 int Engine::decide_channel(ChannelId ch_id) {
@@ -761,6 +845,7 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
     route_out_[in_lane] = kInvalidId;
     alloc_owner_[out_lane] = kInvalidId;
     deactivate_channel(out_ch);
+    wake_waiters(in_lane, out_lane);
     if (tracer != nullptr) tracer->on_lane_released(out_lane);
     // A deeper FIFO can already hold the next worm's header; it becomes
     // routable the moment the previous tail clears the head slot.
@@ -992,7 +1077,10 @@ void Engine::advance_pass() {
     // streaming channel wants its next flit: a mover is always a
     // candidate again next cycle.
     schedule_channel(ch);
-    if (popped_ == kInvalidId) return;  // nothing upstream
+    // Nothing upstream, or credits are delayed: then the freed slot
+    // reaches its sender in a later cycle, so a re-try could only repeat
+    // a failure and the fixpoint is one pass.
+    if (popped_ == kInvalidId || fc_.delay > 0) return;
     const ChannelId u = lane_channel_[popped_];
     if (channel_sources_[u] == 0 || channel_used_epoch_[u] == epoch_) {
       // No sender upstream, or it already transmitted this cycle (in
@@ -1013,7 +1101,7 @@ void Engine::step() {
   observers_.begin_cycle(in_measure_window());
   // A phase with nothing to do takes no lap: its one test is charged to
   // the next lapped phase, so the profiler does not time its own clock
-  // reads as flow-control, fault or validate work.
+  // reads as flow-control, fault, routing, telemetry or validate work.
   if (!fc_.events.empty()) {
     drain_flow_control_events();
     observers_.lap(EnginePhase::kFlowControl);
@@ -1027,12 +1115,13 @@ void Engine::step() {
   observers_.lap(EnginePhase::kArrivals);
   start_transmissions();
   observers_.lap(EnginePhase::kStartTx);
-  route_and_allocate();
-  observers_.lap(EnginePhase::kRouting);
+  if (route_and_allocate()) observers_.lap(EnginePhase::kRouting);
   advance_flits();
   observers_.lap(EnginePhase::kAdvance);
 
+  bool telemetry = false;
   if (observers_.sample_due(cycle_)) {
+    telemetry = true;
     telemetry::Sample sample;
     sample.cycle = cycle_;
     sample.delivered_flits = delivered_flits_total_;
@@ -1043,10 +1132,10 @@ void Engine::step() {
     observers_.sample(sample);
   }
   // `cycle_ + 1` cycles are complete once this step ends.
-  observers_.heartbeat(cycle_ + 1, [this](std::uint64_t boundary) {
-    return heartbeat_snapshot(boundary);
+  telemetry |= observers_.heartbeat(cycle_ + 1, [this](std::uint64_t cycle) {
+    return heartbeat_snapshot(cycle);
   });
-  observers_.lap(EnginePhase::kTelemetry);
+  if (telemetry) observers_.lap(EnginePhase::kTelemetry);
 
   if (validator_ != nullptr) {
     validator_->on_cycle_end();
@@ -1087,12 +1176,18 @@ void Engine::report_deadlock() const {
                static_cast<long long>(occupied_));
   std::size_t sourced = 0;
   for (std::uint32_t n : channel_sources_) sourced += n != 0 ? 1 : 0;
+  std::size_t calendar = 0;
+  for (NodeId head : wheel_head_) {
+    for (NodeId node = head; node != kInvalidId; node = wheel_next_[node]) {
+      ++calendar;
+    }
+  }
   std::fprintf(stderr,
                "  active sets: %zu channels with sources, %zu seeded for "
-               "next cycle, %zu unrouted headers, %zu tx-pending nodes, "
-               "%zu calendar entries\n",
-               sourced, seed_bits_.count(), header_count_,
-               tx_pending_.size(), arrival_calendar_.size());
+               "next cycle, %zu unrouted headers (%zu asleep), %zu "
+               "tx-pending nodes, %zu calendar entries\n",
+               sourced, seed_bits_.count(), header_count_, sleep_count_,
+               tx_pending_.size(), calendar);
   for (LaneId lane = 0; lane < buf_packet_.size(); ++lane) {
     if (buf_packet_[lane] == kNoPacket) continue;
     const PacketState& pkt = packets_[buf_packet_[lane]];
@@ -1133,6 +1228,11 @@ SimResult Engine::run() {
   while (cycle_ < total) {
     step();
   }
+  // Charge every sleeper's denials through the last cycle, so counters
+  // and worm traces read as if each header had been served every cycle.
+  header_bits_.for_each([&](std::uint32_t pos) {
+    if (sleep_since_[pos] != kNoCycle) charge_sleep(pos);
+  });
   const double run_seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - run_start)
                                  .count();

@@ -10,7 +10,10 @@
 //      a free one (chosen uniformly at random among the free candidates,
 //      matching the paper's random distribution over dilated channels and
 //      forward BMIN channels).  The claimed lane stays allocated to the
-//      worm until its tail flit crosses it.
+//      worm until its tail flit crosses it.  A header whose candidates
+//      are all allocated or dead sleeps until its switch releases a lane
+//      or a fault transition happens, instead of being denied again every
+//      cycle (DESIGN.md §7).
 //   3. *Advance* — flits move one hop.  Each physical channel carries at
 //      most one flit per cycle; when several virtual-channel lanes of a
 //      channel are ready, a round-robin pointer picks one (flit-level fair
@@ -35,8 +38,9 @@
 // The hot loop is event-driven (DESIGN.md "Engine hot loop"): each phase
 // visits only the entities that can make progress — the bitmap of
 // channels with a potential transmit source, the bitmap of switch input
-// lanes holding an unrouted header, the calendar of pending arrival
-// times — instead of scanning the whole network every cycle.  All hot
+// lanes holding an unrouted header less those asleep, the wheel of
+// pending arrival times — instead of scanning the whole network every
+// cycle.  All hot
 // state lives in flat structure-of-arrays form (DESIGN.md §12): per-lane
 // arrays, per-channel arrays, per-node arrays, and dense bitsets whose
 // ascending count-trailing-zeros scan reproduces the original sorted
@@ -50,7 +54,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -127,6 +130,11 @@ class Engine {
 
   /// Telemetry state for step()-driven runs (run() also copies both into
   /// the returned SimResult).  Counters cover the measurement window only.
+  /// A sleeping header's denials (lane_blocked, switch_denials, and its
+  /// worm-trace blocked interval) are charged in bulk: when it is next
+  /// served after waking, when its worm is fault-terminated, or when
+  /// run() ends.  An idle() engine has no sleepers, so its counts are
+  /// complete.
   const telemetry::Counters& telemetry_counters() const {
     return result_.telemetry_counters;
   }
@@ -177,8 +185,13 @@ class Engine {
   friend struct EngineTestPeer;
 
   void generate_arrivals();
+  /// Links `node` into the arrival-wheel bucket of its next arrival's
+  /// fire cycle.
+  void wheel_insert(topology::NodeId node);
   void start_transmissions();
-  void route_and_allocate();
+  /// Serves every awake unrouted header; false when none was awake (the
+  /// phase had no work).
+  bool route_and_allocate();
   void advance_flits();
   void advance_pass();
   /// Moves one flit across `ch` if it can transmit now: the one entry of
@@ -233,8 +246,8 @@ class Engine {
   /// lane (DESIGN.md §14 — a dead channel takes its input buffers with
   /// it).  Runs at the top of step(), before arrivals.
   void apply_fault_plan();
-  /// Repair transition: clears the plan's faulty bits.  Blocked headers
-  /// re-arbitrate every cycle, so no explicit wake-up is needed.
+  /// Repair transition: clears the plan's faulty bits and wakes every
+  /// sleeping header, whose dead candidates may now be free.
   void repair_fault_plan();
   /// The worm currently streaming through input lane `u` (route held):
   /// the buffered head if the FIFO is nonempty, else the chain is walked
@@ -306,6 +319,29 @@ class Engine {
     WORMSIM_DCHECK(channel_sources_[ch] > 0);
     --channel_sources_[ch];
   }
+
+  // ---- Sleeping headers (DESIGN.md §7, §10) ----------------------------
+  /// Puts the header at scan position `pos`, just denied with every
+  /// candidate allocated or dead, to sleep: routing skips it until its
+  /// switch releases an allocation or a fault transition wakes it.
+  void sleep_header(std::uint32_t pos) {
+    const std::uint32_t sw = pos_switch_[pos];
+    sleep_bits_.set(pos);
+    ++sleep_count_;
+    sleep_next_[pos] = sleep_head_[sw];
+    sleep_head_[sw] = pos;
+    sleep_since_[pos] = cycle_ + 1;
+  }
+  /// Wakes the headers asleep at the switch `in_lane` feeds that have
+  /// `out_lane`, just released, among their candidates.  The others
+  /// would be denied again with the same culprit, so they sleep on.
+  void wake_waiters(topology::LaneId in_lane, topology::LaneId out_lane);
+  /// Wakes every sleeper (a fault kill or repair changes which lanes are
+  /// dead at any switch).
+  void wake_all();
+  /// Charges the denials the header at `pos` skipped while asleep, from
+  /// sleep_since_[pos] through the previous cycle, to the observers.
+  void charge_sleep(std::uint32_t pos);
 
   /// Adds a switch-input lane to the unrouted-header set.  Exactness
   /// invariant (validated): a lane enters exactly once per header arrival
@@ -444,17 +480,37 @@ class Engine {
   util::DenseBitset header_bits_;
   std::size_t header_count_ = 0;
 
+  // Sleeping headers, a subset of header_bits_ (DESIGN.md §7): denied
+  // with every candidate allocated or dead, so only a release at their
+  // switch or a fault transition can change their outcome.  sleep_bits_
+  // masks them out of the routing walk; each switch's sleepers form a
+  // singly linked list (sleep_head_ per switch, sleep_next_ per scan
+  // position) that a release there wakes in one go.  sleep_since_ is the
+  // first cycle a header's denials have not been charged for (kNoCycle
+  // when none are owed); it outlives the wake until the next serve.
+  // pos_switch_ maps a scan position to the switch its lane feeds.
+  // sleep_count_ is the popcount, so a cycle whose headers all sleep
+  // skips the walk in O(1).
+  util::DenseBitset sleep_bits_;
+  std::size_t sleep_count_ = 0;
+  std::vector<std::uint32_t> pos_switch_;
+  std::vector<std::uint32_t> sleep_head_;
+  std::vector<std::uint32_t> sleep_next_;
+  std::vector<std::uint64_t> sleep_since_;
+
   // Nodes whose idle port may start transmitting this cycle.
   std::vector<topology::NodeId> tx_pending_;
   std::vector<std::uint8_t> tx_pending_flag_;
 
-  // Arrival calendar: (first cycle the node's next_arrival is due, node).
-  // Due nodes are drained per cycle and processed in node-id order so the
+  // Arrival calendar as a hashed wheel: every active node sits in
+  // exactly one bucket, the one of the first cycle its next_arrival is
+  // due (fire cycle mod kWheelSlots), linked through wheel_next_.  A
+  // bucket also holds nodes due in later rounds; they stay put until
+  // their cycle comes.  Due nodes are processed in node-id order so the
   // RNG draw sequence matches the original full scan.
-  std::priority_queue<std::pair<std::uint64_t, topology::NodeId>,
-                      std::vector<std::pair<std::uint64_t, topology::NodeId>>,
-                      std::greater<>>
-      arrival_calendar_;
+  static constexpr std::size_t kWheelSlots = 1024;
+  std::vector<topology::NodeId> wheel_head_;
+  std::vector<topology::NodeId> wheel_next_;
   std::vector<topology::NodeId> due_nodes_;
 
   std::unique_ptr<EngineValidator> validator_;

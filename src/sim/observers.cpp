@@ -16,6 +16,8 @@ Observers::Observers(const topology::NetView& network,
   if (counters != nullptr && tel.counters) {
     counters->resize_for(network.lane_count(), network.switch_count());
     counters_ = counters;
+    window_begin_ = config.warmup_cycles;
+    window_end_ = config.warmup_cycles + config.measure_cycles;
     lane_switch_.assign(network.lane_count(), 0);
     network.for_each_channel([&](const topology::PhysChannel& ch) {
       if (!ch.dst.is_switch()) return;

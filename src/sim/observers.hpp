@@ -20,6 +20,7 @@
 // observers react to.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -81,13 +82,15 @@ class Observers {
   /// emits one line at the latest boundary crossed.  Called after every
   /// cycle this emits at exact multiples of the interval; called at the
   /// store-and-forward engine's event times it merges the windows no
-  /// event landed in.  `snapshot(boundary)` builds the line.
+  /// event landed in.  `snapshot(boundary)` builds the line.  Returns
+  /// true when a line was emitted.
   template <typename Snapshot>
-  void heartbeat(std::uint64_t completed, Snapshot&& snapshot) {
-    if (!monitor_ || completed < heartbeat_next_) return;
+  bool heartbeat(std::uint64_t completed, Snapshot&& snapshot) {
+    if (!monitor_ || completed < heartbeat_next_) return false;
     const std::uint64_t boundary = completed - completed % monitor_->interval();
     monitor_->on_heartbeat(snapshot(boundary));
     heartbeat_next_ = boundary + monitor_->interval();
+    return true;
   }
   void fault(std::uint64_t cycle, const char* transition,
              std::size_t channels) {
@@ -140,6 +143,22 @@ class Observers {
     if (starved && window_ != nullptr) ++window_->lane_credit_starved[lane];
     if (tracer_) tracer_->on_blocked(id, in_lane, lane, cycle, starved);
   }
+  /// The header in `in_lane` slept through cycles [first, last]: one
+  /// denial per cycle, each naming the culprit of its last blocked()
+  /// call, which was never credit-starved.  Charged in one go, clipped to
+  /// the measurement window (DESIGN.md §10).
+  void slept(PacketId id, topology::LaneId in_lane, std::uint64_t first,
+             std::uint64_t last) {
+    if (counters_ != nullptr) {
+      const std::uint64_t begin = std::max(first, window_begin_);
+      const std::uint64_t end = std::min(last + 1, window_end_);
+      if (begin < end) {
+        counters_->lane_blocked[in_lane] += end - begin;
+        counters_->switch_denials[lane_switch_[in_lane]] += end - begin;
+      }
+    }
+    if (tracer_) tracer_->extend_blocked(id, first, last);
+  }
   /// Flit `seq` of `id` crossed `lane`.
   void moved(PacketId id, std::uint32_t seq, topology::LaneId lane,
              std::uint64_t cycle) {
@@ -189,8 +208,11 @@ class Observers {
   // Window counters: counters_ is null when they are off, window_ is
   // counters_ inside the measurement window and null outside it.
   // lane_switch_ maps a switch-input lane to the switch it feeds.
+  // [window_begin_, window_end_) is the measurement window in cycles.
   telemetry::Counters* counters_ = nullptr;
   telemetry::Counters* window_ = nullptr;
+  std::uint64_t window_begin_ = 0;
+  std::uint64_t window_end_ = 0;
   std::vector<std::uint32_t> lane_switch_;
   std::uint64_t sample_interval_ = 0;  // 0 = sampling off
   telemetry::IntervalSampler sampler_{0};

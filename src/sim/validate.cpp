@@ -1,6 +1,7 @@
 #include "sim/validate.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -118,6 +119,8 @@ EngineValidator::EngineValidator(const Engine& engine) : e_(engine) {
   lane_mark_.assign(e_.network_.lane_count(), 0);
   node_mark_.assign(e_.network_.node_count(), 0);
   chan_mark_.assign(e_.network_.channel_count(), 0);
+  sleep_mark_.assign(e_.switch_input_lanes_.size(), 0);
+  wheel_mark_.assign(e_.network_.node_count(), 0);
 }
 
 void EngineValidator::check_cycle_end() {
@@ -127,6 +130,8 @@ void EngineValidator::check_cycle_end() {
   check_allocation();
   check_routing_legality();
   check_active_sets();
+  check_header_sleep();
+  check_arrival_calendar();
   check_fault_state();
   maybe_probe_deadlock();
 }
@@ -644,6 +649,124 @@ void EngineValidator::check_active_sets() {
       engine_fail("event-frontier", cycle, ch.first_lane,
                   "channel %u can transmit next cycle but is not scheduled",
                   ch_id);
+    }
+  }
+}
+
+void EngineValidator::check_header_sleep() {
+  const std::uint64_t cycle = e_.cycle_;
+  const std::size_t positions = e_.switch_input_lanes_.size();
+
+  // Every switch's list holds only its own sleepers, each once; a walk
+  // longer than the position count has looped.
+  std::size_t linked = 0;
+  for (std::uint32_t sw = 0; sw < e_.sleep_head_.size(); ++sw) {
+    std::size_t steps = 0;
+    for (std::uint32_t pos = e_.sleep_head_[sw]; pos != kInvalidId;
+         pos = e_.sleep_next_[pos]) {
+      if (pos >= positions || ++steps > positions) {
+        engine_fail("header-sleep", cycle, kInvalidId,
+                    "switch %u's sleep list is corrupt (entry %u)", sw, pos);
+      }
+      const LaneId lane = e_.switch_input_lanes_[pos];
+      if (!e_.sleep_bits_.test(pos)) {
+        engine_fail("header-sleep", cycle, lane,
+                    "linked in switch %u's sleep list but awake", sw);
+      }
+      if (e_.pos_switch_[pos] != sw) {
+        engine_fail("header-sleep", cycle, lane,
+                    "linked in switch %u's sleep list but feeds switch %u",
+                    sw, e_.pos_switch_[pos]);
+      }
+      if (sleep_mark_[pos] == sweeps_) {
+        engine_fail("header-sleep", cycle, lane, "linked twice");
+      }
+      sleep_mark_[pos] = sweeps_;
+      ++linked;
+    }
+  }
+
+  // Each sleeper is an unrouted header that was denied with nothing but
+  // allocated or dead candidates, and nothing at its switch has been
+  // released since: recompute its candidates from the router.
+  std::size_t sleepers = 0;
+  routing::CandidateList candidates;
+  for (std::size_t pos = 0; pos < positions; ++pos) {
+    if (!e_.sleep_bits_.test(pos)) continue;
+    ++sleepers;
+    const LaneId lane = e_.switch_input_lanes_[pos];
+    if (!e_.header_bits_.test(pos)) {
+      engine_fail("header-sleep", cycle, lane,
+                  "asleep but not an unrouted header");
+    }
+    if (sleep_mark_[pos] != sweeps_) {
+      engine_fail("header-sleep", cycle, lane,
+                  "asleep but missing from switch %u's sleep list",
+                  e_.pos_switch_[pos]);
+    }
+    const PacketState& pkt = e_.packets_[e_.buf_packet_[lane]];
+    routing::RouteQuery query;
+    query.src = pkt.src;
+    query.dst = pkt.dst;
+    query.turn_stage = pkt.turn_stage;
+    candidates.clear();
+    e_.router_.candidates(query, lane, candidates);
+    for (const LaneId c : candidates) {
+      if (e_.alloc_owner_[c] == kInvalidId &&
+          !e_.channel_faulty_.test(e_.lane_channel_[c])) {
+        engine_fail("header-sleep", cycle, lane,
+                    "packet %u's header sleeps with candidate lane %u free "
+                    "and live",
+                    e_.buf_packet_[lane], c);
+      }
+    }
+  }
+  if (linked != sleepers || sleepers != e_.sleep_count_) {
+    engine_fail("header-sleep", cycle, kInvalidId,
+                "%zu sleep bits set, %zu linked, but the count says %zu",
+                sleepers, linked, e_.sleep_count_);
+  }
+}
+
+void EngineValidator::check_arrival_calendar() {
+  const std::uint64_t cycle = e_.cycle_;
+  const std::size_t slots = e_.wheel_head_.size();
+  const std::size_t nodes = e_.node_next_arrival_.size();
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    std::size_t steps = 0;
+    for (NodeId node = e_.wheel_head_[slot]; node != kInvalidId;
+         node = e_.wheel_next_[node]) {
+      if (node >= nodes || ++steps > nodes) {
+        engine_fail("arrival-calendar", cycle, kInvalidId,
+                    "bucket %zu's list is corrupt (entry %u)", slot, node);
+      }
+      if (e_.traffic_ == nullptr || !e_.traffic_->node_active(node)) {
+        engine_fail("arrival-calendar", cycle, kInvalidId,
+                    "inactive node %u sits in bucket %zu", node, slot);
+      }
+      if (wheel_mark_[node] == sweeps_) {
+        engine_fail("arrival-calendar", cycle, kInvalidId,
+                    "node %u sits in two buckets", node);
+      }
+      wheel_mark_[node] = sweeps_;
+      // The first cycle with next_arrival <= cycle must map to this
+      // bucket and not have passed: the wheel visits a bucket once per
+      // round, so a misfiled or overdue node would be drawn late.
+      const auto fire = static_cast<std::uint64_t>(
+          std::ceil(e_.node_next_arrival_[node]));
+      if (fire < cycle || fire % slots != slot) {
+        engine_fail("arrival-calendar", cycle, kInvalidId,
+                    "node %u sits in bucket %zu but its next arrival fires "
+                    "at cycle %llu",
+                    node, slot, static_cast<unsigned long long>(fire));
+      }
+    }
+  }
+  if (e_.traffic_ == nullptr) return;
+  for (NodeId node = 0; node < nodes; ++node) {
+    if (e_.traffic_->node_active(node) && wheel_mark_[node] != sweeps_) {
+      engine_fail("arrival-calendar", cycle, kInvalidId,
+                  "active node %u is in no bucket", node);
     }
   }
 }

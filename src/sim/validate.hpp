@@ -84,6 +84,12 @@ class EngineValidator {
   ///     recount, epoch stamps never point to the future, every channel
   ///     ready to transmit next cycle has its seed bit set, and the
   ///     advance worklist bitmaps are empty between cycles;
+  ///   * header sleep: sleepers are unrouted headers with no free, live
+  ///     candidate, each linked exactly once in its own switch's sleep
+  ///     list (and sleep_count_ their popcount);
+  ///   * arrival calendar: every active node sits in exactly one wheel
+  ///     bucket, the one of its next arrival's fire cycle, which has not
+  ///     passed;
   ///   * fault state (only once a channel has ever faulted): dead
   ///     channels' lanes are fully drained — no buffered flits, no
   ///     allocation, no held route (fault-quiescence) — and no unrouted
@@ -115,6 +121,8 @@ class EngineValidator {
   void check_allocation();
   void check_routing_legality();
   void check_active_sets();
+  void check_header_sleep();
+  void check_arrival_calendar();
   void check_fault_state();
   void maybe_probe_deadlock();
 
@@ -129,6 +137,8 @@ class EngineValidator {
   std::vector<std::uint64_t> lane_mark_;
   std::vector<std::uint64_t> node_mark_;
   std::vector<std::uint64_t> chan_mark_;
+  std::vector<std::uint64_t> sleep_mark_;  // per routing scan position
+  std::vector<std::uint64_t> wheel_mark_;  // per node
   // Flow-control scratch: in-flight credit returns and the newest pending
   // on/off signal per lane (-1 none, 0 STOP, 1 GO), both rebuilt from one
   // pass over the backpressure calendar.

@@ -89,6 +89,17 @@ void WormTracer::on_blocked(WormId id, LaneId in_lane, LaneId culprit_lane,
   r.blocked_open = true;
 }
 
+void WormTracer::extend_blocked(WormId id, std::uint64_t first,
+                                std::uint64_t last) {
+  WormRecord& r = rec(id);
+  WORMSIM_DCHECK(r.blocked_open && !r.blocked.empty() && !r.stages.empty());
+  BlockedInterval& open = r.blocked.back();
+  WORMSIM_DCHECK(open.last_cycle + 1 == first && first <= last);
+  (void)first;
+  r.stages.back().blocked_cycles += last - open.last_cycle;
+  open.last_cycle = last;
+}
+
 void WormTracer::on_granted(WormId id, LaneId in_lane, LaneId out_lane,
                             std::uint64_t cycle) {
   WormRecord& r = rec(id);

@@ -198,6 +198,12 @@ class WormTracer {
   void on_blocked(WormId id, topology::LaneId in_lane,
                   topology::LaneId culprit_lane, std::uint64_t cycle,
                   bool credit_starved = false);
+  /// The header's open blocked interval, last extended at cycle
+  /// first - 1, runs on through `last`: the denials of cycles [first,
+  /// last], which the engine skipped while the header slept and charges
+  /// in one call.  Each would have named the same culprit, so on_blocked
+  /// would only have extended the interval.
+  void extend_blocked(WormId id, std::uint64_t first, std::uint64_t last);
   /// Arbitration granted out_lane; the worm holds it until tail crossing.
   void on_granted(WormId id, topology::LaneId in_lane,
                   topology::LaneId out_lane, std::uint64_t cycle);

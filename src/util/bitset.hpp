@@ -99,21 +99,35 @@ class DenseBitset {
   /// Visits every set bit in [first, last) in ascending order without
   /// clearing.  Each word is read once, when the walk reaches it, so
   /// bits `fn` changes in the current word do not affect this walk while
-  /// changes to later words do.  Routing's rotated header scan uses it.
+  /// changes to later words do.
   template <typename Fn>
   void for_each_in(std::size_t first, std::size_t last, Fn&& fn) const {
     if (first >= last) return;
-    std::size_t wi = first >> 6;
-    const std::size_t wlast = (last - 1) >> 6;
-    for (; wi <= wlast; ++wi) {
-      std::uint64_t w = words_[wi];
-      if (wi == first >> 6) w &= ~std::uint64_t{0} << (first & 63);
-      if (wi == wlast && (last & 63) != 0) {
-        w &= (std::uint64_t{1} << (last & 63)) - 1;
-      }
+    for (std::size_t wi = first >> 6; wi <= (last - 1) >> 6; ++wi) {
+      std::uint64_t w = word_in(wi, first, last);
       while (w != 0) {
         const int b = std::countr_zero(w);
         w &= w - 1;
+        fn(static_cast<std::uint32_t>((wi << 6) | static_cast<unsigned>(b)));
+      }
+    }
+  }
+
+  /// for_each_in over the bits of *this that are clear in `skip` (a
+  /// bitset of the same size).  Each word of *this is read once, as in
+  /// for_each_in, but `skip`'s word is re-read after every callback, so a
+  /// bit `fn` clears in `skip` ahead of the cursor is visited in this same
+  /// walk.  Routing's rotated header scan skips sleeping headers with it.
+  template <typename Fn>
+  void for_each_in_except(std::size_t first, std::size_t last,
+                          const DenseBitset& skip, Fn&& fn) const {
+    WORMSIM_DCHECK(skip.bits_ == bits_);
+    if (first >= last) return;
+    for (std::size_t wi = first >> 6; wi <= (last - 1) >> 6; ++wi) {
+      std::uint64_t w = word_in(wi, first, last);
+      while (const std::uint64_t live = w & ~skip.words_[wi]) {
+        const int b = std::countr_zero(live);
+        w &= (~std::uint64_t{0} << b) << 1;  // drop b and everything below
         fn(static_cast<std::uint32_t>((wi << 6) | static_cast<unsigned>(b)));
       }
     }
@@ -126,6 +140,17 @@ class DenseBitset {
   }
 
  private:
+  /// Word `wi` with the bits outside [first, last) cleared.
+  std::uint64_t word_in(std::size_t wi, std::size_t first,
+                        std::size_t last) const {
+    std::uint64_t w = words_[wi];
+    if (wi == first >> 6) w &= ~std::uint64_t{0} << (first & 63);
+    if (wi == (last - 1) >> 6 && (last & 63) != 0) {
+      w &= (std::uint64_t{1} << (last & 63)) - 1;
+    }
+    return w;
+  }
+
   std::vector<std::uint64_t> words_;
   std::size_t bits_ = 0;
 };

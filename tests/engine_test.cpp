@@ -22,10 +22,13 @@
 namespace wormsim::sim {
 
 // Friend of Engine: turns the worm chase off before the first step, so a
-// chase network runs on the multi-pass scan instead.
+// chase network runs on the multi-pass scan instead, and wakes every
+// sleeping header, so the next step serves every header as the engine did
+// before blocked headers slept.
 struct EngineTestPeer {
   static bool chase(const Engine& e) { return e.chase_; }
   static void disable_chase(Engine& e) { e.chase_ = false; }
+  static void wake_all(Engine& e) { e.wake_all(); }
 };
 
 namespace {
@@ -485,19 +488,25 @@ TEST(Observers, ExplicitConfigBeatsEnvironment) {
 
 // ---- The worm chase against the multi-pass scan -------------------------
 
-/// One digest per cycle of that cycle's kFlitMoved events, sorted: the
-/// cycle's move set, whatever order the engine found the moves in.
-class MoveSetSink final : public TraceSink {
+/// FNV-1a over 64-bit words.
+struct Fnv64 {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t word) { h = (h ^ word) * 1099511628211ull; }
+};
+
+/// One digest per cycle of that cycle's events, sorted: what the cycle
+/// did, whatever order the engine did it in.
+class CycleEventSink final : public TraceSink {
  public:
   void on_event(const TraceEvent& event) override {
-    if (event.kind != TraceEvent::Kind::kFlitMoved) return;
     if (event.cycle != cycle_) {
       flush();
       cycle_ = event.cycle;
     }
-    moves_.emplace_back(event.lane, event.packet, event.flit_seq);
+    events_.emplace_back(static_cast<int>(event.kind), event.packet,
+                         event.flit_seq, event.lane);
   }
-  /// (cycle, move-set digest) for every cycle with at least one move.
+  /// (cycle, event-set digest) for every cycle with at least one event.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> take() {
     flush();
     return std::move(digests_);
@@ -505,27 +514,27 @@ class MoveSetSink final : public TraceSink {
 
  private:
   void flush() {
-    if (moves_.empty()) return;
-    std::sort(moves_.begin(), moves_.end());
-    std::uint64_t h = 14695981039346656037ull;  // FNV-1a
-    for (const auto& [lane, packet, seq] : moves_) {
-      for (const std::uint64_t word : {std::uint64_t{lane},
-                                       std::uint64_t{packet},
-                                       std::uint64_t{seq}}) {
-        h = (h ^ word) * 1099511628211ull;
-      }
+    if (events_.empty()) return;
+    std::sort(events_.begin(), events_.end());
+    Fnv64 f;
+    for (const auto& [kind, packet, seq, lane] : events_) {
+      f.add(static_cast<std::uint64_t>(kind));
+      f.add(packet);
+      f.add(seq);
+      f.add(lane);
     }
-    digests_.emplace_back(cycle_, h);
-    moves_.clear();
+    digests_.emplace_back(cycle_, f.h);
+    events_.clear();
   }
 
   std::uint64_t cycle_ = 0;
-  std::vector<std::tuple<topology::LaneId, PacketId, std::uint32_t>> moves_;
+  std::vector<std::tuple<int, PacketId, std::uint32_t, topology::LaneId>>
+      events_;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> digests_;
 };
 
 struct ChaseRun {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> move_sets;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> cycle_events;
   std::uint64_t latency_mean_bits = 0;
 };
 
@@ -544,7 +553,7 @@ ChaseRun run_chase_case(const Network& net, double load, std::uint64_t seed,
   Engine engine(net, *router, &traffic, config);
   EXPECT_TRUE(EngineTestPeer::chase(engine));
   if (!chase) EngineTestPeer::disable_chase(engine);
-  MoveSetSink sink;
+  CycleEventSink sink;
   engine.set_trace_sink(&sink);
   const SimResult result = engine.run();
   return {sink.take(), std::bit_cast<std::uint64_t>(result.mean_latency_us())};
@@ -575,14 +584,14 @@ TEST_P(ChaseMatchesScan, SameMovesEveryCycle) {
                      " seed " + std::to_string(seed));
         const ChaseRun chase = run_chase_case(net, load, seed, true);
         const ChaseRun scan = run_chase_case(net, load, seed, false);
-        ASSERT_FALSE(chase.move_sets.empty());
+        ASSERT_FALSE(chase.cycle_events.empty());
         const auto diverged = std::mismatch(
-            chase.move_sets.begin(), chase.move_sets.end(),
-            scan.move_sets.begin(), scan.move_sets.end());
-        ASSERT_TRUE(diverged.first == chase.move_sets.end() &&
-                    diverged.second == scan.move_sets.end())
-            << "move sets differ from cycle "
-            << (diverged.first != chase.move_sets.end()
+            chase.cycle_events.begin(), chase.cycle_events.end(),
+            scan.cycle_events.begin(), scan.cycle_events.end());
+        ASSERT_TRUE(diverged.first == chase.cycle_events.end() &&
+                    diverged.second == scan.cycle_events.end())
+            << "events differ from cycle "
+            << (diverged.first != chase.cycle_events.end()
                     ? diverged.first->first
                     : diverged.second->first);
         EXPECT_EQ(chase.latency_mean_bits, scan.latency_mean_bits);
@@ -600,6 +609,191 @@ INSTANTIATE_TEST_SUITE_P(
                       ChaseNet{"DMIN_x1", NetworkKind::kDMIN, 1}),
     [](const ::testing::TestParamInfo<ChaseNet>& info) {
       return std::string(info.param.name);
+    });
+
+// ---- Sleeping headers against serving every header every cycle -----------
+
+struct SleepCase {
+  std::string name;
+  NetworkKind kind;
+  unsigned vcs;
+  ArbitrationOrder arbitration = ArbitrationOrder::kRotating;
+  LaneSelection lane_selection = LaneSelection::kRandomFree;
+  FlowControlScheme flow_control = FlowControlScheme::kCredit;
+  std::uint32_t buffer_depth = 1;
+  std::uint32_t credit_delay = 0;
+  bool faults = false;
+};
+
+void PrintTo(const SleepCase& c, std::ostream* os) { *os << c.name; }
+
+struct SleepRun {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> cycle_events;
+  std::uint64_t stats = 0;       ///< results and window counters
+  std::uint64_t worm_trace = 0;  ///< stages and blocked intervals
+  std::uint64_t denials = 0;
+  std::uint64_t terminated = 0;
+};
+
+SleepRun run_sleep_case(const SleepCase& c, bool serve_every_cycle) {
+  NetworkConfig nc = make_config(c.kind, "cube", 4, 3);
+  nc.vcs = c.vcs;
+  const Network net = topology::build_network(nc);
+  const auto router = routing::make_router(net);
+  traffic::WorkloadSpec workload;
+  workload.offered = 0.6;
+  workload.length = traffic::LengthSpec::uniform(4, 32);
+  traffic::StandardTraffic traffic(net, workload);
+  SimConfig config;
+  config.seed = 11;
+  config.warmup_cycles = 500;
+  config.measure_cycles = 1'500;
+  config.drain_cycles = 500;
+  config.arbitration = c.arbitration;
+  config.lane_selection = c.lane_selection;
+  config.flow_control = c.flow_control;
+  config.buffer_depth = c.buffer_depth;
+  config.credit_delay = c.credit_delay;
+  if (c.faults) {
+    config.fault_fraction = 0.05;
+    config.fault_seed = 3;
+    config.fault_at_cycle = 500;
+    config.fault_repair_cycle = 1'500;
+  }
+  config.telemetry.counters = true;
+  config.telemetry.worm_trace = true;
+  Engine engine(net, *router, &traffic, config);
+  CycleEventSink sink;
+  engine.set_trace_sink(&sink);
+  if (serve_every_cycle) {
+    while (engine.cycle() < config.total_cycles()) {
+      EngineTestPeer::wake_all(engine);
+      engine.step();
+    }
+  }
+  const SimResult r = engine.run();
+
+  SleepRun run;
+  run.cycle_events = sink.take();
+  Fnv64 stats;
+  stats.add(std::bit_cast<std::uint64_t>(r.latency_cycles.mean()));
+  stats.add(r.latency_cycles.count());
+  stats.add(r.delivered_messages_total);
+  stats.add(r.delivered_flits_in_window);
+  stats.add(r.terminated_messages);
+  stats.add(r.terminated_flits);
+  const telemetry::Counters& counters = r.telemetry_counters;
+  for (const auto* v : {&counters.lane_flits, &counters.lane_blocked,
+                        &counters.lane_credit_starved,
+                        &counters.lane_fault_terminated,
+                        &counters.switch_grants, &counters.switch_denials}) {
+    for (const std::uint64_t x : *v) stats.add(x);
+  }
+  run.stats = stats.h;
+  Fnv64 trace;
+  for (const telemetry::WormRecord& w : r.worm_trace->records()) {
+    trace.add(w.id);
+    for (const telemetry::StageSpan& stage : w.stages) {
+      trace.add(stage.in_lane);
+      trace.add(stage.out_lane);
+      trace.add(stage.arrive_cycle);
+      trace.add(stage.grant_cycle);
+      trace.add(stage.blocked_cycles);
+    }
+    for (const telemetry::BlockedInterval& b : w.blocked) {
+      trace.add(b.first_cycle);
+      trace.add(b.last_cycle);
+      trace.add(b.waiting_lane);
+      trace.add(b.culprit_lane);
+      trace.add(b.culprit_worm);
+      trace.add(b.chain_depth);
+      trace.add(b.credit_starved ? 1 : 0);
+    }
+    trace.add(w.blocked_cycles);
+    trace.add(w.starved_cycles);
+    trace.add(w.terminate_cycle);
+  }
+  run.worm_trace = trace.h;
+  run.denials = counters.total_denials();
+  run.terminated = r.terminated_messages;
+  return run;
+}
+
+class SleepMatchesServe : public ::testing::TestWithParam<SleepCase> {};
+
+// A header denied with every candidate allocated or dead sleeps until its
+// switch releases one of them or a fault transition happens (DESIGN.md
+// §7), and its skipped denials are charged in bulk (§10).  Waking every
+// sleeper before each step serves every header every cycle, as the
+// engine did before; both must give the same events cycle by cycle, the
+// same counters and the same worm traces.
+TEST_P(SleepMatchesServe, SameEventsCountersAndTraces) {
+  const SleepCase& c = GetParam();
+  const SleepRun sleep = run_sleep_case(c, false);
+  const SleepRun serve = run_sleep_case(c, true);
+  ASSERT_FALSE(sleep.cycle_events.empty());
+  EXPECT_GT(serve.denials, 0u) << "no header was ever blocked";
+  if (c.faults) EXPECT_GT(serve.terminated, 0u) << "the kill hit no worm";
+  const auto diverged =
+      std::mismatch(sleep.cycle_events.begin(), sleep.cycle_events.end(),
+                    serve.cycle_events.begin(), serve.cycle_events.end());
+  ASSERT_TRUE(diverged.first == sleep.cycle_events.end() &&
+              diverged.second == serve.cycle_events.end())
+      << "events differ from cycle "
+      << (diverged.first != sleep.cycle_events.end()
+              ? diverged.first->first
+              : diverged.second->first);
+  EXPECT_EQ(sleep.denials, serve.denials);
+  EXPECT_EQ(sleep.stats, serve.stats);
+  EXPECT_EQ(sleep.worm_trace, serve.worm_trace);
+}
+
+std::vector<SleepCase> sleep_cases() {
+  const struct {
+    const char* name;
+    NetworkKind kind;
+    unsigned vcs;
+  } nets[] = {{"TMIN", NetworkKind::kTMIN, 1},
+              {"DMIN", NetworkKind::kDMIN, 1},
+              {"VMIN", NetworkKind::kVMIN, 2},
+              {"BMIN", NetworkKind::kBMIN, 2},
+              {"BMIN_1vc", NetworkKind::kBMIN, 1}};
+  std::vector<SleepCase> cases;
+  for (const auto& net : nets) {
+    const std::string name = net.name;
+    const SleepCase base{name, net.kind, net.vcs};
+    cases.push_back(base);
+    SleepCase c = base;
+    c.name = name + "_random_arb_first_free";
+    c.arbitration = ArbitrationOrder::kRandom;
+    c.lane_selection = LaneSelection::kFirstFree;
+    cases.push_back(c);
+    c = base;
+    c.name = name + "_fixed_arb";
+    c.arbitration = ArbitrationOrder::kFixed;
+    cases.push_back(c);
+    c = base;
+    c.name = name + "_vct";
+    c.flow_control = FlowControlScheme::kVirtualCutThrough;
+    c.buffer_depth = 32;
+    cases.push_back(c);
+    c = base;
+    c.name = name + "_credit_delay";
+    c.buffer_depth = 4;
+    c.credit_delay = 2;
+    cases.push_back(c);
+    c = base;
+    c.name = name + "_kill_repair";
+    c.faults = true;
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Networks, SleepMatchesServe, ::testing::ValuesIn(sleep_cases()),
+    [](const ::testing::TestParamInfo<SleepCase>& info) {
+      return info.param.name;
     });
 
 }  // namespace

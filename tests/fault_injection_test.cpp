@@ -111,6 +111,8 @@ struct GoldenCase {
   ArbitrationOrder arbitration;
   bool store_forward;
   unsigned vcs = 2;
+  std::uint32_t buffer_depth = 1;
+  std::uint32_t credit_delay = 0;
 };
 
 constexpr GoldenCase kCases[] = {
@@ -122,6 +124,8 @@ constexpr GoldenCase kCases[] = {
      false},
     {"BMIN_1vc", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating,
      false, 1},
+    {"BMIN_vc_deep", topology::NetworkKind::kBMIN,
+     ArbitrationOrder::kRotating, false, 2, 4, 2},
     {"SF_TMIN", topology::NetworkKind::kTMIN, ArbitrationOrder::kRotating,
      true},
     {"SF_BMIN", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating,
@@ -188,6 +192,8 @@ TEST(FaultInjection, EmptyPlanDigestsMatchCommittedSnapshot) {
       SimConfig config;
       config.seed = 7;
       config.arbitration = gc.arbitration;
+      config.buffer_depth = gc.buffer_depth;
+      config.credit_delay = gc.credit_delay;
       config.warmup_cycles = 500;
       config.measure_cycles = 4'000;
       config.drain_cycles = 1'500;

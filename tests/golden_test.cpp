@@ -4,13 +4,16 @@
 // bins, channel busy cycles, telemetry counters and samples — for one
 // small configuration per network kind (TMIN/DMIN/VMIN/BMIN), plus a
 // random-arbitration variant, a single-VC BMIN (the single-lane advance
-// path on a network whose channel ids are not feed-forward) and two
-// store-and-forward references.  The expected digests in
-// engine_golden.inc were emitted by the pre-optimization scan-order
-// engine, so they prove the active-set scheduler reproduces the exact
-// same fixpoint move-set and RNG draw order (same seed -> identical
-// results, no silent behavior drift in any figure).  BMIN_1vc was
-// emitted later, by the multi-pass scan the worm chase replaced.
+// path on a network whose channel ids are not feed-forward), a 2-VC BMIN
+// with 4-flit buffers and credit delay 2 (the one-pass advance under
+// delayed credits) and two store-and-forward references.  The expected
+// digests in engine_golden.inc were emitted by the pre-optimization
+// scan-order engine, so they prove the active-set scheduler reproduces
+// the exact same fixpoint move-set and RNG draw order (same seed ->
+// identical results, no silent behavior drift in any figure).  BMIN_1vc
+// was emitted later, by the multi-pass scan the worm chase replaced, and
+// BMIN_vc_deep by the engine that served every blocked header every
+// cycle and re-tried upstream channels under delayed credits.
 //
 // Regenerating (only legitimate after an *intentional* semantic change):
 //   WORMSIM_EMIT_GOLDEN=1 ./tests/golden_test --gtest_filter='Golden.Emit'
@@ -102,6 +105,8 @@ struct GoldenCase {
   ArbitrationOrder arbitration;
   bool store_forward;
   unsigned vcs = 2;
+  std::uint32_t buffer_depth = 1;
+  std::uint32_t credit_delay = 0;
 };
 
 constexpr GoldenCase kCases[] = {
@@ -113,6 +118,8 @@ constexpr GoldenCase kCases[] = {
      false},
     {"BMIN_1vc", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating,
      false, 1},
+    {"BMIN_vc_deep", topology::NetworkKind::kBMIN,
+     ArbitrationOrder::kRotating, false, 2, 4, 2},
     {"SF_TMIN", topology::NetworkKind::kTMIN, ArbitrationOrder::kRotating,
      true},
     {"SF_BMIN", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating,
@@ -160,6 +167,8 @@ SimConfig case_config(const GoldenCase& gc) {
     return config;
   }
   config.arbitration = gc.arbitration;
+  config.buffer_depth = gc.buffer_depth;
+  config.credit_delay = gc.credit_delay;
   config.telemetry.counters = true;
   config.telemetry.sampling = true;
   config.telemetry.sample_interval_cycles = 256;

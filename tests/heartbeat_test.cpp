@@ -354,6 +354,8 @@ TEST(Heartbeat, ProfilerOffByDefaultOnWhenAsked) {
 
   SimConfig config = base_config();
   config.telemetry.profile = true;
+  config.telemetry.sampling = false;
+  config.telemetry.heartbeat_cycles = 0;
   const SimResult on = run_wormhole(config);
   ASSERT_TRUE(on.phase_profile.enabled);
   EXPECT_GT(on.phase_profile.total_seconds, 0.0);
@@ -364,13 +366,26 @@ TEST(Heartbeat, ProfilerOffByDefaultOnWhenAsked) {
             on.phase_profile.total_seconds * 1.02);
   EXPECT_GE(on.phase_profile.coverage(), 0.80);
   // Every per-cycle phase the sequential engine runs must have ticked.
+  // With sampling and heartbeats off, telemetry has no work and takes no
+  // lap.
   using telemetry::EnginePhase;
   for (EnginePhase phase :
        {EnginePhase::kArrivals, EnginePhase::kStartTx, EnginePhase::kRouting,
-        EnginePhase::kAdvance, EnginePhase::kTelemetry}) {
+        EnginePhase::kAdvance}) {
     EXPECT_GT(on.phase_profile.seconds[static_cast<std::size_t>(phase)], 0.0)
         << telemetry::engine_phase_name(phase);
   }
+  const auto telemetry_s = [](const SimResult& r) {
+    return r.phase_profile
+        .seconds[static_cast<std::size_t>(EnginePhase::kTelemetry)];
+  };
+  EXPECT_EQ(telemetry_s(on), 0.0);
+
+  // A heartbeat is telemetry work: the cycles that emit one lap it.
+  config.telemetry.heartbeat_cycles = 1'000;
+  config.telemetry.heartbeat_dir = testing::TempDir() + "hb_profiler";
+  const SimResult beating = run_wormhole(config);
+  EXPECT_GT(telemetry_s(beating), 0.0);
 }
 
 TEST(Heartbeat, ProfilerIsZeroFeedback) {

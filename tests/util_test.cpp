@@ -497,6 +497,31 @@ TEST(DenseBitset, ForEachInMasksPartialBoundaryWords) {
   }
 }
 
+TEST(DenseBitset, ForEachInExceptSkipsLiveMask) {
+  DenseBitset bits(192);
+  DenseBitset skip(192);
+  for (const std::size_t i : {3, 10, 40, 63, 64, 100, 130, 191}) bits.set(i);
+  for (const std::size_t i : {10, 40, 63, 100, 130}) skip.set(i);
+  std::vector<std::uint32_t> seen;
+  bits.for_each_in_except(5, 192, skip, [&](std::uint32_t i) {
+    seen.push_back(i);
+    // Unmasking a bit ahead of the cursor, in this word or a later one,
+    // gets it visited; unmasking one behind it does not.
+    if (i == 64) {
+      skip.clear(100);
+      skip.clear(10);
+    }
+    if (i == 191) skip.clear(130);
+  });
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{64, 100, 191}));
+  seen.clear();
+  // Range bounds apply as in for_each_in; the walk clears nothing.
+  bits.for_each_in_except(0, 64, skip,
+                          [&](std::uint32_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{3, 10}));
+  EXPECT_EQ(bits.count(), 8u);
+}
+
 TEST(DenseBitset, ForEachInSparseAndDomainDecomposition) {
   // Adjacent ranges must tile the full scan (routing walks [offset, n)
   // then [0, offset)): concatenating the per-range walks equals for_each.

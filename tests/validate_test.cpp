@@ -65,6 +65,14 @@ struct EngineTestPeer {
     return e.switch_input_lanes_;
   }
   static EngineValidator& validator(Engine& e) { return *e.validator_; }
+  static void sleep_header(Engine& e, std::uint32_t pos) {
+    e.sleep_header(pos);
+  }
+  static util::DenseBitset& sleep_bits(Engine& e) { return e.sleep_bits_; }
+  static std::size_t& sleep_count(Engine& e) { return e.sleep_count_; }
+  static std::vector<double>& node_next_arrival(Engine& e) {
+    return e.node_next_arrival_;
+  }
 };
 
 // Friend of StoreForwardEngine: same deal for the reference engine.
@@ -529,6 +537,53 @@ TEST(OnOffCorruption, StuckStopBitTripsLiveness) {
         EngineTestPeer::validator(engine).check_cycle_end();
       },
       "invariant 'onoff-liveness'.*no GO in flight");
+}
+
+TEST_F(EngineCorruption, SleeperWithFreeCandidateCaught) {
+  step_until([&] { return header_pos() != kNoPos; });
+  EXPECT_DEATH(
+      {
+        // On an otherwise idle network the lone header's output is free:
+        // asleep, it would never claim it.
+        EngineTestPeer::sleep_header(engine_,
+                                     static_cast<std::uint32_t>(header_pos()));
+        EngineTestPeer::validator(engine_).check_cycle_end();
+      },
+      "invariant 'header-sleep'.*sleeps with candidate lane [0-9]+ free");
+}
+
+TEST_F(EngineCorruption, UnlinkedSleeperCaught) {
+  step_until([&] { return header_pos() != kNoPos; });
+  EXPECT_DEATH(
+      {
+        // A sleep bit with no list entry: no release would ever wake it.
+        EngineTestPeer::sleep_bits(engine_).set(header_pos());
+        ++EngineTestPeer::sleep_count(engine_);
+        EngineTestPeer::validator(engine_).check_cycle_end();
+      },
+      "invariant 'header-sleep'.*missing from switch [0-9]+'s sleep list");
+}
+
+TEST(CalendarCorruption, MisfiledArrivalCaught) {
+  const Network net = topology::build_network(
+      net_config(NetworkKind::kTMIN, "cube", 2, 3));
+  const auto router = routing::make_router(net);
+  traffic::WorkloadSpec workload;
+  workload.offered = 0.3;
+  workload.length = traffic::LengthSpec::fixed(8);
+  traffic::StandardTraffic traffic(net, workload);
+  Engine engine(net, *router, &traffic, validating_config());
+  for (int i = 0; i < 40; ++i) engine.step();
+  EXPECT_DEATH(
+      {
+        // Node 3's next arrival moves a cycle later but the node stays in
+        // its old bucket: the wheel would find it not yet due there and
+        // leave it a whole round.
+        EngineTestPeer::node_next_arrival(engine)[3] += 1.0;
+        EngineTestPeer::validator(engine).check_cycle_end();
+      },
+      "invariant 'arrival-calendar'.*node 3 sits in bucket [0-9]+ but its "
+      "next arrival fires at cycle");
 }
 
 TEST(FifoCorruption, ReorderedSlotTripsFifoOrder) {
