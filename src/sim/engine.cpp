@@ -40,9 +40,6 @@ Engine::Engine(const topology::NetView& network,
                  &result_.telemetry_counters) {
   const std::size_t lanes = network_.lane_count();
   const std::size_t channels = network_.channel_count();
-  buf_packet_.assign(lanes, kNoPacket);
-  buf_seq_.assign(lanes, 0);
-  arrived_epoch_.assign(lanes, 0);
   route_out_.assign(lanes, kInvalidId);
   alloc_owner_.assign(lanes, kInvalidId);
   channel_used_epoch_.assign(channels, 0);
@@ -222,15 +219,17 @@ void Engine::generate_arrivals() {
   }
 }
 
-void Engine::start_transmissions() {
+bool Engine::start_transmissions() {
   // One-port source: start transmitting the queue head when idle.  Only
   // nodes marked pending (new queue head, or a transmission that just
   // finished with more queued) can change state.
-  if (tx_pending_.empty()) return;
+  if (tx_pending_.empty()) return false;
+  bool started = false;
   for (NodeId node : tx_pending_) {
     tx_pending_flag_[node] = 0;
     std::deque<PacketId>& queue = node_queue_[node];
     if (node_tx_packet_[node] == kNoPacket && !queue.empty()) {
+      started = true;
       node_tx_packet_[node] = queue.front();
       queue.pop_front();
       --queued_messages_;
@@ -240,6 +239,7 @@ void Engine::start_transmissions() {
     }
   }
   tx_pending_.clear();
+  return started;
 }
 
 bool Engine::route_and_allocate() {
@@ -266,11 +266,11 @@ bool Engine::route_and_allocate() {
   // clears its own bit; blocked headers keep theirs for next cycle.
   const auto serve = [&](std::uint32_t pos) {
     const LaneId u = switch_input_lanes_[pos];
-    WORMSIM_DCHECK(buf_packet_[u] != kNoPacket);
-    WORMSIM_DCHECK(buf_seq_[u] == 0);
+    const PacketId pid = fc_.front(u);
+    WORMSIM_DCHECK(pid != kNoPacket);
+    WORMSIM_DCHECK(fc_.front_seq(u) == 0);
     WORMSIM_DCHECK(route_out_[u] == kInvalidId);
     if (sleep_since_[pos] != kNoCycle) charge_sleep(pos);
-    const PacketId pid = buf_packet_[u];
     const PacketState& pkt = packets_[pid];
     // Router::candidates is pure in (packet, lane) and packet ids are
     // unique per run, so a blocked header re-arbitrating every cycle
@@ -380,7 +380,7 @@ void Engine::wake_waiters(LaneId in_lane, LaneId out_lane) {
   while (*link != kInvalidId) {
     const std::uint32_t pos = *link;
     const LaneId u = switch_input_lanes_[pos];
-    WORMSIM_DCHECK(cand_pkt_[u] == buf_packet_[u]);
+    WORMSIM_DCHECK(cand_pkt_[u] == fc_.front(u));
     bool waits = cand_len_[u] == kCandOverflow;
     if (!waits) {
       const LaneId* cand = &cand_store_[std::size_t{u} * cand_stride_];
@@ -412,7 +412,7 @@ void Engine::charge_sleep(std::uint32_t pos) {
   sleep_since_[pos] = sleep_bits_.test(pos) ? cycle_ : kNoCycle;
   if (first >= cycle_) return;
   const LaneId u = switch_input_lanes_[pos];
-  observers_.slept(buf_packet_[u], u, first, cycle_ - 1);
+  observers_.slept(fc_.front(u), u, first, cycle_ - 1);
 }
 
 void Engine::set_fault_plan(fault_injection::FaultPlan plan) {
@@ -424,12 +424,12 @@ void Engine::set_fault_plan(fault_injection::FaultPlan plan) {
 
 PacketId Engine::chain_worm(LaneId u) const {
   // The worm streaming through input lane `u` (its route is held): the
-  // FIFO head is the oldest un-crossed flit and belongs to the route
+  // FIFO front is the oldest un-crossed flit and belongs to the route
   // holder; an empty FIFO means the tail is strictly upstream, so follow
   // the allocation chain until flits — or the still-transmitting
   // source — are found.
   while (true) {
-    if (fc_.count[u] > 0) return buf_packet_[u];
+    if (fc_.count[u] > 0) return fc_.front(u);
     const ChannelId ch = lane_channel_[u];
     const std::uint32_t src_node = ch_src_node_[ch];
     if (src_node != kInvalidId) return node_tx_packet_[src_node];
@@ -442,74 +442,34 @@ PacketId Engine::chain_worm(LaneId u) const {
 std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
   const std::uint32_t count = fc_.count[lane];
   if (count == 0) return 0;
-  const std::size_t base = fc_.ext_base(lane);
-  // Gather the survivors in FIFO order (head slot, then extensions).
-  std::vector<PacketId> keep_pkt;
-  std::vector<std::uint32_t> keep_seq;
-  std::vector<std::uint64_t> keep_epoch;
-  const bool head_removed = buf_packet_[lane] == pid;
-  if (!head_removed) {
-    keep_pkt.push_back(buf_packet_[lane]);
-    keep_seq.push_back(buf_seq_[lane]);
-    keep_epoch.push_back(arrived_epoch_[lane]);
-  }
-  for (std::uint32_t s = 0; s + 1 < count; ++s) {
-    if (fc_.ext_packet[base + s] == pid) continue;
-    keep_pkt.push_back(fc_.ext_packet[base + s]);
-    keep_seq.push_back(fc_.ext_seq[base + s]);
-    keep_epoch.push_back(fc_.ext_epoch[base + s]);
-  }
-  const auto kept = static_cast<std::uint32_t>(keep_pkt.size());
-  const std::uint32_t removed = count - kept;
-  if (removed == 0) return 0;
-
-  // Unregister the worm's unrouted header if it sat at this head slot
-  // (the bit state is authoritative: set iff an unrouted header is
-  // registered — a granted header already cleared it).  No header sleeps
-  // here (a kill wakes them all first, and routing terminates only the
-  // header it serves), but one may still owe the denials it slept
-  // through.
-  if (head_removed && buf_seq_[lane] == 0 &&
-      lane_scan_pos_[lane] != kInvalidId &&
-      header_bits_.test(lane_scan_pos_[lane])) {
-    const std::uint32_t pos = lane_scan_pos_[lane];
+  const bool front_removed = fc_.front(lane) == pid;
+  // Unregister the worm's unrouted header if it sits at the front (the
+  // bit state is authoritative: set iff an unrouted header is registered
+  // — a granted header already cleared it).  No header sleeps here (a
+  // kill wakes them all first, and routing terminates only the header it
+  // serves), but one may still owe the denials it slept through.
+  const std::uint32_t pos = lane_scan_pos_[lane];
+  if (front_removed && fc_.front_seq(lane) == 0 && pos != kInvalidId &&
+      header_bits_.test(pos)) {
     WORMSIM_DCHECK(!sleep_bits_.test(pos));
     if (sleep_since_[pos] != kNoCycle) charge_sleep(pos);
     header_bits_.clear(pos);
     --header_count_;
   }
-
-  // Compact the survivors back, clearing the freed tail slots exactly as
-  // fc_pop leaves them so the validator's occupancy recount holds.
-  fc_.count[lane] = kept;
+  const std::uint32_t removed = fc_.erase(lane, pid);
+  if (removed == 0) return 0;
+  const std::uint32_t kept = count - removed;
   occupied_ -= removed;
-  if (kept > 0) {
-    buf_packet_[lane] = keep_pkt[0];
-    buf_seq_[lane] = keep_seq[0];
-    arrived_epoch_[lane] = keep_epoch[0];
-    for (std::uint32_t s = 0; s + 1 < kept; ++s) {
-      fc_.ext_packet[base + s] = keep_pkt[s + 1];
-      fc_.ext_seq[base + s] = keep_seq[s + 1];
-      fc_.ext_epoch[base + s] = keep_epoch[s + 1];
-    }
-  } else {
-    buf_packet_[lane] = kNoPacket;
-  }
-  for (std::uint32_t s = kept > 0 ? kept - 1 : 0; s + 1 < count; ++s) {
-    fc_.ext_packet[base + s] = kNoPacket;
-    fc_.ext_seq[base + s] = 0;
-    fc_.ext_epoch[base + s] = 0;
-  }
 
-  // A survivor promoted into the head slot can only be a header: a worm
-  // queued behind the removed one has popped nothing yet, so its oldest
-  // present flit is seq 0.  Register it.
-  if (head_removed && kept > 0 && buf_seq_[lane] == 0 &&
-      lane_scan_pos_[lane] != kInvalidId) {
+  // A survivor moved up to the front can only be a header: a worm queued
+  // behind the removed one has popped nothing yet, so its oldest present
+  // flit is seq 0.  Register it.
+  if (front_removed && kept > 0 && fc_.front_seq(lane) == 0 &&
+      pos != kInvalidId) {
     WORMSIM_DCHECK(route_out_[lane] == kInvalidId);
     add_header_lane(lane);
     if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
-      tracer->on_header_arrival(buf_packet_[lane], lane, cycle_);
+      tracer->on_header_arrival(fc_.front(lane), lane, cycle_);
     }
   }
 
@@ -554,7 +514,7 @@ void Engine::terminate_worm(PacketId pid) {
   // chain of empty lanes (credit bubbles between flits) is traced back
   // through node_tx_packet_, so the source must still name the worm.
   std::vector<LaneId> held;
-  const auto lanes = static_cast<LaneId>(buf_packet_.size());
+  const auto lanes = static_cast<LaneId>(fc_.lanes);
   for (LaneId u = 0; u < lanes; ++u) {
     if (route_out_[u] != kInvalidId && chain_worm(u) == pid) {
       held.push_back(u);
@@ -620,12 +580,8 @@ void Engine::apply_fault_plan() {
     const LaneId first = ch_first_lane_[ch];
     for (unsigned v = 0; v < ch_num_lanes_[ch]; ++v) {
       const LaneId lane = first + v;
-      if (fc_.count[lane] > 0) {
-        victims.push_back(buf_packet_[lane]);
-        const std::size_t base = fc_.ext_base(lane);
-        for (std::uint32_t s = 0; s + 1 < fc_.count[lane]; ++s) {
-          victims.push_back(fc_.ext_packet[base + s]);
-        }
+      for (std::uint32_t s = 0; s < fc_.count[lane]; ++s) {
+        victims.push_back(fc_.slot_packet[fc_.slot(lane, s)]);
       }
       if (route_out_[lane] != kInvalidId) {
         victims.push_back(chain_worm(lane));
@@ -683,9 +639,7 @@ int Engine::decide_channel(ChannelId ch_id) {
       const LaneId lane = first + v;
       const LaneId u = alloc_owner_[lane];
       if (u == kInvalidId) continue;
-      if (buf_packet_[u] == kNoPacket || arrived_epoch_[u] == epoch_) {
-        continue;
-      }
+      if (fc_.count[u] == 0 || fc_.front_arrived(u, epoch_)) continue;
       WORMSIM_DCHECK(route_out_[u] == lane);
       if (dst_switch && !fc_.can_accept(lane)) {
         fc_open_starve(lane);
@@ -738,21 +692,18 @@ bool Engine::try_single_lane(ChannelId ch) {
       return true;
     }
     // Body injection: the fc_push of move_from_node at depth 1.
-    buf_packet_[lane] = pid;
-    buf_seq_[lane] = seq;
-    arrived_epoch_[lane] = epoch_;
-    fc_.count[lane] = 1;
+    fc_.push(lane, pid, seq, epoch_);
     fc_.credits[lane] = 0;
     ++occupied_;
     node_tx_sent_[src_node] = seq + 1;
   } else {
     const LaneId u = alloc_owner_[lane];
     if (u == kInvalidId) return false;
-    pid = buf_packet_[u];
-    if (pid == kNoPacket || arrived_epoch_[u] == epoch_) return false;
+    pid = fc_.front(u);
+    if (pid == kNoPacket || fc_.front_arrived(u, epoch_)) return false;
     const bool eject = !ch_dst_is_switch_.test(ch);
     if (!eject && fc_.credits[lane] == 0) return false;
-    seq = buf_seq_[u];
+    seq = fc_.front_seq(u);
     if (seq == 0 || seq + 1 == packets_[pid].length) {
       apply_move(ch, 0);
       return true;
@@ -760,8 +711,7 @@ bool Engine::try_single_lane(ChannelId ch) {
     // Body flit: fc_pop(u), then either deliver_flit's flit count or
     // fc_push(lane).  At depth 1 the pop and the push exchange the two
     // lanes' count and credit, so occupied_ is unchanged by a shift.
-    buf_packet_[u] = kNoPacket;
-    fc_.count[u] = 0;
+    fc_.pop(u);
     fc_.credits[u] = 1;
     popped_ = u;
     if (eject) {
@@ -769,10 +719,7 @@ bool Engine::try_single_lane(ChannelId ch) {
       if (in_measure_window()) ++result_.delivered_flits_in_window;
       ++delivered_flits_total_;
     } else {
-      buf_packet_[lane] = pid;
-      buf_seq_[lane] = seq;
-      arrived_epoch_[lane] = epoch_;
-      fc_.count[lane] = 1;
+      fc_.push(lane, pid, seq, epoch_);
       fc_.credits[lane] = 0;
     }
   }
@@ -786,18 +733,19 @@ void Engine::move_from_node(NodeId node_id, LaneId lane) {
   const PacketId tx = node_tx_packet_[node_id];
   const std::uint32_t sent = node_tx_sent_[node_id];
   PacketState& pkt = packets_[tx];
-  const bool was_head = fc_push(lane, tx, sent);
+  const bool at_front = fc_push(lane, tx, sent);
   // The arrived flit can cross its (already routed) next hop next cycle.
-  // A flit landing behind the head changes nothing about readiness.
-  if (was_head) seed_next_hop(lane);
+  // A flit landing behind the front changes nothing about readiness.
+  if (at_front) seed_next_hop(lane);
   if (sent == 0) {
     pkt.inject_cycle = cycle_;
     ++worms_in_flight_;
     telemetry::WormTracer* tracer = observers_.worm_tracer();
     if (tracer != nullptr) tracer->on_injected(tx, cycle_);
     // A header behind an earlier worm's flits becomes routable only when
-    // it reaches the head slot (the tail-pop in fc_pop promotes it).
-    if (was_head) {
+    // it reaches the front (move_from_switch registers it after the tail
+    // ahead of it pops).
+    if (at_front) {
       add_header_lane(lane);  // injection channels end at switches
       if (tracer != nullptr) tracer->on_header_arrival(tx, lane, cycle_);
     }
@@ -814,8 +762,8 @@ void Engine::move_from_node(NodeId node_id, LaneId lane) {
 }
 
 void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
-  const PacketId pkt_id = buf_packet_[in_lane];
-  const std::uint32_t seq = buf_seq_[in_lane];
+  const PacketId pkt_id = fc_.front(in_lane);
+  const std::uint32_t seq = fc_.front_seq(in_lane);
   const PacketState& pkt = packets_[pkt_id];
   const bool tail = seq + 1 == pkt.length;
   const ChannelId out_ch = lane_channel_[out_lane];
@@ -829,15 +777,15 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
   if (!ch_dst_is_switch_.test(out_ch)) {
     deliver_flit(pkt_id, seq);
   } else {
-    const bool was_head = fc_push(out_lane, pkt_id, seq);
-    if (was_head && seq == 0) {
+    const bool at_front = fc_push(out_lane, pkt_id, seq);
+    if (at_front && seq == 0) {
       add_header_lane(out_lane);
       if (tracer != nullptr) {
         tracer->on_header_arrival(pkt_id, out_lane, cycle_);
       }
     }
     // The arrived flit can cross its (already routed) next hop next cycle.
-    if (was_head) seed_next_hop(out_lane);
+    if (at_front) seed_next_hop(out_lane);
   }
   if (tail) {
     // The worm's tail has crossed this hop: release both the input unit's
@@ -848,29 +796,18 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
     wake_waiters(in_lane, out_lane);
     if (tracer != nullptr) tracer->on_lane_released(out_lane);
     // A deeper FIFO can already hold the next worm's header; it becomes
-    // routable the moment the previous tail clears the head slot.
-    if (fc_.count[in_lane] > 0 && buf_seq_[in_lane] == 0) {
+    // routable the moment the previous tail leaves the front.
+    if (fc_.count[in_lane] > 0 && fc_.front_seq(in_lane) == 0) {
       add_header_lane(in_lane);
       if (tracer != nullptr) {
-        tracer->on_header_arrival(buf_packet_[in_lane], in_lane, cycle_);
+        tracer->on_header_arrival(fc_.front(in_lane), in_lane, cycle_);
       }
     }
   }
 }
 
 bool Engine::fc_push(LaneId lane, PacketId pkt, std::uint32_t seq) {
-  const bool was_head = fc_.count[lane] == 0;
-  if (was_head) {
-    buf_packet_[lane] = pkt;
-    buf_seq_[lane] = seq;
-    arrived_epoch_[lane] = epoch_;
-  } else {
-    const std::size_t slot = fc_.ext_base(lane) + (fc_.count[lane] - 1);
-    fc_.ext_packet[slot] = pkt;
-    fc_.ext_seq[slot] = seq;
-    fc_.ext_epoch[slot] = epoch_;
-  }
-  ++fc_.count[lane];
+  fc_.push(lane, pkt, seq, epoch_);
   ++occupied_;
   if (fc_.scheme == FlowControlScheme::kOnOff) {
     // Occupancy rose to the stop level: tell the sender to pause.  The
@@ -883,32 +820,15 @@ bool Engine::fc_push(LaneId lane, PacketId pkt, std::uint32_t seq) {
     WORMSIM_DCHECK(fc_.credits[lane] > 0);
     --fc_.credits[lane];
   }
-  return was_head;
+  return fc_.count[lane] == 1;
 }
 
 void Engine::fc_pop(LaneId lane) {
-  --fc_.count[lane];
+  // A flit pushed this very cycle and now at the front still waits a
+  // cycle before crossing the next channel: it is the lane's only flit
+  // and carries the lane's stamp (FlowControlState::front_arrived).
+  fc_.pop(lane);
   --occupied_;
-  const std::uint32_t remaining = fc_.count[lane];
-  if (remaining > 0) {
-    // Promote the next slot to the head, oldest first.  Its recorded
-    // arrival epoch rides along, so a flit pushed this very cycle still
-    // waits a cycle before crossing the next channel.
-    const std::size_t base = fc_.ext_base(lane);
-    buf_packet_[lane] = fc_.ext_packet[base];
-    buf_seq_[lane] = fc_.ext_seq[base];
-    arrived_epoch_[lane] = fc_.ext_epoch[base];
-    for (std::uint32_t s = 0; s + 1 < remaining; ++s) {
-      fc_.ext_packet[base + s] = fc_.ext_packet[base + s + 1];
-      fc_.ext_seq[base + s] = fc_.ext_seq[base + s + 1];
-      fc_.ext_epoch[base + s] = fc_.ext_epoch[base + s + 1];
-    }
-    fc_.ext_packet[base + remaining - 1] = kNoPacket;
-    fc_.ext_seq[base + remaining - 1] = 0;
-    fc_.ext_epoch[base + remaining - 1] = 0;
-  } else {
-    buf_packet_[lane] = kNoPacket;
-  }
   // Return the freed slot to the sender.
   if (fc_.scheme == FlowControlScheme::kOnOff) {
     if (fc_.count[lane] == fc_.on_threshold) {
@@ -980,7 +900,7 @@ void Engine::fc_close_starve(LaneId lane) {
     const std::uint32_t src_node = ch_src_node_[lane_channel_[lane]];
     if (src_node != kInvalidId) return node_tx_packet_[src_node];
     const LaneId owner = alloc_owner_[lane];
-    return owner != kInvalidId ? buf_packet_[owner] : kNoPacket;
+    return owner != kInvalidId ? fc_.front(owner) : kNoPacket;
   });
 }
 
@@ -990,7 +910,7 @@ bool Engine::upstream_has_flit(LaneId lane) const {
     return node_tx_packet_[src_node] != kNoPacket;
   }
   const LaneId owner = alloc_owner_[lane];
-  return owner != kInvalidId && buf_packet_[owner] != kNoPacket;
+  return owner != kInvalidId && fc_.count[owner] > 0;
 }
 
 void Engine::deliver_flit(PacketId pkt_id, std::uint32_t seq) {
@@ -1101,7 +1021,8 @@ void Engine::step() {
   observers_.begin_cycle(in_measure_window());
   // A phase with nothing to do takes no lap: its one test is charged to
   // the next lapped phase, so the profiler does not time its own clock
-  // reads as flow-control, fault, routing, telemetry or validate work.
+  // reads as flow-control, fault, start-tx, routing, telemetry or
+  // validate work.
   if (!fc_.events.empty()) {
     drain_flow_control_events();
     observers_.lap(EnginePhase::kFlowControl);
@@ -1113,8 +1034,7 @@ void Engine::step() {
   if (kill || repair) observers_.lap(EnginePhase::kFault);
   generate_arrivals();
   observers_.lap(EnginePhase::kArrivals);
-  start_transmissions();
-  observers_.lap(EnginePhase::kStartTx);
+  if (start_transmissions()) observers_.lap(EnginePhase::kStartTx);
   if (route_and_allocate()) observers_.lap(EnginePhase::kRouting);
   advance_flits();
   observers_.lap(EnginePhase::kAdvance);
@@ -1188,20 +1108,19 @@ void Engine::report_deadlock() const {
                "tx-pending nodes, %zu calendar entries\n",
                sourced, seed_bits_.count(), header_count_, sleep_count_,
                tx_pending_.size(), calendar);
-  for (LaneId lane = 0; lane < buf_packet_.size(); ++lane) {
-    if (buf_packet_[lane] == kNoPacket) continue;
-    const PacketState& pkt = packets_[buf_packet_[lane]];
+  for (LaneId lane = 0; lane < fc_.lanes; ++lane) {
+    if (fc_.count[lane] == 0) continue;
     const PhysChannel ch = network_.lane_channel(lane);
-    std::fprintf(stderr,
-                 "  lane %u (channel %u role %d) holds packet %u seq %u "
-                 "(src %llu dst %llu len %u)\n",
-                 lane, ch.id, static_cast<int>(ch.role), buf_packet_[lane],
-                 buf_seq_[lane], static_cast<unsigned long long>(pkt.src),
-                 static_cast<unsigned long long>(pkt.dst), pkt.length);
-    for (std::uint32_t s = 0; s + 1 < fc_.count[lane]; ++s) {
-      const std::size_t slot = fc_.ext_base(lane) + s;
-      std::fprintf(stderr, "    fifo slot %u holds packet %u seq %u\n",
-                   s + 1, fc_.ext_packet[slot], fc_.ext_seq[slot]);
+    std::fprintf(stderr, "  lane %u (channel %u role %d) holds %u flits\n",
+                 lane, ch.id, static_cast<int>(ch.role), fc_.count[lane]);
+    for (std::uint32_t s = 0; s < fc_.count[lane]; ++s) {
+      const std::size_t at = fc_.slot(lane, s);
+      const PacketState& pkt = packets_[fc_.slot_packet[at]];
+      std::fprintf(stderr,
+                   "    slot %u: packet %u seq %u (src %llu dst %llu len %u)\n",
+                   s, fc_.slot_packet[at], fc_.slot_seq[at],
+                   static_cast<unsigned long long>(pkt.src),
+                   static_cast<unsigned long long>(pkt.dst), pkt.length);
     }
   }
   if (!fc_.events.empty()) {

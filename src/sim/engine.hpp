@@ -111,10 +111,11 @@ class Engine {
   std::size_t packet_count() const { return packets_.size(); }
   const topology::NetView& network() const { return network_; }
 
-  /// Lane occupancy introspection for tests: packet in the lane's buffer,
-  /// or kNoPacket.
+  /// Lane occupancy introspection for tests: the packet of the lane
+  /// FIFO's oldest flit, or kNoPacket.
   PacketId buffered_packet(topology::LaneId lane) const {
-    return buf_packet_.at(lane);
+    WORMSIM_CHECK(lane < fc_.lanes);
+    return fc_.front(lane);
   }
 
   std::uint64_t source_queue_length(topology::NodeId node) const {
@@ -188,7 +189,9 @@ class Engine {
   /// Links `node` into the arrival-wheel bucket of its next arrival's
   /// fire cycle.
   void wheel_insert(topology::NodeId node);
-  void start_transmissions();
+  /// Starts the queue head at every pending idle node; false when it
+  /// started none.
+  bool start_transmissions();
   /// Serves every awake unrouted header; false when none was awake (the
   /// phase had no work).
   bool route_and_allocate();
@@ -217,7 +220,7 @@ class Engine {
   bool try_single_lane(topology::ChannelId ch);
   void move_from_node(topology::NodeId node, topology::LaneId lane);
   void move_from_switch(topology::LaneId in_lane, topology::LaneId out_lane);
-  /// Seeds the next hop of `lane`, whose head slot just filled, when its
+  /// Seeds the next hop of `lane`, whose FIFO front just filled, when its
   /// worm already holds one.  On a chase_ network a hop that moved this
   /// cycle is skipped: it refilled its own lane (ejection hops are reached
   /// only by the scan, which re-seeds them), so it cannot move again until
@@ -260,8 +263,8 @@ class Engine {
   /// termination on the packet, the result counters, and the tracer.
   void terminate_worm(PacketId pid);
   /// Removes every flit of `pid` from `lane`'s FIFO, compacting the
-  /// survivors and mirroring fc_pop's sender-side accounting per removed
-  /// flit.  Returns the number of flits discarded.
+  /// survivors in place and mirroring fc_pop's sender-side accounting per
+  /// removed flit.  Returns the number of flits discarded.
   std::uint32_t fc_remove_packet(topology::LaneId lane, PacketId pid);
 
   // ---- Flow control (src/sim/flow_control/) ---------------------------
@@ -271,13 +274,12 @@ class Engine {
   /// step(), before the phases, so a credit due at cycle T is usable at
   /// cycle T (consistent with the delay -> 0 limit).
   void drain_flow_control_events();
-  /// Pushes one flit into `lane`'s input FIFO (head slot or extension)
-  /// and runs the sender-side accounting (credit decrement / STOP
-  /// emission).  Returns true when the flit landed at the head slot.
+  /// Pushes one flit into `lane`'s input FIFO and runs the sender-side
+  /// accounting (credit decrement / STOP emission).  Returns true when
+  /// the flit is the FIFO's front (the FIFO was empty).
   bool fc_push(topology::LaneId lane, PacketId pkt, std::uint32_t seq);
-  /// Pops `lane`'s head flit, promotes the next FIFO slot, and returns
-  /// the freed slot upstream (inline when credit_delay is 0, as a
-  /// calendar event otherwise).
+  /// Pops `lane`'s front flit and returns the freed slot upstream (inline
+  /// when credit_delay is 0, as a calendar event otherwise).
   void fc_pop(topology::LaneId lane);
   /// On/off signal toward `lane`'s sender: applied inline at delay 0,
   /// queued on the calendar otherwise.
@@ -389,16 +391,12 @@ class Engine {
   std::vector<std::uint32_t> node_tx_sent_;
   std::vector<double> node_next_arrival_;
 
-  // Per-lane state, indexed by LaneId.  buf_packet_/buf_seq_/
-  // arrived_epoch_ are the *head slot* of each lane's input FIFO; the
-  // slots behind it (buffer_depth > 1) and all sender-side gating live
-  // in fc_ (itself lane-major structure-of-arrays).
-  std::vector<PacketId> buf_packet_;
-  std::vector<std::uint32_t> buf_seq_;
-  std::vector<std::uint64_t> arrived_epoch_;   // epoch the buffer was filled
+  // Per-lane state, indexed by LaneId.  Each lane's input FIFO, its
+  // arrival stamp and all sender-side gating live in fc_ (structure-of-
+  // arrays, slot 0 of every lane one dense array).
   std::vector<topology::LaneId> route_out_;    // input-unit worm route
   std::vector<topology::LaneId> alloc_owner_;  // output-lane allocation
-  FlowControlState fc_;                        // buffers + backpressure
+  FlowControlState fc_;                        // FIFOs + backpressure
 
   // Per-physical-channel state, indexed by ChannelId.  The first five are
   // flattened copies of the topology fields the advance loop needs, so a
@@ -450,8 +448,8 @@ class Engine {
   std::vector<topology::LaneId> cand_store_;
 
   // ---- Active sets (see DESIGN.md "Engine hot loop" and §12) -----------
-  // Epoch counter bumped once per advance_flits(); comparing a stamp to it
-  // replaces the per-cycle std::fill over channel_used_ / arrived_.
+  // Epoch counter bumped once per advance_flits(); comparing a stamp
+  // (channel_used_epoch_, fc_.stamp) to it replaces a per-cycle std::fill.
   std::uint64_t epoch_ = 0;
 
   // Potential transmit sources per channel (allocated output lanes plus a

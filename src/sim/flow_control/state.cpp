@@ -1,7 +1,5 @@
 #include "sim/flow_control/state.hpp"
 
-#include <cstring>
-
 namespace wormsim::sim {
 
 const char* to_string(FlowControlScheme scheme) {
@@ -42,21 +40,32 @@ void FlowControlState::configure(std::size_t lane_count, FlowControlScheme s,
     off_threshold = depth;
     on_threshold = 0;
   }
+  lanes = lane_count;
+  slot_packet.assign(lane_count * depth, kNoPacket);
+  slot_seq.assign(lane_count * depth, 0);
+  stamp.assign(lane_count, 0);
   count.assign(lane_count, 0);
   credits.assign(lane_count, depth);
   stopped.assign(lane_count, 0);
-  if (depth > 1) {
-    const std::size_t slots = lane_count * (depth - 1);
-    ext_packet.assign(slots, kNoPacket);
-    ext_seq.assign(slots, 0);
-    ext_epoch.assign(slots, 0);
-  } else {
-    ext_packet.clear();
-    ext_seq.clear();
-    ext_epoch.clear();
-  }
   events.clear();
   starve_since.assign(lane_count, kNoCycle);
+}
+
+std::uint32_t FlowControlState::erase(topology::LaneId lane, PacketId pkt) {
+  const std::uint32_t held = count[lane];
+  std::uint32_t kept = 0;
+  for (std::uint32_t s = 0; s < held; ++s) {
+    const std::size_t from = slot(lane, s);
+    if (slot_packet[from] == pkt) continue;
+    const std::size_t to = slot(lane, kept++);
+    slot_packet[to] = slot_packet[from];
+    slot_seq[to] = slot_seq[from];
+  }
+  for (std::uint32_t s = kept; s < held; ++s) {
+    slot_packet[slot(lane, s)] = kNoPacket;
+  }
+  count[lane] = kept;
+  return held - kept;
 }
 
 }  // namespace wormsim::sim

@@ -1,16 +1,17 @@
 // Per-lane buffer and backpressure state for the flow-control subsystem.
 //
-// The engine's legacy per-lane head arrays (buf_packet_ / buf_seq_ /
-// arrived_epoch_) stay the *head slot* of every lane FIFO: slot 0 lives
-// at a fixed index, so every consumer that reasons about "the buffered
-// flit of lane L" — the validator, the test peers, buffered_packet() —
-// keeps its exact semantics, and a depth-1 run never touches the
-// extension storage at all.  FlowControlState owns everything beyond
-// that head slot:
+// FlowControlState owns every lane's input FIFO and the gates in front
+// of it:
 //
-//   * extension slots: positions 1..depth-1 of each lane FIFO (oldest
-//     first), each carrying the epoch it arrived in so a flit pushed and
-//     promoted to head in the same cycle still waits a cycle;
+//   * the FIFO slots: a (packet, seq) store, slot-major, so slot 0 of
+//     every lane is one dense per-lane array and a depth-1 run touches
+//     nothing else.  slot() is the one place that says where slot s of
+//     lane L lives; the engine, the validator and the test peers go
+//     through front(), slot(), push(), pop() and erase();
+//   * one arrival stamp per lane, the epoch of its newest push.  A lane's
+//     channel moves at most one flit per cycle, so the oldest flit
+//     arrived in the current epoch exactly when it is the lane's only
+//     flit and the stamp equals that epoch (front_arrived);
 //   * the sender-side gates: credit counters (kCredit /
 //     kVirtualCutThrough) or stop bits (kOnOff);
 //   * the in-flight backpressure events — credit returns or on/off
@@ -19,13 +20,14 @@
 //   * per-lane credit-starvation interval clocks (engine.cpp opens and
 //     closes them; telemetry/worm_trace.hpp consumes the attribution).
 //
-// All mutation happens in the engine's hot loop; this struct only
+// The engine does the sender-side accounting around push and pop (it
+// needs the cycle, the calendar and the observers); this struct only
 // provides the storage and the small pure helpers, keeping the
 // scheme-specific arithmetic in one place.
 //
-// Like the rest of the engine's hot state, everything here is lane-major
-// structure-of-arrays (DESIGN.md §12): parallel flat vectors indexed by
-// LaneId, with the extension slots flattened lane-major behind them.
+// Like the rest of the engine's hot state, everything here is flat
+// structure-of-arrays (DESIGN.md §12): parallel vectors indexed by
+// LaneId, and the slot store indexed by slot().
 #pragma once
 
 #include <cstdint>
@@ -59,20 +61,22 @@ struct FlowControlState {
   std::uint32_t off_threshold = 1;
   std::uint32_t on_threshold = 0;
 
-  /// Flits buffered per lane across head + extension slots.  A lane's
-  /// head slot is occupied iff count[lane] > 0.
+  /// Lanes in the network: the stride between two slots of one lane.
+  std::size_t lanes = 0;
+  /// Flits buffered per lane.  Slot 0 is occupied iff count[lane] > 0.
   std::vector<std::uint32_t> count;
+  /// Epoch of each lane's newest push (Engine::epoch_ when it happened).
+  std::vector<std::uint64_t> stamp;
   /// Sender-visible free slots per lane (kCredit / kVirtualCutThrough).
   std::vector<std::uint32_t> credits;
   /// Last delivered on/off signal per lane (kOnOff); 1 = STOP.
   std::vector<std::uint8_t> stopped;
 
-  // Extension slots, lane-major: slot s of lane L (holding the (s+1)-th
-  // oldest flit) lives at index L * (depth - 1) + s.  Unoccupied slots
-  // hold kNoPacket so the validator can re-derive occupancy exactly.
-  std::vector<PacketId> ext_packet;
-  std::vector<std::uint32_t> ext_seq;
-  std::vector<std::uint64_t> ext_epoch;
+  /// The FIFO slots, slot-major: slot s of lane L (its (s+1)-th oldest
+  /// flit) lives at slot(L, s).  Slots at or past count[L] hold
+  /// kNoPacket, so the validator can re-derive occupancy exactly.
+  std::vector<PacketId> slot_packet;
+  std::vector<std::uint32_t> slot_seq;
 
   /// Backpressure calendar; front() is always the earliest due event.
   std::deque<FlowControlEvent> events;
@@ -100,16 +104,56 @@ struct FlowControlState {
     return credits[lane] >= length;
   }
 
-  std::size_t ext_base(topology::LaneId lane) const {
-    return static_cast<std::size_t>(lane) * (depth - 1);
+  /// Index of slot `s` (0 = oldest flit) of `lane` in the slot store.
+  std::size_t slot(topology::LaneId lane, std::uint32_t s) const {
+    return std::size_t{s} * lanes + lane;
+  }
+  /// `lane`'s oldest flit's packet, kNoPacket when the FIFO is empty.
+  PacketId front(topology::LaneId lane) const { return slot_packet[lane]; }
+  /// `lane`'s oldest flit's seq; meaningful only when the FIFO is not
+  /// empty.
+  std::uint32_t front_seq(topology::LaneId lane) const {
+    return slot_seq[lane];
+  }
+  /// True when `lane`'s oldest flit arrived in `epoch`, the current
+  /// advance: it is the lane's only flit, pushed in this epoch.  The
+  /// stamp goes first: it is usually from an earlier epoch, so the count
+  /// is rarely read.
+  bool front_arrived(topology::LaneId lane, std::uint64_t epoch) const {
+    return stamp[lane] == epoch && count[lane] == 1;
   }
 
-  /// Credit returns still travelling toward `lane`'s sender (O(events)).
-  std::uint32_t pending_returns(topology::LaneId lane) const {
-    std::uint32_t pending = 0;
-    for (const FlowControlEvent& ev : events) pending += ev.lane == lane;
-    return pending;
+  /// Appends one flit to `lane`'s FIFO (the caller checked the gate) and
+  /// stamps the lane with `epoch`.
+  void push(topology::LaneId lane, PacketId pkt, std::uint32_t seq,
+            std::uint64_t epoch) {
+    WORMSIM_DCHECK(count[lane] < depth);
+    // Into an empty FIFO (every push at depth 1) the slot is the lane
+    // itself: its address then does not wait on the count load and the
+    // multiply, which the worm chase's body moves would feel.
+    const std::uint32_t held = count[lane]++;
+    const std::size_t at = held == 0 ? std::size_t{lane} : slot(lane, held);
+    slot_packet[at] = pkt;
+    slot_seq[at] = seq;
+    stamp[lane] = epoch;
   }
+  /// Removes `lane`'s oldest flit, shifting the others down one slot.
+  void pop(topology::LaneId lane) {
+    WORMSIM_DCHECK(count[lane] > 0);
+    const std::uint32_t left = --count[lane];
+    std::size_t at = lane;
+    for (std::uint32_t s = 0; s < left; ++s, at += lanes) {
+      slot_packet[at] = slot_packet[at + lanes];
+      slot_seq[at] = slot_seq[at + lanes];
+    }
+    slot_packet[at] = kNoPacket;
+  }
+  /// Removes every flit of `pkt` from `lane`'s FIFO, compacting the
+  /// others in place in their order; returns the number removed.  The
+  /// stamp may then name an erased flit's epoch, so call it only between
+  /// advances (fault kills, routing terminations): the next advance's
+  /// epoch is newer, and front_arrived stays exact.
+  std::uint32_t erase(topology::LaneId lane, PacketId pkt);
 };
 
 }  // namespace wormsim::sim

@@ -138,90 +138,85 @@ void EngineValidator::check_cycle_end() {
 
 void EngineValidator::check_buffers_and_counters() {
   const std::uint64_t cycle = e_.cycle_;
+  const FlowControlState& fc = e_.fc_;
   std::int64_t occupied = 0;
   buffered_.clear();
-  for (LaneId lane = 0; lane < e_.buf_packet_.size(); ++lane) {
-    const PacketId pid = e_.buf_packet_[lane];
-    if (pid == kNoPacket) continue;
-    ++occupied;
-    if (pid >= e_.packets_.size()) {
-      engine_fail("flit-conservation", cycle, lane,
-                  "buffer holds unknown packet id %u", pid);
+  for (LaneId lane = 0; lane < fc.lanes; ++lane) {
+    // The fifo's shape first, so the walk below can trust the count: at
+    // most depth flits, slot 0 occupied iff the count says so, and every
+    // slot past the count cleared.
+    const std::uint32_t count = fc.count[lane];
+    if (count > fc.depth) {
+      engine_fail("buffer-occupancy", cycle, lane,
+                  "%u flits in a %u-deep fifo", count, fc.depth);
     }
-    const PacketState& pkt = e_.packets_[pid];
-    if (e_.buf_seq_[lane] >= pkt.length) {
-      engine_fail("worm-contiguity", cycle, lane,
-                  "buffered seq %u beyond packet %u's length %u",
-                  e_.buf_seq_[lane], pid, pkt.length);
+    if ((count == 0) != (fc.front(lane) == kNoPacket)) {
+      engine_fail("buffer-occupancy", cycle, lane,
+                  "occupancy %u disagrees with the head slot holding %s",
+                  count, fc.front(lane) == kNoPacket ? "no flit" : "a flit");
     }
-    if (pkt.delivered()) {
-      engine_fail("flit-conservation", cycle, lane,
-                  "packet %u delivered at cycle %llu but still buffered", pid,
-                  static_cast<unsigned long long>(pkt.deliver_cycle));
+    for (std::uint32_t s = count; s < fc.depth; ++s) {
+      if (fc.slot_packet[fc.slot(lane, s)] != kNoPacket) {
+        engine_fail("buffer-occupancy", cycle, lane,
+                    "fifo slot %u beyond the %u-flit occupancy not cleared",
+                    s, count);
+      }
     }
-    if (pkt.terminated()) {
-      engine_fail("fault-termination", cycle, lane,
-                  "packet %u terminated at cycle %llu but still buffered",
-                  pid,
-                  static_cast<unsigned long long>(pkt.terminate_cycle));
-    }
-    if (e_.arrived_epoch_[lane] > e_.epoch_) {
+    if (fc.stamp[lane] > e_.epoch_) {
       engine_fail("stale-epoch-stamp", cycle, lane,
                   "arrival stamp %llu is ahead of the engine epoch %llu",
-                  static_cast<unsigned long long>(e_.arrived_epoch_[lane]),
+                  static_cast<unsigned long long>(fc.stamp[lane]),
                   static_cast<unsigned long long>(e_.epoch_));
     }
-    buffered_.emplace_back(
-        (static_cast<std::uint64_t>(pid) << 32) | e_.buf_seq_[lane], lane);
-  }
-  // Extension slots of deeper FIFOs hold flits too; fold them into the
-  // same conservation and contiguity books as the head slots.
-  if (e_.fc_.depth > 1) {
-    for (LaneId lane = 0; lane < e_.buf_packet_.size(); ++lane) {
-      const std::uint32_t count = e_.fc_.count[lane];
-      for (std::uint32_t s = 0; s + 1 < count; ++s) {
-        const std::size_t slot = e_.fc_.ext_base(lane) + s;
-        const PacketId pid = e_.fc_.ext_packet[slot];
-        if (pid == kNoPacket || pid >= e_.packets_.size()) {
-          engine_fail("flit-conservation", cycle, lane,
-                      "fifo slot %u holds %s packet id %u", s + 1,
-                      pid == kNoPacket ? "no" : "unknown", pid);
-        }
-        const PacketState& pkt = e_.packets_[pid];
-        if (e_.fc_.ext_seq[slot] >= pkt.length) {
-          engine_fail("worm-contiguity", cycle, lane,
-                      "fifo slot %u's seq %u beyond packet %u's length %u",
-                      s + 1, e_.fc_.ext_seq[slot], pid, pkt.length);
-        }
-        if (pkt.delivered()) {
-          engine_fail("flit-conservation", cycle, lane,
-                      "packet %u delivered at cycle %llu but still in fifo "
-                      "slot %u",
-                      pid,
-                      static_cast<unsigned long long>(pkt.deliver_cycle),
-                      s + 1);
-        }
-        if (pkt.terminated()) {
-          engine_fail("fault-termination", cycle, lane,
-                      "packet %u terminated at cycle %llu but still in fifo "
-                      "slot %u",
-                      pid,
-                      static_cast<unsigned long long>(pkt.terminate_cycle),
-                      s + 1);
-        }
-        if (e_.fc_.ext_epoch[slot] > e_.epoch_) {
-          engine_fail("stale-epoch-stamp", cycle, lane,
-                      "fifo slot %u's arrival stamp %llu is ahead of the "
-                      "engine epoch %llu",
-                      s + 1,
-                      static_cast<unsigned long long>(e_.fc_.ext_epoch[slot]),
-                      static_cast<unsigned long long>(e_.epoch_));
-        }
-        ++occupied;
-        buffered_.emplace_back(
-            (static_cast<std::uint64_t>(pid) << 32) | e_.fc_.ext_seq[slot],
-            lane);
+    // Each buffered flit, oldest first.  The run is FIFO-ordered: each
+    // slot continues the worm ahead of it or starts a new worm right
+    // behind the previous one's tail.
+    for (std::uint32_t s = 0; s < count; ++s) {
+      const std::size_t at = fc.slot(lane, s);
+      const PacketId pid = fc.slot_packet[at];
+      const std::uint32_t seq = fc.slot_seq[at];
+      if (pid >= e_.packets_.size()) {
+        engine_fail("flit-conservation", cycle, lane,
+                    "fifo slot %u holds %s packet id %u", s,
+                    pid == kNoPacket ? "no" : "unknown", pid);
       }
+      const PacketState& pkt = e_.packets_[pid];
+      if (seq >= pkt.length) {
+        engine_fail("worm-contiguity", cycle, lane,
+                    "fifo slot %u's seq %u beyond packet %u's length %u", s,
+                    seq, pid, pkt.length);
+      }
+      if (pkt.delivered()) {
+        engine_fail("flit-conservation", cycle, lane,
+                    "packet %u delivered at cycle %llu but still buffered "
+                    "in fifo slot %u",
+                    pid, static_cast<unsigned long long>(pkt.deliver_cycle),
+                    s);
+      }
+      if (pkt.terminated()) {
+        engine_fail("fault-termination", cycle, lane,
+                    "packet %u terminated at cycle %llu but still buffered "
+                    "in fifo slot %u",
+                    pid, static_cast<unsigned long long>(pkt.terminate_cycle),
+                    s);
+      }
+      if (s > 0) {
+        const std::size_t prev = fc.slot(lane, s - 1);
+        const PacketId prev_pid = fc.slot_packet[prev];
+        const std::uint32_t prev_seq = fc.slot_seq[prev];
+        const bool continues = pid == prev_pid && seq == prev_seq + 1;
+        const bool new_worm = pid != prev_pid && seq == 0 &&
+                              prev_seq + 1 == e_.packets_[prev_pid].length;
+        if (!continues && !new_worm) {
+          engine_fail("fifo-order", cycle, lane,
+                      "slot %u (packet %u seq %u) does not follow slot %u "
+                      "(packet %u seq %u)",
+                      s, pid, seq, s - 1, prev_pid, prev_seq);
+        }
+      }
+      ++occupied;
+      buffered_.emplace_back((static_cast<std::uint64_t>(pid) << 32) | seq,
+                             lane);
     }
   }
   if (occupied != e_.occupied_) {
@@ -362,58 +357,6 @@ void EngineValidator::check_flow_control() {
 
   for (LaneId lane = 0; lane < fc.count.size(); ++lane) {
     const std::uint32_t count = fc.count[lane];
-    if (count > fc.depth) {
-      engine_fail("buffer-occupancy", cycle, lane,
-                  "%u flits in a %u-deep fifo", count, fc.depth);
-    }
-    if ((count == 0) != (e_.buf_packet_[lane] == kNoPacket)) {
-      engine_fail("buffer-occupancy", cycle, lane,
-                  "occupancy %u disagrees with the head slot holding %s",
-                  count,
-                  e_.buf_packet_[lane] == kNoPacket ? "no flit" : "a flit");
-    }
-    if (fc.depth > 1) {
-      // Slots beyond the occupancy must be cleared, and the occupied run
-      // must be FIFO-ordered: each slot continues the worm ahead of it or
-      // starts a new worm right behind the previous one's tail, with
-      // nondecreasing arrival epochs.
-      for (std::uint32_t s = count > 0 ? count - 1 : 0; s + 1 < fc.depth;
-           ++s) {
-        if (fc.ext_packet[fc.ext_base(lane) + s] != kNoPacket) {
-          engine_fail("buffer-occupancy", cycle, lane,
-                      "fifo slot %u beyond the %u-flit occupancy not cleared",
-                      s + 1, count);
-        }
-      }
-      PacketId prev_pid = e_.buf_packet_[lane];
-      std::uint32_t prev_seq = e_.buf_seq_[lane];
-      std::uint64_t prev_epoch = e_.arrived_epoch_[lane];
-      for (std::uint32_t s = 0; s + 1 < count; ++s) {
-        const std::size_t slot = fc.ext_base(lane) + s;
-        const PacketId pid = fc.ext_packet[slot];
-        const std::uint32_t seq = fc.ext_seq[slot];
-        const bool continues = pid == prev_pid && seq == prev_seq + 1;
-        const bool new_worm = pid != prev_pid && seq == 0 &&
-                              prev_seq + 1 == e_.packets_[prev_pid].length;
-        if (!continues && !new_worm) {
-          engine_fail("fifo-order", cycle, lane,
-                      "slot %u (packet %u seq %u) does not follow slot %u "
-                      "(packet %u seq %u)",
-                      s + 1, pid, seq, s, prev_pid, prev_seq);
-        }
-        if (fc.ext_epoch[slot] < prev_epoch) {
-          engine_fail("fifo-order", cycle, lane,
-                      "slot %u arrived at epoch %llu, before slot %u's %llu",
-                      s + 1,
-                      static_cast<unsigned long long>(fc.ext_epoch[slot]), s,
-                      static_cast<unsigned long long>(prev_epoch));
-        }
-        prev_pid = pid;
-        prev_seq = seq;
-        prev_epoch = fc.ext_epoch[slot];
-      }
-    }
-
     if (fc.scheme == FlowControlScheme::kOnOff) {
       // The stop bit must be explainable by the calendar: a stopped
       // sender whose buffer already drained to the GO level must have
@@ -495,12 +438,12 @@ void EngineValidator::check_allocation() {
     // downstream one crossed the hop earlier, so its seq is smaller.  A
     // different packet downstream is legal: the previous worm's tail may
     // still occupy the buffer after releasing the allocation.
-    if (e_.buf_packet_[in] != kNoPacket &&
-        e_.buf_packet_[in] == e_.buf_packet_[out] &&
-        e_.buf_seq_[out] >= e_.buf_seq_[in]) {
+    const FlowControlState& fc = e_.fc_;
+    if (fc.front(in) != kNoPacket && fc.front(in) == fc.front(out) &&
+        fc.front_seq(out) >= fc.front_seq(in)) {
       engine_fail("worm-contiguity", cycle, in,
                   "packet %u's seq %u sits behind seq %u on the same hop",
-                  e_.buf_packet_[in], e_.buf_seq_[out], e_.buf_seq_[in]);
+                  fc.front(in), fc.front_seq(out), fc.front_seq(in));
     }
   }
 }
@@ -515,14 +458,10 @@ void EngineValidator::check_routing_legality() {
     // an earlier worm's tail from another input).  Both empty means the
     // worm is streaming elsewhere along its path (it will be checked
     // whenever a flit is present).
-    PacketId pid = e_.buf_packet_[in];
-    if (pid == kNoPacket) {
-      const std::uint32_t count = e_.fc_.count[out];
-      if (count == 1) {
-        pid = e_.buf_packet_[out];
-      } else if (count > 1) {
-        pid = e_.fc_.ext_packet[e_.fc_.ext_base(out) + count - 2];
-      }
+    const FlowControlState& fc = e_.fc_;
+    PacketId pid = fc.front(in);
+    if (pid == kNoPacket && fc.count[out] > 0) {
+      pid = fc.slot_packet[fc.slot(out, fc.count[out] - 1)];
     }
     if (pid == kNoPacket) continue;
     const char* reason =
@@ -549,23 +488,24 @@ void EngineValidator::check_active_sets() {
   std::size_t header_bits_set = 0;
   for (std::size_t pos = 0; pos < e_.switch_input_lanes_.size(); ++pos) {
     const LaneId lane = e_.switch_input_lanes_[pos];
-    const bool is_header = e_.buf_packet_[lane] != kNoPacket &&
-                           e_.buf_seq_[lane] == 0 &&
+    const PacketId front = e_.fc_.front(lane);
+    const bool is_header = front != kNoPacket && e_.fc_.front_seq(lane) == 0 &&
                            e_.route_out_[lane] == kInvalidId;
     const bool listed = e_.header_bits_.test(pos);
     header_bits_set += listed ? 1 : 0;
     if (listed && !is_header) {
       engine_fail("header-set", cycle, lane,
                   "listed as an unrouted header but holds %s",
-                  e_.buf_packet_[lane] == kNoPacket
+                  front == kNoPacket
                       ? "no flit"
-                      : (e_.buf_seq_[lane] != 0 ? "a body flit"
-                                                : "an already-routed header"));
+                      : (e_.fc_.front_seq(lane) != 0
+                             ? "a body flit"
+                             : "an already-routed header"));
     }
     if (!listed && is_header) {
       engine_fail("header-set", cycle, lane,
                   "unrouted header of packet %u missing from header_lanes_",
-                  e_.buf_packet_[lane]);
+                  front);
     }
   }
   if (header_bits_set != e_.header_count_) {
@@ -631,7 +571,7 @@ void EngineValidator::check_active_sets() {
       const LaneId owner = e_.alloc_owner_[lane];
       if (owner == kInvalidId) continue;
       ++sources;
-      if (e_.buf_packet_[owner] != kNoPacket &&
+      if (e_.fc_.count[owner] > 0 &&
           (!ch.dst.is_switch() || e_.fc_.can_accept(lane))) {
         ready = true;
       }
@@ -704,7 +644,8 @@ void EngineValidator::check_header_sleep() {
                   "asleep but missing from switch %u's sleep list",
                   e_.pos_switch_[pos]);
     }
-    const PacketState& pkt = e_.packets_[e_.buf_packet_[lane]];
+    const PacketId pid = e_.fc_.front(lane);
+    const PacketState& pkt = e_.packets_[pid];
     routing::RouteQuery query;
     query.src = pkt.src;
     query.dst = pkt.dst;
@@ -717,7 +658,7 @@ void EngineValidator::check_header_sleep() {
         engine_fail("header-sleep", cycle, lane,
                     "packet %u's header sleeps with candidate lane %u free "
                     "and live",
-                    e_.buf_packet_[lane], c);
+                    pid, c);
       }
     }
   }
@@ -815,7 +756,7 @@ void EngineValidator::check_fault_state() {
   for (std::size_t pos = 0; pos < e_.switch_input_lanes_.size(); ++pos) {
     if (!e_.header_bits_.test(pos)) continue;
     const LaneId lane = e_.switch_input_lanes_[pos];
-    const PacketId pid = e_.buf_packet_[lane];
+    const PacketId pid = e_.fc_.front(lane);
     const PacketState& pkt = e_.packets_[pid];
     routing::RouteQuery query;
     query.src = pkt.src;
@@ -848,16 +789,17 @@ void EngineValidator::check_fault_state() {
 
 WaitForAnalysis EngineValidator::analyze_waiting() const {
   WaitForAnalysis analysis;
-  const std::size_t lane_count = e_.buf_packet_.size();
+  const FlowControlState& fc = e_.fc_;
+  const std::size_t lane_count = fc.lanes;
   std::vector<std::uint8_t> can(lane_count, 0);
   std::vector<LaneId> occupied;
   for (LaneId lane = 0; lane < lane_count; ++lane) {
-    if (e_.buf_packet_[lane] != kNoPacket) occupied.push_back(lane);
+    if (fc.count[lane] > 0) occupied.push_back(lane);
   }
 
   routing::CandidateList candidates;
   const auto query_for = [&](LaneId lane) {
-    const PacketState& pkt = e_.packets_[e_.buf_packet_[lane]];
+    const PacketState& pkt = e_.packets_[fc.front(lane)];
     routing::RouteQuery query;
     query.src = pkt.src;
     query.dst = pkt.dst;
@@ -871,9 +813,9 @@ WaitForAnalysis EngineValidator::analyze_waiting() const {
   // optimistic approximation; such worms re-enter the analysis as soon as
   // a flit of theirs is buffered again).
   const auto blocker_of = [&](LaneId candidate) -> LaneId {
-    if (e_.buf_packet_[candidate] != kNoPacket) return candidate;
+    if (fc.count[candidate] > 0) return candidate;
     const LaneId owner = e_.alloc_owner_[candidate];
-    if (owner != kInvalidId && e_.buf_packet_[owner] != kNoPacket) {
+    if (owner != kInvalidId && fc.count[owner] > 0) {
       return owner;
     }
     return kInvalidId;
@@ -894,10 +836,10 @@ WaitForAnalysis EngineValidator::analyze_waiting() const {
         // sender additionally needs the GO already earned (count at or
         // below the on threshold) — otherwise it waits on the downstream
         // flit draining, i.e. on can[out].
-        const bool stopped = e_.fc_.scheme == FlowControlScheme::kOnOff &&
-                             e_.fc_.stopped[out] != 0;
-        const bool space = stopped ? e_.fc_.count[out] <= e_.fc_.on_threshold
-                                   : e_.fc_.count[out] < e_.fc_.depth;
+        const bool stopped = fc.scheme == FlowControlScheme::kOnOff &&
+                             fc.stopped[out] != 0;
+        const bool space = stopped ? fc.count[out] <= fc.on_threshold
+                                   : fc.count[out] < fc.depth;
         progress = e_.network_.lane_channel(out).dst.is_node() || space ||
                    can[out];
       } else {
@@ -933,8 +875,7 @@ WaitForAnalysis EngineValidator::analyze_waiting() const {
   // revisit a lane, closing the cycle.
   const auto successor = [&](LaneId lane) -> LaneId {
     const LaneId out = e_.route_out_[lane];
-    if (out != kInvalidId) return e_.buf_packet_[out] != kNoPacket ? out
-                                                                  : kInvalidId;
+    if (out != kInvalidId) return fc.count[out] > 0 ? out : kInvalidId;
     candidates.clear();
     e_.router_.candidates(query_for(lane), lane, candidates);
     for (const LaneId c : candidates) {
@@ -1052,10 +993,10 @@ void EngineValidator::maybe_probe_deadlock() {
 void EngineValidator::check_final(const SimResult& result) {
   const std::uint64_t cycle = e_.cycle_;
   std::vector<std::uint32_t> buffered_flits(e_.packets_.size(), 0);
-  for (LaneId lane = 0; lane < e_.buf_packet_.size(); ++lane) {
-    if (e_.buf_packet_[lane] != kNoPacket) ++buffered_flits[e_.buf_packet_[lane]];
-    for (std::uint32_t s = 0; s + 1 < e_.fc_.count[lane]; ++s) {
-      ++buffered_flits[e_.fc_.ext_packet[e_.fc_.ext_base(lane) + s]];
+  const FlowControlState& fc = e_.fc_;
+  for (LaneId lane = 0; lane < fc.lanes; ++lane) {
+    for (std::uint32_t s = 0; s < fc.count[lane]; ++s) {
+      ++buffered_flits[fc.slot_packet[fc.slot(lane, s)]];
     }
   }
   std::vector<std::uint8_t> queued(e_.packets_.size(), 0);

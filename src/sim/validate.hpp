@@ -67,18 +67,21 @@ class EngineValidator {
   }
 
   /// Full structural sweep:
-  ///   * flit conservation: buffer recount vs occupied_, one worm per
-  ///     distinct buffered packet vs worms_in_flight_, node/queue counts;
+  ///   * flit conservation: one walk over every lane FIFO checks its
+  ///     shape (occupancy within depth, slots past it cleared), its
+  ///     order (each flit continues the worm ahead or starts the next
+  ///     one behind its tail) and its arrival stamp, and recounts it
+  ///     against occupied_; one worm per distinct buffered packet vs
+  ///     worms_in_flight_, node/queue counts;
   ///   * worm continuity: each worm's buffered seqs form one contiguous
   ///     run ending at its newest transmitted flit;
   ///   * lane exclusivity: alloc_owner_ / route_out_ form a bijection and
   ///     both ends of an allocation carry the same worm in order;
   ///   * routing legality: every held route obeys the destination-tag
   ///     digit (unidirectional) or turnaround phase rules (BMIN);
-  ///   * flow control: per-lane FIFO occupancy recount and slot ordering,
-  ///     credit conservation (credits + buffered + in-flight returns ==
-  ///     depth), buffer-occupancy bounds, on/off signal consistency, and
-  ///     backpressure-calendar ordering;
+  ///   * flow control: credit conservation (credits + buffered +
+  ///     in-flight returns == depth), on/off signal consistency,
+  ///     starvation intervals, and backpressure-calendar ordering;
   ///   * active sets: the header bitmap is exactly the unrouted-header
   ///     set (and header_count_ its popcount), channel_sources_ matches a
   ///     recount, epoch stamps never point to the future, every channel

@@ -10,18 +10,21 @@
 //   - adaptive (dilated) networks route around a single interior fault;
 //   - mid-run kills truncate-and-account (terminated worms counted, flits
 //     reconciled) under the full validator;
+//   - with 4-flit FIFOs a kill removes the victim's flits and keeps the
+//     other worms' flits of the same FIFO, in order;
 //   - repairs restore delivery for pairs the kill had disconnected;
 //   - the store-and-forward reference applies the same plan semantics;
 //   - implicit and materialized backends draw the same plan and coverage;
 //   - telemetry attributes fault terminations (counters + worm trace).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "analysis/fault.hpp"
+#include "golden_digest.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_injection/plan.hpp"
@@ -33,6 +36,19 @@
 #include "traffic/workload.hpp"
 
 namespace wormsim::sim {
+
+// Friend of Engine: reads one lane's FIFO, oldest flit first.
+struct EngineTestPeer {
+  static std::vector<PacketId> fifo_packets(const Engine& e,
+                                            topology::LaneId lane) {
+    std::vector<PacketId> packets;
+    for (std::uint32_t s = 0; s < e.fc_.count[lane]; ++s) {
+      packets.push_back(e.fc_.slot_packet[e.fc_.slot(lane, s)]);
+    }
+    return packets;
+  }
+};
+
 namespace {
 
 using topology::ChannelId;
@@ -43,123 +59,6 @@ using topology::NetworkConfig;
 using topology::NetworkKind;
 using topology::NetView;
 using topology::NodeId;
-
-// ---- Golden digest replica (tests/golden_test.cpp) ----------------------
-// Same FNV-1a over the same SimResult field list; the empty-plan property
-// below compares against the committed engine_golden.inc values, so the
-// two files must hash identically.
-
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-
-  void byte(std::uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (i * 8)));
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void stats(const util::OnlineStats& s) {
-    u64(s.count());
-    f64(s.mean());
-    f64(s.variance());
-    f64(s.min());
-    f64(s.max());
-  }
-};
-
-std::uint64_t digest(const SimResult& r) {
-  Fnv f;
-  f.stats(r.latency_cycles);
-  f.stats(r.network_latency_cycles);
-  f.stats(r.queueing_cycles);
-  f.u64(r.latency_histogram.total());
-  for (std::size_t i = 0; i <= r.latency_histogram.bin_count(); ++i) {
-    f.u64(r.latency_histogram.bin(i));
-  }
-  f.u64(r.delivered_flits_in_window);
-  f.u64(r.generated_messages_in_window);
-  f.u64(r.generated_flits_in_window);
-  f.u64(r.delivered_messages_total);
-  f.u64(r.dropped_messages);
-  f.u64(r.max_source_queue);
-  f.u64(r.measured_messages_unfinished);
-  for (std::uint64_t busy : r.channel_busy_cycles) f.u64(busy);
-  for (std::uint64_t v : r.telemetry_counters.lane_flits) f.u64(v);
-  for (std::uint64_t v : r.telemetry_counters.lane_blocked) f.u64(v);
-  for (std::uint64_t v : r.telemetry_counters.switch_grants) f.u64(v);
-  for (std::uint64_t v : r.telemetry_counters.switch_denials) f.u64(v);
-  for (const telemetry::Sample& s : r.telemetry_samples) {
-    f.u64(s.cycle);
-    f.u64(s.delivered_flits);
-    f.u64(static_cast<std::uint64_t>(s.flits_in_flight));
-    f.u64(static_cast<std::uint64_t>(s.worms_in_flight));
-    f.f64(s.mean_queue_depth);
-  }
-  return f.h;
-}
-
-struct GoldenCase {
-  const char* name;
-  topology::NetworkKind kind;
-  ArbitrationOrder arbitration;
-  bool store_forward;
-  unsigned vcs = 2;
-  std::uint32_t buffer_depth = 1;
-  std::uint32_t credit_delay = 0;
-};
-
-constexpr GoldenCase kCases[] = {
-    {"TMIN", topology::NetworkKind::kTMIN, ArbitrationOrder::kRotating, false},
-    {"DMIN", topology::NetworkKind::kDMIN, ArbitrationOrder::kRotating, false},
-    {"VMIN", topology::NetworkKind::kVMIN, ArbitrationOrder::kRotating, false},
-    {"BMIN", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating, false},
-    {"TMIN_rand_arb", topology::NetworkKind::kTMIN, ArbitrationOrder::kRandom,
-     false},
-    {"BMIN_1vc", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating,
-     false, 1},
-    {"BMIN_vc_deep", topology::NetworkKind::kBMIN,
-     ArbitrationOrder::kRotating, false, 2, 4, 2},
-    {"SF_TMIN", topology::NetworkKind::kTMIN, ArbitrationOrder::kRotating,
-     true},
-    {"SF_BMIN", topology::NetworkKind::kBMIN, ArbitrationOrder::kRotating,
-     true},
-};
-
-struct GoldenExpect {
-  const char* name;
-  std::uint64_t digest;
-  std::uint64_t delivered_messages_total;
-  std::uint64_t latency_mean_bits;
-};
-
-constexpr GoldenExpect kExpected[] = {
-#include "engine_golden.inc"
-};
-
-NetworkConfig golden_network(NetworkKind kind, unsigned vcs = 2) {
-  NetworkConfig config;
-  config.kind = kind;
-  config.topology = "cube";
-  config.radix = 2;
-  config.stages = 3;
-  config.dilation = 2;
-  config.vcs = vcs;
-  return config;
-}
-
-traffic::WorkloadSpec golden_workload() {
-  traffic::WorkloadSpec workload;
-  workload.offered = 0.45;
-  workload.length = traffic::LengthSpec::uniform(4, 64);
-  return workload;
-}
 
 // The empty-plan property: fault knobs set but fraction = 0 must take the
 // untouched zero-fault path — same digests as a run that never heard of
@@ -338,6 +237,77 @@ TEST(FaultInjection, MidRunKillTruncatesAndAccounts) {
   EXPECT_GT(r.delivered_messages_total, 0u);
   EXPECT_LT(r.delivery_fraction(), 1.0);
   EXPECT_GT(r.delivery_fraction(), 0.0);
+}
+
+// The same mid-warmup kill with 4-flit FIFOs and short worms, so that
+// one FIFO often holds the tail of one worm and the head of the next.  A
+// kill must discard the victim's flits and keep every other worm's, in
+// order, in the same FIFO; a survivor moved up to the head slot is an
+// unrouted header.  Each cycle the test reads every FIFO before stepping:
+// a lane that held a worm terminated in that step beside one that was
+// not is a kill that left a survivor (kills and routing terminations land
+// before any flit moves).  The digests were emitted by the engine whose
+// FIFOs kept their head slot apart from the slots behind it.
+TEST(FaultInjection, DeepFifoKillKeepsSurvivors) {
+  struct DeepKillCase {
+    const char* name;
+    NetworkKind kind;
+    std::uint32_t credit_delay;
+    std::uint64_t digest;
+    std::uint64_t terminated_messages;
+  };
+  const DeepKillCase cases[] = {
+      {"TMIN_delay0", NetworkKind::kTMIN, 0, 0x9f15299a9eca5167ULL, 1361},
+      {"TMIN_delay2", NetworkKind::kTMIN, 2, 0x3265e57fea3ea56fULL, 1315},
+      {"BMIN_1vc_delay0", NetworkKind::kBMIN, 0, 0xbb2f78a228d41ae1ULL, 1277},
+      {"BMIN_1vc_delay2", NetworkKind::kBMIN, 2, 0xe40d4edcbca371d0ULL, 1176},
+  };
+  for (const DeepKillCase& dc : cases) {
+    SCOPED_TRACE(dc.name);
+    const Network net = topology::build_network(golden_network(dc.kind, 1));
+    const auto router = routing::make_router(net);
+    traffic::WorkloadSpec workload = golden_workload();
+    workload.length = traffic::LengthSpec::uniform(4, 8);
+    traffic::StandardTraffic traffic(net, workload);
+    SimConfig config;
+    config.seed = 7;
+    config.buffer_depth = 4;
+    config.credit_delay = dc.credit_delay;
+    config.warmup_cycles = 500;
+    config.measure_cycles = 4'000;
+    config.drain_cycles = 1'500;
+    config.telemetry.counters = true;
+    config.validate = true;
+    config.fault_fraction = 0.2;
+    config.fault_seed = 2;
+    config.fault_at_cycle = 250;
+    Engine engine(net, *router, &traffic, config);
+    std::vector<std::vector<PacketId>> fifos(net.lane_count());
+    std::uint64_t kills_with_survivor = 0;
+    std::uint64_t survivor_promoted = 0;
+    while (engine.cycle() < config.total_cycles()) {
+      for (topology::LaneId lane = 0; lane < net.lane_count(); ++lane) {
+        fifos[lane] = EngineTestPeer::fifo_packets(engine, lane);
+      }
+      const std::uint64_t cycle = engine.cycle();
+      engine.step();
+      const auto killed_now = [&](PacketId pid) {
+        return engine.packet(pid).terminate_cycle == cycle;
+      };
+      for (const std::vector<PacketId>& fifo : fifos) {
+        if (std::any_of(fifo.begin(), fifo.end(), killed_now) &&
+            !std::all_of(fifo.begin(), fifo.end(), killed_now)) {
+          ++kills_with_survivor;
+          if (killed_now(fifo.front())) ++survivor_promoted;
+        }
+      }
+    }
+    const SimResult r = engine.run();  // every cycle has run: just finish
+    EXPECT_GT(kills_with_survivor, 0u);
+    EXPECT_GT(survivor_promoted, 0u);
+    EXPECT_EQ(digest(r), dc.digest);
+    EXPECT_EQ(r.terminated_messages, dc.terminated_messages);
+  }
 }
 
 // Repair brings a disconnected pair back: the same pair that a permanent

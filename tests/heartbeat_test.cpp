@@ -12,13 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden_digest.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
 #include "sim/store_forward.hpp"
@@ -167,50 +167,7 @@ TEST(Heartbeat, ExactCadenceAndFinalPartialWindow) {
 
 // ---- Zero feedback -------------------------------------------------------
 
-// FNV-1a over the exact bit patterns of the result fields the golden
-// suite pins (tests/golden_test.cpp); heartbeats on must not move it.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint8_t>(v >> (i * 8));
-      h *= 1099511628211ULL;
-    }
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void stats(const util::OnlineStats& s) {
-    u64(s.count());
-    f64(s.mean());
-    f64(s.variance());
-    f64(s.min());
-    f64(s.max());
-  }
-};
-
-std::uint64_t digest(const SimResult& r) {
-  Fnv f;
-  f.stats(r.latency_cycles);
-  f.stats(r.network_latency_cycles);
-  f.stats(r.queueing_cycles);
-  f.u64(r.latency_histogram.total());
-  for (std::size_t i = 0; i <= r.latency_histogram.bin_count(); ++i) {
-    f.u64(r.latency_histogram.bin(i));
-  }
-  f.u64(r.delivered_flits_in_window);
-  f.u64(r.generated_messages_in_window);
-  f.u64(r.generated_flits_in_window);
-  f.u64(r.delivered_messages_total);
-  f.u64(r.dropped_messages);
-  f.u64(r.max_source_queue);
-  f.u64(r.measured_messages_unfinished);
-  for (std::uint64_t busy : r.channel_busy_cycles) f.u64(busy);
-  return f.h;
-}
-
+// The golden digest (golden_digest.hpp); heartbeats on must not move it.
 TEST(Heartbeat, ResultsBitwiseIdenticalWithHeartbeatsOn) {
   const topology::NetworkKind kinds[] = {
       topology::NetworkKind::kTMIN, topology::NetworkKind::kDMIN,
@@ -386,6 +343,25 @@ TEST(Heartbeat, ProfilerOffByDefaultOnWhenAsked) {
   config.telemetry.heartbeat_dir = testing::TempDir() + "hb_profiler";
   const SimResult beating = run_wormhole(config);
   EXPECT_GT(telemetry_s(beating), 0.0);
+}
+
+// Start-tx laps only in a cycle that starts a transmission: an engine
+// with no traffic source and nothing injected has none to start, so its
+// profile reads start_tx 0 while the phases that ran read more.
+TEST(Heartbeat, IdleStartTxTakesNoLap) {
+  const topology::Network net = topology::build_network(small_network());
+  const auto router = routing::make_router(net);
+  SimConfig config = base_config();
+  config.telemetry.profile = true;
+  Engine engine(net, *router, nullptr, config);
+  for (int i = 0; i < 1'000; ++i) engine.step();
+  ASSERT_NE(engine.profiler(), nullptr);
+  const auto seconds = [&](telemetry::EnginePhase phase) {
+    return engine.profiler()->profile().seconds[static_cast<std::size_t>(
+        phase)];
+  };
+  EXPECT_EQ(seconds(telemetry::EnginePhase::kStartTx), 0.0);
+  EXPECT_GT(seconds(telemetry::EnginePhase::kAdvance), 0.0);
 }
 
 TEST(Heartbeat, ProfilerIsZeroFeedback) {

@@ -9,10 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "golden_digest.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
 #include "sim/store_forward.hpp"
@@ -24,6 +24,7 @@
 namespace wormsim {
 namespace {
 
+using sim::digest;
 using sim::SimResult;
 using topology::ImplicitTopology;
 using topology::ImplicitTopologyPtr;
@@ -185,63 +186,6 @@ TEST(ImplicitTopologyDeath, NodeCountBeyond32BitIdsAborts) {
 }
 
 // ---- Simulation-level bitwise equivalence -------------------------------
-
-// FNV-1a over the exact bit patterns of a SimResult, the same digest
-// golden_test.cpp pins against committed snapshots.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-  void byte(std::uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (i * 8)));
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void stats(const util::OnlineStats& s) {
-    u64(s.count());
-    f64(s.mean());
-    f64(s.variance());
-    f64(s.min());
-    f64(s.max());
-  }
-};
-
-std::uint64_t digest(const SimResult& r) {
-  Fnv f;
-  f.stats(r.latency_cycles);
-  f.stats(r.network_latency_cycles);
-  f.stats(r.queueing_cycles);
-  f.u64(r.latency_histogram.total());
-  for (std::size_t i = 0; i <= r.latency_histogram.bin_count(); ++i) {
-    f.u64(r.latency_histogram.bin(i));
-  }
-  f.u64(r.delivered_flits_in_window);
-  f.u64(r.generated_messages_in_window);
-  f.u64(r.generated_flits_in_window);
-  f.u64(r.delivered_messages_total);
-  f.u64(r.dropped_messages);
-  f.u64(r.max_source_queue);
-  f.u64(r.measured_messages_unfinished);
-  for (std::uint64_t busy : r.channel_busy_cycles) f.u64(busy);
-  for (std::uint64_t v : r.telemetry_counters.lane_flits) f.u64(v);
-  for (std::uint64_t v : r.telemetry_counters.lane_blocked) f.u64(v);
-  for (std::uint64_t v : r.telemetry_counters.switch_grants) f.u64(v);
-  for (std::uint64_t v : r.telemetry_counters.switch_denials) f.u64(v);
-  for (const telemetry::Sample& s : r.telemetry_samples) {
-    f.u64(s.cycle);
-    f.u64(s.delivered_flits);
-    f.u64(static_cast<std::uint64_t>(s.flits_in_flight));
-    f.u64(static_cast<std::uint64_t>(s.worms_in_flight));
-    f.f64(s.mean_queue_depth);
-  }
-  return f.h;
-}
 
 traffic::WorkloadSpec test_workload() {
   traffic::WorkloadSpec workload;

@@ -28,11 +28,6 @@ namespace wormsim::sim {
 // state so they can corrupt it, plus the validator to run a sweep on
 // demand.
 struct EngineTestPeer {
-  static std::vector<PacketId>& buf_packet(Engine& e) { return e.buf_packet_; }
-  static std::vector<std::uint32_t>& buf_seq(Engine& e) { return e.buf_seq_; }
-  static std::vector<std::uint64_t>& arrived_epoch(Engine& e) {
-    return e.arrived_epoch_;
-  }
   static std::vector<topology::LaneId>& route_out(Engine& e) {
     return e.route_out_;
   }
@@ -151,9 +146,9 @@ class EngineCorruption : public ::testing::Test {
 
   /// First switch-input lane buffering a flit (kInvalidId when none).
   LaneId buffered_lane() {
-    const auto& buf = EngineTestPeer::buf_packet(engine_);
-    for (LaneId lane = 0; lane < buf.size(); ++lane) {
-      if (buf[lane] != kNoPacket) return lane;
+    const auto& count = EngineTestPeer::fc(engine_).count;
+    for (LaneId lane = 0; lane < count.size(); ++lane) {
+      if (count[lane] > 0) return lane;
     }
     return kInvalidId;
   }
@@ -211,7 +206,8 @@ TEST_F(EngineCorruption, SeqBeyondLengthTripsWormContiguity) {
   EXPECT_DEATH(
       {
         const LaneId lane = buffered_lane();
-        EngineTestPeer::buf_seq(engine_)[lane] = 1'000;
+        FlowControlState& fc = EngineTestPeer::fc(engine_);
+        fc.slot_seq[fc.slot(lane, 0)] = 1'000;
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
       "invariant 'worm-contiguity'.*beyond packet");
@@ -222,7 +218,7 @@ TEST_F(EngineCorruption, StaleEpochStampCaught) {
   EXPECT_DEATH(
       {
         const LaneId lane = buffered_lane();
-        EngineTestPeer::arrived_epoch(engine_)[lane] =
+        EngineTestPeer::fc(engine_).stamp[lane] =
             EngineTestPeer::epoch(engine_) + 7;
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
@@ -255,9 +251,10 @@ TEST_F(EngineCorruption, WrongOutputPortTripsRoutingLegality) {
   // wrong destination-tag digit.
   const auto forward_routed = [&]() -> LaneId {
     const auto& route = EngineTestPeer::route_out(engine_);
-    const auto& buf = EngineTestPeer::buf_packet(engine_);
     for (LaneId in = 0; in < route.size(); ++in) {
-      if (route[in] == kInvalidId || buf[in] == kNoPacket) continue;
+      if (route[in] == kInvalidId || engine_.buffered_packet(in) == kNoPacket) {
+        continue;
+      }
       if (net_.lane_channel(route[in]).role ==
           topology::ChannelRole::kForward) {
         return in;
@@ -324,9 +321,10 @@ TEST_F(EngineCorruption, DroppedSeedBitCaught) {
   // needs no downstream credit), so it must carry a seed bit.
   const auto ready_ejection = [&]() -> topology::ChannelId {
     const auto& route = EngineTestPeer::route_out(engine_);
-    const auto& buf = EngineTestPeer::buf_packet(engine_);
     for (LaneId in = 0; in < route.size(); ++in) {
-      if (route[in] == kInvalidId || buf[in] == kNoPacket) continue;
+      if (route[in] == kInvalidId || engine_.buffered_packet(in) == kNoPacket) {
+        continue;
+      }
       const auto& ch = net_.lane_channel(route[in]);
       if (ch.dst.is_node()) return ch.id;
     }
@@ -495,8 +493,8 @@ TEST_F(EngineCorruption, StarvedHeaderTripsFaultRoutability) {
         // to terminate fault-starved worms, never stall them.
         const std::size_t pos = header_pos();
         const LaneId lane = EngineTestPeer::switch_input_lanes(engine_)[pos];
-        const PacketState& pkt = EngineTestPeer::packets(
-            engine_)[EngineTestPeer::buf_packet(engine_)[lane]];
+        const PacketState& pkt =
+            EngineTestPeer::packets(engine_)[engine_.buffered_packet(lane)];
         routing::RouteQuery query;
         query.src = pkt.src;
         query.dst = pkt.dst;
@@ -599,11 +597,11 @@ TEST(FifoCorruption, ReorderedSlotTripsFifoOrder) {
   engine.inject_message(0, 7, 16);
   engine.inject_message(1, 7, 16);
   const FlowControlState& fc = engine.flow_control();
-  // First lane whose head slot and the slot behind it hold one worm.
+  // First lane whose first two fifo slots hold one worm.
   const auto stacked_lane = [&]() -> LaneId {
     for (LaneId lane = 0; lane < fc.count.size(); ++lane) {
       if (fc.count[lane] >= 2 &&
-          fc.ext_packet[fc.ext_base(lane)] == engine.buffered_packet(lane)) {
+          fc.slot_packet[fc.slot(lane, 1)] == fc.front(lane)) {
         return lane;
       }
     }
@@ -613,12 +611,12 @@ TEST(FifoCorruption, ReorderedSlotTripsFifoOrder) {
   ASSERT_NE(stacked_lane(), kInvalidId);
   EXPECT_DEATH(
       {
-        // Swap the head flit with the one queued behind it.  The worm
+        // Swap the front flit with the one queued behind it.  The worm
         // still holds the same seqs, so only the fifo order is wrong.
         const LaneId lane = stacked_lane();
         FlowControlState& state = EngineTestPeer::fc(engine);
-        std::swap(EngineTestPeer::buf_seq(engine)[lane],
-                  state.ext_seq[state.ext_base(lane)]);
+        std::swap(state.slot_seq[state.slot(lane, 0)],
+                  state.slot_seq[state.slot(lane, 1)]);
         EngineTestPeer::validator(engine).check_cycle_end();
       },
       "invariant 'fifo-order'.*does not follow");
