@@ -42,10 +42,9 @@ Engine::Engine(const topology::NetView& network,
   const std::size_t channels = network_.channel_count();
   route_out_.assign(lanes, kInvalidId);
   alloc_owner_.assign(lanes, kInvalidId);
-  channel_used_epoch_.assign(channels, 0);
+  channel_used_cycle_.assign(channels, kNoCycle);
   vc_rr_.assign(channels, 0);
   channel_faulty_.resize(channels);
-  channel_sources_.assign(channels, 0);
   seed_bits_.resize(channels);
   cur_pass_.resize(channels);
   next_pass_.resize(channels);
@@ -235,7 +234,7 @@ bool Engine::start_transmissions() {
       --queued_messages_;
       node_tx_sent_[node] = 0;
       ++transmitting_nodes_;
-      activate_channel(network_.injection_channel(node));
+      schedule_channel(network_.injection_channel(node));
     }
   }
   tx_pending_.clear();
@@ -330,8 +329,9 @@ bool Engine::route_and_allocate() {
       terminate_worm(pid);
       return;
     }
+    const std::uint32_t sw = pos_switch_[pos];
     if (free_lanes.empty()) {  // blocked; the bit stays for next cycle
-      observers_.blocked(pid, u, credit_gated != kInvalidId, cycle_, [&] {
+      observers_.blocked(pid, u, sw, credit_gated != kInvalidId, cycle_, [&] {
         // Culprit: the first *allocated* candidate in candidate order (the
         // tracer resolves its holder worm).  A header whose only obstacle
         // is a credit-dry lane is credit-starved, not contending; with
@@ -361,8 +361,8 @@ bool Engine::route_and_allocate() {
     --header_count_;
     route_out_[u] = chosen;
     alloc_owner_[chosen] = u;
-    activate_channel(lane_channel_[chosen]);
-    observers_.granted(pid, u, chosen, cycle_);
+    schedule_channel(lane_channel_[chosen]);
+    observers_.granted(pid, u, sw, chosen, cycle_);
   };
   // Sleepers are masked out word by word; the sleep word is re-read after
   // every serve, so a header woken mid-walk (a termination released a
@@ -412,7 +412,7 @@ void Engine::charge_sleep(std::uint32_t pos) {
   sleep_since_[pos] = sleep_bits_.test(pos) ? cycle_ : kNoCycle;
   if (first >= cycle_) return;
   const LaneId u = switch_input_lanes_[pos];
-  observers_.slept(fc_.front(u), u, first, cycle_ - 1);
+  observers_.slept(fc_.front(u), u, pos_switch_[pos], first, cycle_ - 1);
 }
 
 void Engine::set_fault_plan(fault_injection::FaultPlan plan) {
@@ -458,47 +458,23 @@ std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
   }
   const std::uint32_t removed = fc_.erase(lane, pid);
   if (removed == 0) return 0;
-  const std::uint32_t kept = count - removed;
   occupied_ -= removed;
 
   // A survivor moved up to the front can only be a header: a worm queued
   // behind the removed one has popped nothing yet, so its oldest present
   // flit is seq 0.  Register it.
-  if (front_removed && kept > 0 && fc_.front_seq(lane) == 0 &&
+  if (front_removed && removed < count && fc_.front_seq(lane) == 0 &&
       pos != kInvalidId) {
     WORMSIM_DCHECK(route_out_[lane] == kInvalidId);
-    add_header_lane(lane);
-    if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
-      tracer->on_header_arrival(fc_.front(lane), lane, cycle_);
-    }
+    header_at_front(lane);
   }
 
-  // Return the freed slots upstream, mirroring fc_pop's per-flit
-  // sender-side accounting (the credit-conservation invariant needs
-  // every discarded flit's credit back, even on a dead lane).
-  const ChannelId lane_ch = lane_channel_[lane];
-  const bool lane_dead = channel_faulty_.test(lane_ch);
-  if (fc_.scheme == FlowControlScheme::kOnOff) {
-    // GO is emitted when occupancy drains *to* the threshold; removal
-    // crosses it at most once.
-    if (kept <= fc_.on_threshold && fc_.on_threshold < count) {
-      fc_deliver_or_queue(lane, /*go=*/true);
-    }
-  } else if (fc_.delay == 0) {
-    fc_.credits[lane] += removed;
-    fc_close_starve(lane);
-  } else {
-    for (std::uint32_t r = 0; r < removed; ++r) {
-      fc_.events.push_back({cycle_ + fc_.delay, lane, /*go=*/false});
-    }
-  }
-  if (fc_.scheme != FlowControlScheme::kCredit || fc_.delay > 0) {
-    if (!lane_dead && !fc_.can_accept(lane) && upstream_has_flit(lane)) {
-      fc_open_starve(lane);
-    }
-  }
+  // The credit-conservation invariant needs every discarded flit's slot
+  // back, even on a dead lane.
+  fc_return_slots(lane, removed);
   // Freed slots may unblock a sender of a surviving worm on this lane.
-  if (!lane_dead && channel_sources_[lane_ch] != 0) {
+  const ChannelId lane_ch = lane_channel_[lane];
+  if (!channel_faulty_.test(lane_ch) && has_source(lane_ch)) {
     schedule_channel(lane_ch);
   }
   observers_.discarded(lane, removed);
@@ -525,24 +501,10 @@ void Engine::terminate_worm(PacketId pid) {
   std::uint32_t sent = pkt.length;
   if (node_tx_packet_[src] == pid) {
     sent = node_tx_sent_[src];
-    node_tx_packet_[src] = kNoPacket;
-    node_tx_sent_[src] = 0;
-    --transmitting_nodes_;
-    deactivate_channel(network_.injection_channel(src));
-    if (!node_queue_[src].empty()) mark_tx_pending(src);
+    stop_source(src);
   }
-  // (3) Release the allocation chain, waking the sleepers that wait on
-  // each released lane.
-  for (const LaneId u : held) {
-    const LaneId out = route_out_[u];
-    route_out_[u] = kInvalidId;
-    alloc_owner_[out] = kInvalidId;
-    deactivate_channel(lane_channel_[out]);
-    wake_waiters(u, out);
-    if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
-      tracer->on_lane_released(out);
-    }
-  }
+  // (3) Release the allocation chain.
+  for (const LaneId u : held) release_route(u);
   // (4) Discard the worm's buffered flits everywhere it has any.
   std::uint32_t truncated = 0;
   for (LaneId lane = 0; lane < lanes; ++lane) {
@@ -564,7 +526,6 @@ void Engine::terminate_worm(PacketId pid) {
 
 void Engine::apply_fault_plan() {
   fault_state_.applied = true;
-  fault_any_ = true;
   observers_.fault(cycle_, "kill", fault_state_.plan.channels.size());
   const std::vector<ChannelId>& channels = fault_state_.plan.channels;
   for (const ChannelId ch : channels) channel_faulty_.set(ch);
@@ -611,7 +572,7 @@ void Engine::repair_fault_plan() {
 }
 
 int Engine::decide_channel(ChannelId ch_id) {
-  if (channel_used_epoch_[ch_id] == epoch_ || channel_faulty_.test(ch_id)) {
+  if (channel_used_cycle_[ch_id] == cycle_ || channel_faulty_.test(ch_id)) {
     return -1;
   }
   const LaneId first = ch_first_lane_[ch_id];
@@ -639,7 +600,7 @@ int Engine::decide_channel(ChannelId ch_id) {
       const LaneId lane = first + v;
       const LaneId u = alloc_owner_[lane];
       if (u == kInvalidId) continue;
-      if (fc_.count[u] == 0 || fc_.front_arrived(u, epoch_)) continue;
+      if (fc_.count[u] == 0 || fc_.front_arrived(u, cycle_)) continue;
       WORMSIM_DCHECK(route_out_[u] == lane);
       if (dst_switch && !fc_.can_accept(lane)) {
         fc_open_starve(lane);
@@ -664,7 +625,7 @@ void Engine::apply_move(ChannelId ch_id, unsigned pick) {
   } else {
     move_from_switch(alloc_owner_[lane], lane);
   }
-  channel_used_epoch_[ch_id] = epoch_;
+  channel_used_cycle_[ch_id] = cycle_;
   last_move_cycle_ = cycle_;
 }
 
@@ -675,8 +636,8 @@ bool Engine::try_single_lane(ChannelId ch) {
   // continuity), so a body flit only moves into a lane the flit ahead of
   // it just left: the lane's next hop moved this cycle and seed_next_hop
   // would skip it.
-  if (channel_used_epoch_[ch] == epoch_ ||
-      (fault_any_ && channel_faulty_.test(ch))) {
+  if (channel_used_cycle_[ch] == cycle_ ||
+      (fault_state_.applied && channel_faulty_.test(ch))) {
     return false;
   }
   const LaneId lane = ch_first_lane_[ch];
@@ -692,7 +653,7 @@ bool Engine::try_single_lane(ChannelId ch) {
       return true;
     }
     // Body injection: the fc_push of move_from_node at depth 1.
-    fc_.push(lane, pid, seq, epoch_);
+    fc_.push(lane, pid, seq, cycle_);
     fc_.credits[lane] = 0;
     ++occupied_;
     node_tx_sent_[src_node] = seq + 1;
@@ -700,7 +661,7 @@ bool Engine::try_single_lane(ChannelId ch) {
     const LaneId u = alloc_owner_[lane];
     if (u == kInvalidId) return false;
     pid = fc_.front(u);
-    if (pid == kNoPacket || fc_.front_arrived(u, epoch_)) return false;
+    if (pid == kNoPacket || fc_.front_arrived(u, cycle_)) return false;
     const bool eject = !ch_dst_is_switch_.test(ch);
     if (!eject && fc_.credits[lane] == 0) return false;
     seq = fc_.front_seq(u);
@@ -719,12 +680,12 @@ bool Engine::try_single_lane(ChannelId ch) {
       if (in_measure_window()) ++result_.delivered_flits_in_window;
       ++delivered_flits_total_;
     } else {
-      fc_.push(lane, pid, seq, epoch_);
+      fc_.push(lane, pid, seq, cycle_);
       fc_.credits[lane] = 0;
     }
   }
   observers_.moved(pid, seq, lane, cycle_);
-  channel_used_epoch_[ch] = epoch_;
+  channel_used_cycle_[ch] = cycle_;
   last_move_cycle_ = cycle_;
   return true;
 }
@@ -740,74 +701,82 @@ void Engine::move_from_node(NodeId node_id, LaneId lane) {
   if (sent == 0) {
     pkt.inject_cycle = cycle_;
     ++worms_in_flight_;
-    telemetry::WormTracer* tracer = observers_.worm_tracer();
-    if (tracer != nullptr) tracer->on_injected(tx, cycle_);
+    if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
+      tracer->on_injected(tx, cycle_);
+    }
     // A header behind an earlier worm's flits becomes routable only when
     // it reaches the front (move_from_switch registers it after the tail
-    // ahead of it pops).
-    if (at_front) {
-      add_header_lane(lane);  // injection channels end at switches
-      if (tracer != nullptr) tracer->on_header_arrival(tx, lane, cycle_);
-    }
+    // ahead of it pops).  Injection channels end at switches.
+    if (at_front) header_at_front(lane);
   }
   observers_.moved(tx, sent, lane, cycle_);
   node_tx_sent_[node_id] = sent + 1;
-  if (sent + 1 == pkt.length) {
-    node_tx_packet_[node_id] = kNoPacket;
-    node_tx_sent_[node_id] = 0;
-    --transmitting_nodes_;
-    deactivate_channel(lane_channel_[lane]);
-    if (!node_queue_[node_id].empty()) mark_tx_pending(node_id);
-  }
+  if (sent + 1 == pkt.length) stop_source(node_id);
 }
 
 void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
   const PacketId pkt_id = fc_.front(in_lane);
   const std::uint32_t seq = fc_.front_seq(in_lane);
-  const PacketState& pkt = packets_[pkt_id];
-  const bool tail = seq + 1 == pkt.length;
-  const ChannelId out_ch = lane_channel_[out_lane];
+  const bool tail = seq + 1 == packets_[pkt_id].length;
 
   fc_pop(in_lane);
   // The channel feeding in_lane's buffer may now transmit its next flit:
   // the scan re-tries it, the chase tries it at once.
   popped_ = in_lane;
   observers_.moved(pkt_id, seq, out_lane, cycle_);
-  telemetry::WormTracer* tracer = observers_.worm_tracer();
-  if (!ch_dst_is_switch_.test(out_ch)) {
+  if (!ch_dst_is_switch_.test(lane_channel_[out_lane])) {
     deliver_flit(pkt_id, seq);
   } else {
     const bool at_front = fc_push(out_lane, pkt_id, seq);
-    if (at_front && seq == 0) {
-      add_header_lane(out_lane);
-      if (tracer != nullptr) {
-        tracer->on_header_arrival(pkt_id, out_lane, cycle_);
-      }
-    }
+    if (at_front && seq == 0) header_at_front(out_lane);
     // The arrived flit can cross its (already routed) next hop next cycle.
     if (at_front) seed_next_hop(out_lane);
   }
   if (tail) {
     // The worm's tail has crossed this hop: release both the input unit's
     // route and the output lane for the next worm.
-    route_out_[in_lane] = kInvalidId;
-    alloc_owner_[out_lane] = kInvalidId;
-    deactivate_channel(out_ch);
-    wake_waiters(in_lane, out_lane);
-    if (tracer != nullptr) tracer->on_lane_released(out_lane);
+    release_route(in_lane);
     // A deeper FIFO can already hold the next worm's header; it becomes
     // routable the moment the previous tail leaves the front.
     if (fc_.count[in_lane] > 0 && fc_.front_seq(in_lane) == 0) {
-      add_header_lane(in_lane);
-      if (tracer != nullptr) {
-        tracer->on_header_arrival(fc_.front(in_lane), in_lane, cycle_);
-      }
+      header_at_front(in_lane);
     }
   }
 }
 
+void Engine::header_at_front(LaneId lane) {
+  // Exactness invariant (validated): a lane enters the unrouted-header
+  // set exactly once per header arrival and leaves on grant, so the
+  // count stays in lockstep with the bits.
+  const std::uint32_t pos = lane_scan_pos_[lane];
+  WORMSIM_DCHECK(pos != kInvalidId);
+  WORMSIM_DCHECK(!header_bits_.test(pos));
+  header_bits_.set(pos);
+  ++header_count_;
+  if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
+    tracer->on_header_arrival(fc_.front(lane), lane, cycle_);
+  }
+}
+
+void Engine::release_route(LaneId in_lane) {
+  const LaneId out_lane = route_out_[in_lane];
+  route_out_[in_lane] = kInvalidId;
+  alloc_owner_[out_lane] = kInvalidId;
+  wake_waiters(in_lane, out_lane);
+  if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
+    tracer->on_lane_released(out_lane);
+  }
+}
+
+void Engine::stop_source(NodeId node) {
+  node_tx_packet_[node] = kNoPacket;
+  node_tx_sent_[node] = 0;
+  --transmitting_nodes_;
+  if (!node_queue_[node].empty()) mark_tx_pending(node);
+}
+
 bool Engine::fc_push(LaneId lane, PacketId pkt, std::uint32_t seq) {
-  fc_.push(lane, pkt, seq, epoch_);
+  fc_.push(lane, pkt, seq, cycle_);
   ++occupied_;
   if (fc_.scheme == FlowControlScheme::kOnOff) {
     // Occupancy rose to the stop level: tell the sender to pause.  The
@@ -829,25 +798,35 @@ void Engine::fc_pop(LaneId lane) {
   // and carries the lane's stamp (FlowControlState::front_arrived).
   fc_.pop(lane);
   --occupied_;
-  // Return the freed slot to the sender.
+  fc_return_slots(lane, 1);
+}
+
+void Engine::fc_return_slots(LaneId lane, std::uint32_t freed) {
   if (fc_.scheme == FlowControlScheme::kOnOff) {
-    if (fc_.count[lane] == fc_.on_threshold) {
+    // GO is emitted when occupancy drains *to* the threshold; a removal
+    // of several flits crosses it at most once.
+    const std::uint32_t kept = fc_.count[lane];
+    if (kept <= fc_.on_threshold && fc_.on_threshold < kept + freed) {
       fc_deliver_or_queue(lane, /*go=*/true);
     }
   } else if (fc_.delay == 0) {
     // Instant credit return: the sender sees the free slot this cycle —
     // at depth 1 exactly the legacy "downstream buffer is empty" check.
-    ++fc_.credits[lane];
+    fc_.credits[lane] += freed;
     fc_close_starve(lane);
   } else {
-    fc_.events.push_back({cycle_ + fc_.delay, lane, /*go=*/false});
+    for (std::uint32_t r = 0; r < freed; ++r) {
+      fc_.events.push_back({cycle_ + fc_.delay, lane, /*go=*/false});
+    }
   }
   if (fc_.scheme != FlowControlScheme::kCredit || fc_.delay > 0) {
     // The freed slot may leave the sender gated with space downstream
     // (credit in flight, or an on/off pause): starvation begins now, and
     // no try_channel attempt will observe it — the sender is not seeded
-    // until the gate lifts.
-    if (!fc_.can_accept(lane) && upstream_has_flit(lane)) {
+    // until the gate lifts.  Only a kill empties a dead lane, and its
+    // sender is a victim of the same kill: no interval opens there.
+    if (!fc_.can_accept(lane) && upstream_has_flit(lane) &&
+        !channel_faulty_.test(lane_channel_[lane])) {
       fc_open_starve(lane);
     }
   }
@@ -881,9 +860,13 @@ void Engine::drain_flow_control_events() {
       fc_close_starve(ev.lane);
       // Wake the sender: schedule its channel for this cycle's advance
       // (the drain runs before the phases).  Source-less channels have
-      // nothing to send; skipping them keeps the seed set exact.
+      // nothing to send; skipping them keeps the seed set exact.  The
+      // lane's own allocation, usually the sender, answers most events
+      // without has_source's walk over the channel.
       const ChannelId ch = lane_channel_[ev.lane];
-      if (channel_sources_[ch] != 0) schedule_channel(ch);
+      if (alloc_owner_[ev.lane] != kInvalidId || has_source(ch)) {
+        schedule_channel(ch);
+      }
     }
   }
 }
@@ -942,10 +925,6 @@ void Engine::deliver_flit(PacketId pkt_id, std::uint32_t seq) {
 }
 
 void Engine::advance_flits() {
-  // Epoch-stamped channel_used_/arrived_ replace the two per-cycle
-  // std::fill passes: bumping the epoch invalidates every stamp at once.
-  ++epoch_;
-
   // Consume the event frontier: every channel scheduled since the previous
   // advance — by a grant, a transmission start, a flit arrival onto a
   // routed lane, or its own move last cycle.  This is a superset of the
@@ -1002,9 +981,9 @@ void Engine::advance_pass() {
     // a failure and the fixpoint is one pass.
     if (popped_ == kInvalidId || fc_.delay > 0) return;
     const ChannelId u = lane_channel_[popped_];
-    if (channel_sources_[u] == 0 || channel_used_epoch_[u] == epoch_) {
-      // No sender upstream, or it already transmitted this cycle (in
-      // which case its own move rescheduled it for the next one).
+    if (channel_used_cycle_[u] == cycle_ || !has_source(u)) {
+      // The sender upstream already transmitted this cycle (its own move
+      // rescheduled it for the next one), or there is none.
       return;
     }
     if (u > ch) {
@@ -1095,7 +1074,9 @@ void Engine::report_deadlock() const {
                static_cast<unsigned long long>(cycle_),
                static_cast<long long>(occupied_));
   std::size_t sourced = 0;
-  for (std::uint32_t n : channel_sources_) sourced += n != 0 ? 1 : 0;
+  for (ChannelId ch = 0; ch < network_.channel_count(); ++ch) {
+    sourced += has_source(ch) ? 1 : 0;
+  }
   std::size_t calendar = 0;
   for (NodeId head : wheel_head_) {
     for (NodeId node = head; node != kInvalidId; node = wheel_next_[node]) {

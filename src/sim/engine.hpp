@@ -229,7 +229,7 @@ class Engine {
     const topology::LaneId next = route_out_[lane];
     if (next == topology::kInvalidId) return;
     const topology::ChannelId ch = lane_channel_[next];
-    if (chase_ && channel_used_epoch_[ch] == epoch_) return;
+    if (chase_ && channel_used_cycle_[ch] == cycle_) return;
     schedule_channel(ch);
   }
   void deliver_flit(PacketId pkt, std::uint32_t seq);
@@ -263,9 +263,21 @@ class Engine {
   /// termination on the packet, the result counters, and the tracer.
   void terminate_worm(PacketId pid);
   /// Removes every flit of `pid` from `lane`'s FIFO, compacting the
-  /// survivors in place and mirroring fc_pop's sender-side accounting per
-  /// removed flit.  Returns the number of flits discarded.
+  /// survivors in place, and returns the freed slots upstream as fc_pop
+  /// does.  Returns the number of flits discarded.
   std::uint32_t fc_remove_packet(topology::LaneId lane, PacketId pid);
+
+  // ---- Worm transitions, shared by the moves and the kill path ---------
+  /// A header reached the front of switch-input `lane`'s FIFO: it joins
+  /// the unrouted-header set and the tracer records its arrival.
+  void header_at_front(topology::LaneId lane);
+  /// Frees the route held by input lane `in_lane` and its output lane
+  /// (the worm's tail crossed it, or the worm was killed), waking the
+  /// headers asleep on that output lane.
+  void release_route(topology::LaneId in_lane);
+  /// `node` stops transmitting (its message's tail left, or the message
+  /// was killed); a queued message makes it pending again.
+  void stop_source(topology::NodeId node);
 
   // ---- Flow control (src/sim/flow_control/) ---------------------------
   /// Delivers every backpressure event due this cycle: credits return to
@@ -278,9 +290,14 @@ class Engine {
   /// accounting (credit decrement / STOP emission).  Returns true when
   /// the flit is the FIFO's front (the FIFO was empty).
   bool fc_push(topology::LaneId lane, PacketId pkt, std::uint32_t seq);
-  /// Pops `lane`'s front flit and returns the freed slot upstream (inline
-  /// when credit_delay is 0, as a calendar event otherwise).
+  /// Pops `lane`'s front flit and returns the freed slot upstream.
   void fc_pop(topology::LaneId lane);
+  /// Returns `freed` slots of `lane`'s FIFO, just removed, to its sender:
+  /// credits (inline when credit_delay is 0, as calendar events
+  /// otherwise) or the GO of an on/off FIFO drained to its resume level,
+  /// then opens starvation if the sender stays gated with space
+  /// downstream.
+  void fc_return_slots(topology::LaneId lane, std::uint32_t freed);
   /// On/off signal toward `lane`'s sender: applied inline at delay 0,
   /// queued on the calendar otherwise.
   void fc_deliver_or_queue(topology::LaneId lane, bool go);
@@ -306,20 +323,22 @@ class Engine {
   /// channel ready calls this: a grant, a transmission start, a flit
   /// arriving onto a lane with a route, or a buffer freed behind a
   /// channel that already transmitted this cycle.  Setting a bit is the
-  /// dedup (the old epoch-stamp array is gone).
+  /// dedup.
   void schedule_channel(topology::ChannelId ch) { seed_bits_.set(ch); }
 
-  /// Registers one more potential transmit source for a channel (a node
-  /// that started transmitting, or an output-lane allocation).
-  void activate_channel(topology::ChannelId ch) {
-    ++channel_sources_[ch];
-    schedule_channel(ch);
-  }
-  /// Drops one potential source; a source-less channel is never scheduled
-  /// from unblock events.
-  void deactivate_channel(topology::ChannelId ch) {
-    WORMSIM_DCHECK(channel_sources_[ch] > 0);
-    --channel_sources_[ch];
+  /// True when `ch` has a potential transmit source: its source node is
+  /// transmitting, or one of its lanes is allocated to a worm.  Unblock
+  /// events on a source-less channel are noise and schedule nothing.
+  bool has_source(topology::ChannelId ch) const {
+    const std::uint32_t src_node = ch_src_node_[ch];
+    if (src_node != topology::kInvalidId) {
+      return node_tx_packet_[src_node] != kNoPacket;
+    }
+    const topology::LaneId first = ch_first_lane_[ch];
+    for (unsigned v = 0; v < ch_num_lanes_[ch]; ++v) {
+      if (alloc_owner_[first + v] != topology::kInvalidId) return true;
+    }
+    return false;
   }
 
   // ---- Sleeping headers (DESIGN.md §7, §10) ----------------------------
@@ -344,17 +363,6 @@ class Engine {
   /// Charges the denials the header at `pos` skipped while asleep, from
   /// sleep_since_[pos] through the previous cycle, to the observers.
   void charge_sleep(std::uint32_t pos);
-
-  /// Adds a switch-input lane to the unrouted-header set.  Exactness
-  /// invariant (validated): a lane enters exactly once per header arrival
-  /// and leaves on grant, so the count stays in lockstep with the bits.
-  void add_header_lane(topology::LaneId lane) {
-    const std::uint32_t pos = lane_scan_pos_[lane];
-    WORMSIM_DCHECK(pos != topology::kInvalidId);
-    WORMSIM_DCHECK(!header_bits_.test(pos));
-    header_bits_.set(pos);
-    ++header_count_;
-  }
 
   /// Marks a node as possibly able to start transmitting (queue head
   /// waiting while the port is idle); consumed by start_transmissions().
@@ -408,7 +416,7 @@ class Engine {
   util::DenseBitset ch_dst_is_switch_;  // bit-packed: 1 bit/channel keeps
                                         // the 2M-node footprint down
   std::vector<topology::ChannelId> lane_channel_;  // lane -> owning channel
-  std::vector<std::uint64_t> channel_used_epoch_;  // epoch of last transmit
+  std::vector<std::uint64_t> channel_used_cycle_;  // cycle of last transmit
   std::vector<std::uint8_t> vc_rr_;                // round-robin lane pointer
   util::DenseBitset channel_faulty_;               // failed channels
 
@@ -419,11 +427,10 @@ class Engine {
   // multi-pass scan.
   bool chase_ = false;
 
-  // Runtime fault plan and its transition bookkeeping; fault_any_ stays
-  // true once any channel has ever faulted, so the zero-fault hot paths
-  // and validator sweeps stay branch-cheap.
+  // Runtime fault plan and its transition bookkeeping; applied stays
+  // true once the kill has fired, so the zero-fault hot paths and
+  // validator sweeps stay branch-cheap.
   fault_injection::FaultState fault_state_;
-  bool fault_any_ = false;
 
   // Lanes whose buffer sits at a switch, in scan order for routing, and
   // the inverse map (lane -> scan position, kInvalidId for others).
@@ -448,20 +455,11 @@ class Engine {
   std::vector<topology::LaneId> cand_store_;
 
   // ---- Active sets (see DESIGN.md "Engine hot loop" and §12) -----------
-  // Epoch counter bumped once per advance_flits(); comparing a stamp
-  // (channel_used_epoch_, fc_.stamp) to it replaces a per-cycle std::fill.
-  std::uint64_t epoch_ = 0;
-
-  // Potential transmit sources per channel (allocated output lanes plus a
-  // transmitting node); unblock events on source-less channels are noise
-  // and are dropped.
-  std::vector<std::uint32_t> channel_sources_;
-
   // Event frontier and fixpoint worklists as dense channel-id bitsets.
   // seed_bits_ collects channels scheduled for the next advance's first
   // pass; cur_pass_/next_pass_ are the fixpoint worklists.  The ascending
   // ctz scan replaces the per-pass std::sort (bit order == id order), and
-  // bit idempotency replaces the seed/pass epoch-stamp dedup arrays.
+  // bit idempotency replaces per-channel dedup stamps.
   // `popped_` carries the switch-input lane the current move emptied; its
   // channel, lane_channel_[popped_], is the one that may move next.
   util::DenseBitset seed_bits_;

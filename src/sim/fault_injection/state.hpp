@@ -28,8 +28,6 @@ struct FaultState {
     return applied && !repaired && plan.repair_cycle != kNoCycle &&
            cycle >= plan.repair_cycle;
   }
-  /// Channels are currently dead.
-  bool active() const { return applied && !repaired; }
 };
 
 /// Aborts unless `plan` is well-formed for `view`: channel ids in range,

@@ -43,7 +43,7 @@ void FlowControlState::configure(std::size_t lane_count, FlowControlScheme s,
   lanes = lane_count;
   slot_packet.assign(lane_count * depth, kNoPacket);
   slot_seq.assign(lane_count * depth, 0);
-  stamp.assign(lane_count, 0);
+  stamp.assign(lane_count, kNoCycle);
   count.assign(lane_count, 0);
   credits.assign(lane_count, depth);
   stopped.assign(lane_count, 0);

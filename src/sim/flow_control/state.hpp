@@ -8,10 +8,10 @@
 //     nothing else.  slot() is the one place that says where slot s of
 //     lane L lives; the engine, the validator and the test peers go
 //     through front(), slot(), push(), pop() and erase();
-//   * one arrival stamp per lane, the epoch of its newest push.  A lane's
+//   * one arrival stamp per lane, the cycle of its newest push.  A lane's
 //     channel moves at most one flit per cycle, so the oldest flit
-//     arrived in the current epoch exactly when it is the lane's only
-//     flit and the stamp equals that epoch (front_arrived);
+//     arrived in the current cycle exactly when it is the lane's only
+//     flit and the stamp equals that cycle (front_arrived);
 //   * the sender-side gates: credit counters (kCredit /
 //     kVirtualCutThrough) or stop bits (kOnOff);
 //   * the in-flight backpressure events — credit returns or on/off
@@ -65,7 +65,7 @@ struct FlowControlState {
   std::size_t lanes = 0;
   /// Flits buffered per lane.  Slot 0 is occupied iff count[lane] > 0.
   std::vector<std::uint32_t> count;
-  /// Epoch of each lane's newest push (Engine::epoch_ when it happened).
+  /// Cycle of each lane's newest push, kNoCycle before the first.
   std::vector<std::uint64_t> stamp;
   /// Sender-visible free slots per lane (kCredit / kVirtualCutThrough).
   std::vector<std::uint32_t> credits;
@@ -115,18 +115,18 @@ struct FlowControlState {
   std::uint32_t front_seq(topology::LaneId lane) const {
     return slot_seq[lane];
   }
-  /// True when `lane`'s oldest flit arrived in `epoch`, the current
-  /// advance: it is the lane's only flit, pushed in this epoch.  The
-  /// stamp goes first: it is usually from an earlier epoch, so the count
-  /// is rarely read.
-  bool front_arrived(topology::LaneId lane, std::uint64_t epoch) const {
-    return stamp[lane] == epoch && count[lane] == 1;
+  /// True when `lane`'s oldest flit arrived in `cycle`, the current one:
+  /// it is the lane's only flit, pushed in this cycle.  The stamp goes
+  /// first: it is usually from an earlier cycle, so the count is rarely
+  /// read.
+  bool front_arrived(topology::LaneId lane, std::uint64_t cycle) const {
+    return stamp[lane] == cycle && count[lane] == 1;
   }
 
   /// Appends one flit to `lane`'s FIFO (the caller checked the gate) and
-  /// stamps the lane with `epoch`.
+  /// stamps the lane with `cycle`.
   void push(topology::LaneId lane, PacketId pkt, std::uint32_t seq,
-            std::uint64_t epoch) {
+            std::uint64_t cycle) {
     WORMSIM_DCHECK(count[lane] < depth);
     // Into an empty FIFO (every push at depth 1) the slot is the lane
     // itself: its address then does not wait on the count load and the
@@ -135,7 +135,7 @@ struct FlowControlState {
     const std::size_t at = held == 0 ? std::size_t{lane} : slot(lane, held);
     slot_packet[at] = pkt;
     slot_seq[at] = seq;
-    stamp[lane] = epoch;
+    stamp[lane] = cycle;
   }
   /// Removes `lane`'s oldest flit, shifting the others down one slot.
   void pop(topology::LaneId lane) {
@@ -150,9 +150,9 @@ struct FlowControlState {
   }
   /// Removes every flit of `pkt` from `lane`'s FIFO, compacting the
   /// others in place in their order; returns the number removed.  The
-  /// stamp may then name an erased flit's epoch, so call it only between
-  /// advances (fault kills, routing terminations): the next advance's
-  /// epoch is newer, and front_arrived stays exact.
+  /// stamp may then name an erased flit's cycle, so call it only before
+  /// a cycle's advance (fault kills, routing terminations): every push
+  /// was in an earlier cycle, and front_arrived stays exact.
   std::uint32_t erase(topology::LaneId lane, PacketId pkt);
 };
 

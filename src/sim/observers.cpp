@@ -18,13 +18,6 @@ Observers::Observers(const topology::NetView& network,
     counters_ = counters;
     window_begin_ = config.warmup_cycles;
     window_end_ = config.warmup_cycles + config.measure_cycles;
-    lane_switch_.assign(network.lane_count(), 0);
-    network.for_each_channel([&](const topology::PhysChannel& ch) {
-      if (!ch.dst.is_switch()) return;
-      for (unsigned v = 0; v < ch.num_lanes; ++v) {
-        lane_switch_[ch.first_lane + v] = static_cast<std::uint32_t>(ch.dst.id);
-      }
-    });
   }
   if (counters != nullptr && tel.sampling) {
     WORMSIM_CHECK(tel.sample_interval_cycles > 0);

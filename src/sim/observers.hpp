@@ -120,41 +120,43 @@ class Observers {
     emit(TraceEvent::Kind::kCreated, cycle, id, 0, topology::kInvalidId);
     if (tracer_) tracer_->on_created(id, cycle, src, dst, length, measured);
   }
-  /// The header in `in_lane` was granted output lane `out_lane`.
-  void granted(PacketId id, topology::LaneId in_lane,
+  /// The header in `in_lane`, which feeds switch `sw`, was granted output
+  /// lane `out_lane`.
+  void granted(PacketId id, topology::LaneId in_lane, std::uint32_t sw,
                topology::LaneId out_lane, std::uint64_t cycle) {
-    if (window_ != nullptr) ++window_->switch_grants[lane_switch_[in_lane]];
+    if (window_ != nullptr) ++window_->switch_grants[sw];
     if (tracer_) tracer_->on_granted(id, in_lane, out_lane, cycle);
     emit(TraceEvent::Kind::kRouted, cycle, id, 0, out_lane);
   }
-  /// The header in `in_lane` found no free candidate.  `culprit()`
-  /// returns {lane waited on, credit-starved?}; it is called only when
-  /// an observer wants it — the tracer, or the counters for a header
-  /// whose candidates include a credit-gated lane (`credit_gated`).
+  /// The header in `in_lane`, which feeds switch `sw`, found no free
+  /// candidate.  `culprit()` returns {lane waited on, credit-starved?};
+  /// it is called only when an observer wants it — the tracer, or the
+  /// counters for a header whose candidates include a credit-gated lane
+  /// (`credit_gated`).
   template <typename Culprit>
-  void blocked(PacketId id, topology::LaneId in_lane, bool credit_gated,
-               std::uint64_t cycle, Culprit&& culprit) {
+  void blocked(PacketId id, topology::LaneId in_lane, std::uint32_t sw,
+               bool credit_gated, std::uint64_t cycle, Culprit&& culprit) {
     if (window_ != nullptr) {
       ++window_->lane_blocked[in_lane];
-      ++window_->switch_denials[lane_switch_[in_lane]];
+      ++window_->switch_denials[sw];
     }
     if (!tracer_ && (window_ == nullptr || !credit_gated)) return;
     const auto [lane, starved] = culprit();
     if (starved && window_ != nullptr) ++window_->lane_credit_starved[lane];
     if (tracer_) tracer_->on_blocked(id, in_lane, lane, cycle, starved);
   }
-  /// The header in `in_lane` slept through cycles [first, last]: one
-  /// denial per cycle, each naming the culprit of its last blocked()
-  /// call, which was never credit-starved.  Charged in one go, clipped to
-  /// the measurement window (DESIGN.md §10).
-  void slept(PacketId id, topology::LaneId in_lane, std::uint64_t first,
-             std::uint64_t last) {
+  /// The header in `in_lane`, which feeds switch `sw`, slept through
+  /// cycles [first, last]: one denial per cycle, each naming the culprit
+  /// of its last blocked() call, which was never credit-starved.  Charged
+  /// in one go, clipped to the measurement window (DESIGN.md §10).
+  void slept(PacketId id, topology::LaneId in_lane, std::uint32_t sw,
+             std::uint64_t first, std::uint64_t last) {
     if (counters_ != nullptr) {
       const std::uint64_t begin = std::max(first, window_begin_);
       const std::uint64_t end = std::min(last + 1, window_end_);
       if (begin < end) {
         counters_->lane_blocked[in_lane] += end - begin;
-        counters_->switch_denials[lane_switch_[in_lane]] += end - begin;
+        counters_->switch_denials[sw] += end - begin;
       }
     }
     if (tracer_) tracer_->extend_blocked(id, first, last);
@@ -207,13 +209,11 @@ class Observers {
   TraceSink* sink_ = nullptr;
   // Window counters: counters_ is null when they are off, window_ is
   // counters_ inside the measurement window and null outside it.
-  // lane_switch_ maps a switch-input lane to the switch it feeds.
   // [window_begin_, window_end_) is the measurement window in cycles.
   telemetry::Counters* counters_ = nullptr;
   telemetry::Counters* window_ = nullptr;
   std::uint64_t window_begin_ = 0;
   std::uint64_t window_end_ = 0;
-  std::vector<std::uint32_t> lane_switch_;
   std::uint64_t sample_interval_ = 0;  // 0 = sampling off
   telemetry::IntervalSampler sampler_{0};
   // Shared into SimResult::worm_trace so the trace outlives the engine.

@@ -321,7 +321,6 @@ void StoreForwardEngine::terminate_packet(PacketId pkt_id) {
 
 void StoreForwardEngine::apply_fault_plan() {
   fault_state_.applied = true;
-  fault_any_ = true;
   observers_.fault(now_, "kill", fault_state_.plan.channels.size());
   for (const ChannelId ch_id : fault_state_.plan.channels) {
     channel_faulty_[ch_id] = 1;

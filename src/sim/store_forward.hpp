@@ -195,10 +195,9 @@ class StoreForwardEngine {
   /// Dead physical channels (fault injection); drained lazily at the top
   /// of process() once now_ reaches the plan's kill / repair cycles.
   std::vector<std::uint8_t> channel_faulty_;
+  /// applied stays true once the kill has fired (also across a repair),
+  /// so the validator knows terminated packets may exist.
   fault_injection::FaultState fault_state_;
-  /// Latched true once any channel has ever faulted (stays true across a
-  /// repair) so the validator knows terminated packets may exist.
-  bool fault_any_ = false;
   std::int64_t in_flight_ = 0;
   std::int64_t queued_packets_ = 0;  ///< packets in node + lane queues
 

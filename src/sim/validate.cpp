@@ -162,11 +162,10 @@ void EngineValidator::check_buffers_and_counters() {
                     s, count);
       }
     }
-    if (fc.stamp[lane] > e_.epoch_) {
+    if (fc.stamp[lane] != kNoCycle && fc.stamp[lane] > cycle) {
       engine_fail("stale-epoch-stamp", cycle, lane,
-                  "arrival stamp %llu is ahead of the engine epoch %llu",
-                  static_cast<unsigned long long>(fc.stamp[lane]),
-                  static_cast<unsigned long long>(e_.epoch_));
+                  "arrival stamp %llu is ahead of the current cycle",
+                  static_cast<unsigned long long>(fc.stamp[lane]));
     }
     // Each buffered flit, oldest first.  The run is FIFO-ordered: each
     // slot continues the worm ahead of it or starts a new worm right
@@ -542,22 +541,14 @@ void EngineValidator::check_active_sets() {
 
   for (ChannelId ch_id = 0; ch_id < e_.network_.channel_count(); ++ch_id) {
     const PhysChannel ch = e_.network_.channel(ch_id);
-    if (e_.channel_used_epoch_[ch_id] > e_.epoch_) {
+    const std::uint64_t used = e_.channel_used_cycle_[ch_id];
+    if (used != kNoCycle && used > cycle) {
       engine_fail("stale-epoch-stamp", cycle, kInvalidId,
-                  "channel %u's transmit stamp %llu is ahead of epoch %llu",
-                  ch_id,
-                  static_cast<unsigned long long>(
-                      e_.channel_used_epoch_[ch_id]),
-                  static_cast<unsigned long long>(e_.epoch_));
+                  "channel %u's transmit stamp %llu is ahead of the current "
+                  "cycle",
+                  ch_id, static_cast<unsigned long long>(used));
     }
 
-    // Recount the channel's potential transmit sources: allocated output
-    // lanes plus a transmitting node on an injection channel.
-    std::uint32_t sources = 0;
-    if (ch.src.is_node() &&
-        e_.node_tx_packet_[ch.src.id] != kNoPacket) {
-      ++sources;
-    }
     bool ready = false;
     for (unsigned v = 0; v < ch.num_lanes; ++v) {
       const LaneId lane = ch.first_lane + v;
@@ -570,16 +561,10 @@ void EngineValidator::check_active_sets() {
       }
       const LaneId owner = e_.alloc_owner_[lane];
       if (owner == kInvalidId) continue;
-      ++sources;
       if (e_.fc_.count[owner] > 0 &&
           (!ch.dst.is_switch() || e_.fc_.can_accept(lane))) {
         ready = true;
       }
-    }
-    if (sources != e_.channel_sources_[ch_id]) {
-      engine_fail("channel-sources", cycle, kInvalidId,
-                  "channel %u has %u transmit sources but the counter says %u",
-                  ch_id, sources, e_.channel_sources_[ch_id]);
     }
     // Active-set completeness: a channel that can transmit next cycle
     // must already sit in the seed_bits_ event frontier, else the engine
@@ -713,7 +698,7 @@ void EngineValidator::check_arrival_calendar() {
 }
 
 void EngineValidator::check_fault_state() {
-  if (!e_.fault_any_) {
+  if (!e_.fault_state_.applied) {
     return;  // no channel has ever faulted; nothing to sweep
   }
   const std::uint64_t cycle = e_.cycle_;
@@ -947,7 +932,7 @@ void EngineValidator::maybe_probe_deadlock() {
                  static_cast<long long>(e_.occupied_));
     return;
   }
-  if (e_.fault_any_) {
+  if (e_.fault_state_.applied) {
     // Never report a deadlock that is really a fault-handling bug: an
     // acyclic permanent blockage means a fault-starved worm survived
     // serve(), and a wait-for cycle through a dead lane means the kill
@@ -1327,7 +1312,7 @@ void StoreForwardValidator::check_event_end() {
     }
     // Fault quiescence, packet-granular: a dead channel's lane buffer
     // holds at most the head whose pre-kill transfer is still in flight.
-    if (e_.fault_any_ &&
+    if (e_.fault_state_.applied &&
         e_.channel_faulty_[e_.network_.lane(lane).channel] != 0 &&
         state.queue.size() > (state.transmitting ? 1u : 0u)) {
       sf_fail("fault-quiescence", now, lane,

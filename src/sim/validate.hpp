@@ -2,7 +2,7 @@
 //
 // The event-driven hot loops (DESIGN.md "Engine hot loop") replaced
 // per-cycle full scans with incrementally maintained active sets and
-// epoch stamps.  A bookkeeping bug there does not crash — it silently
+// cycle stamps.  A bookkeeping bug there does not crash — it silently
 // drops moves or double-counts flits, and the golden digests only say
 // *something* diverged, not what.  The validators re-derive every piece
 // of incremental state from first principles — every kSweepStride-th
@@ -83,10 +83,10 @@ class EngineValidator {
   ///     in-flight returns == depth), on/off signal consistency,
   ///     starvation intervals, and backpressure-calendar ordering;
   ///   * active sets: the header bitmap is exactly the unrouted-header
-  ///     set (and header_count_ its popcount), channel_sources_ matches a
-  ///     recount, epoch stamps never point to the future, every channel
-  ///     ready to transmit next cycle has its seed bit set, and the
-  ///     advance worklist bitmaps are empty between cycles;
+  ///     set (and header_count_ its popcount), cycle stamps never point
+  ///     to the future, every channel ready to transmit next cycle has
+  ///     its seed bit set, and the advance worklist bitmaps are empty
+  ///     between cycles;
   ///   * header sleep: sleepers are unrouted headers with no free, live
   ///     candidate, each linked exactly once in its own switch's sleep
   ///     list (and sleep_count_ their popcount);

@@ -1,6 +1,5 @@
 #include "telemetry/result_writer.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -60,12 +59,6 @@ JsonValue manifest_to_json(const RunManifest& manifest) {
     json.set("cache", std::move(cache));
   }
   return json;
-}
-
-std::optional<std::string> json_dir_from_env() {
-  const char* dir = std::getenv("WORMSIM_JSON_DIR");
-  if (dir == nullptr || dir[0] == '\0') return std::nullopt;
-  return std::string(dir);
 }
 
 ResultWriter::ResultWriter(std::string directory)

@@ -7,11 +7,11 @@
 // `schema_version` — bump kResultSchemaVersion on any breaking layout
 // change and keep readers tolerant of additive fields.
 //
-// The output directory comes from --json flags or the WORMSIM_JSON_DIR
-// environment variable (documented alongside WORMSIM_QUICK/WORMSIM_SEED).
+// The output directory comes from the --json-dir flag or the
+// WORMSIM_JSON_DIR environment variable, both read through the knob table
+// in experiment/run_options.cpp.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "telemetry/json.hpp"
@@ -80,9 +80,6 @@ struct RunManifest {
 /// revision; embed under the document's "manifest" key or splice at the
 /// top level.
 JsonValue manifest_to_json(const RunManifest& manifest);
-
-/// WORMSIM_JSON_DIR when set and non-empty.
-std::optional<std::string> json_dir_from_env();
 
 /// Writes JSON documents into a directory (created on first use).
 class ResultWriter {

@@ -196,9 +196,6 @@ class Network {
   std::size_t lane_count() const { return lanes_.size(); }
 
   /// -- Mutators used only by builders ------------------------------------
-  Switch& mutable_switch(SwitchId id) { return switches_.at(id); }
-  std::vector<Switch>& mutable_switches() { return switches_; }
-
   /// Adds a physical channel with `lanes` virtual lanes and registers its
   /// lanes with the endpoint switches' port tables.  Returns its id.
   ChannelId add_channel(Endpoint src, Endpoint dst, ChannelRole role,

@@ -733,7 +733,9 @@ TEST_P(SleepMatchesServe, SameEventsCountersAndTraces) {
   const SleepRun serve = run_sleep_case(c, true);
   ASSERT_FALSE(sleep.cycle_events.empty());
   EXPECT_GT(serve.denials, 0u) << "no header was ever blocked";
-  if (c.faults) EXPECT_GT(serve.terminated, 0u) << "the kill hit no worm";
+  if (c.faults) {
+    EXPECT_GT(serve.terminated, 0u) << "the kill hit no worm";
+  }
   const auto diverged =
       std::mismatch(sleep.cycle_events.begin(), sleep.cycle_events.end(),
                     serve.cycle_events.begin(), serve.cycle_events.end());

@@ -11,7 +11,8 @@
 //   - mid-run kills truncate-and-account (terminated worms counted, flits
 //     reconciled) under the full validator;
 //   - with 4-flit FIFOs a kill removes the victim's flits and keeps the
-//     other worms' flits of the same FIFO, in order;
+//     other worms' flits of the same FIFO, in order, under credit and
+//     on/off flow control;
 //   - repairs restore delivery for pairs the kill had disconnected;
 //   - the store-and-forward reference applies the same plan semantics;
 //   - implicit and materialized backends draw the same plan and coverage;
@@ -21,6 +22,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "analysis/fault.hpp"
@@ -246,69 +249,96 @@ TEST(FaultInjection, MidRunKillTruncatesAndAccounts) {
 // unrouted header.  Each cycle the test reads every FIFO before stepping:
 // a lane that held a worm terminated in that step beside one that was
 // not is a kill that left a survivor (kills and routing terminations land
-// before any flit moves).  The digests were emitted by the engine whose
-// FIFOs kept their head slot apart from the slots behind it.
-TEST(FaultInjection, DeepFifoKillKeepsSurvivors) {
-  struct DeepKillCase {
-    const char* name;
-    NetworkKind kind;
-    std::uint32_t credit_delay;
-    std::uint64_t digest;
-    std::uint64_t terminated_messages;
-  };
-  const DeepKillCase cases[] = {
-      {"TMIN_delay0", NetworkKind::kTMIN, 0, 0x9f15299a9eca5167ULL, 1361},
-      {"TMIN_delay2", NetworkKind::kTMIN, 2, 0x3265e57fea3ea56fULL, 1315},
-      {"BMIN_1vc_delay0", NetworkKind::kBMIN, 0, 0xbb2f78a228d41ae1ULL, 1277},
-      {"BMIN_1vc_delay2", NetworkKind::kBMIN, 2, 0xe40d4edcbca371d0ULL, 1176},
-  };
-  for (const DeepKillCase& dc : cases) {
-    SCOPED_TRACE(dc.name);
-    const Network net = topology::build_network(golden_network(dc.kind, 1));
-    const auto router = routing::make_router(net);
-    traffic::WorkloadSpec workload = golden_workload();
-    workload.length = traffic::LengthSpec::uniform(4, 8);
-    traffic::StandardTraffic traffic(net, workload);
-    SimConfig config;
-    config.seed = 7;
-    config.buffer_depth = 4;
-    config.credit_delay = dc.credit_delay;
-    config.warmup_cycles = 500;
-    config.measure_cycles = 4'000;
-    config.drain_cycles = 1'500;
-    config.telemetry.counters = true;
-    config.validate = true;
-    config.fault_fraction = 0.2;
-    config.fault_seed = 2;
-    config.fault_at_cycle = 250;
-    Engine engine(net, *router, &traffic, config);
-    std::vector<std::vector<PacketId>> fifos(net.lane_count());
-    std::uint64_t kills_with_survivor = 0;
-    std::uint64_t survivor_promoted = 0;
-    while (engine.cycle() < config.total_cycles()) {
-      for (topology::LaneId lane = 0; lane < net.lane_count(); ++lane) {
-        fifos[lane] = EngineTestPeer::fifo_packets(engine, lane);
-      }
-      const std::uint64_t cycle = engine.cycle();
-      engine.step();
-      const auto killed_now = [&](PacketId pid) {
-        return engine.packet(pid).terminate_cycle == cycle;
-      };
-      for (const std::vector<PacketId>& fifo : fifos) {
-        if (std::any_of(fifo.begin(), fifo.end(), killed_now) &&
-            !std::all_of(fifo.begin(), fifo.end(), killed_now)) {
-          ++kills_with_survivor;
-          if (killed_now(fifo.front())) ++survivor_promoted;
-        }
+// before any flit moves).  The credit digests were emitted by the engine
+// whose FIFOs kept their head slot apart from the slots behind it, the
+// on/off ones by the engine whose kill path returned slots apart from
+// fc_pop; on/off pins the GO a kill emits when it drains a FIFO across
+// the resume threshold.
+struct DeepKillCase {
+  const char* name;
+  NetworkKind kind;
+  FlowControlScheme flow_control;
+  std::uint32_t credit_delay;
+  std::uint64_t digest;
+  std::uint64_t terminated_messages;
+};
+
+void PrintTo(const DeepKillCase& c, std::ostream* os) { *os << c.name; }
+
+class DeepFifoKill : public ::testing::TestWithParam<DeepKillCase> {};
+
+TEST_P(DeepFifoKill, KeepsSurvivors) {
+  const DeepKillCase& dc = GetParam();
+  const Network net = topology::build_network(golden_network(dc.kind, 1));
+  const auto router = routing::make_router(net);
+  traffic::WorkloadSpec workload = golden_workload();
+  workload.length = traffic::LengthSpec::uniform(4, 8);
+  traffic::StandardTraffic traffic(net, workload);
+  SimConfig config;
+  config.seed = 7;
+  config.flow_control = dc.flow_control;
+  config.buffer_depth = 4;
+  config.credit_delay = dc.credit_delay;
+  config.warmup_cycles = 500;
+  config.measure_cycles = 4'000;
+  config.drain_cycles = 1'500;
+  config.telemetry.counters = true;
+  config.validate = true;
+  config.fault_fraction = 0.2;
+  config.fault_seed = 2;
+  config.fault_at_cycle = 250;
+  Engine engine(net, *router, &traffic, config);
+  std::vector<std::vector<PacketId>> fifos(net.lane_count());
+  std::uint64_t kills_with_survivor = 0;
+  std::uint64_t survivor_promoted = 0;
+  while (engine.cycle() < config.total_cycles()) {
+    for (topology::LaneId lane = 0; lane < net.lane_count(); ++lane) {
+      fifos[lane] = EngineTestPeer::fifo_packets(engine, lane);
+    }
+    const std::uint64_t cycle = engine.cycle();
+    engine.step();
+    const auto killed_now = [&](PacketId pid) {
+      return engine.packet(pid).terminate_cycle == cycle;
+    };
+    for (const std::vector<PacketId>& fifo : fifos) {
+      if (std::any_of(fifo.begin(), fifo.end(), killed_now) &&
+          !std::all_of(fifo.begin(), fifo.end(), killed_now)) {
+        ++kills_with_survivor;
+        if (killed_now(fifo.front())) ++survivor_promoted;
       }
     }
-    const SimResult r = engine.run();  // every cycle has run: just finish
-    EXPECT_GT(kills_with_survivor, 0u);
-    EXPECT_GT(survivor_promoted, 0u);
-    EXPECT_EQ(digest(r), dc.digest);
-    EXPECT_EQ(r.terminated_messages, dc.terminated_messages);
   }
+  const SimResult r = engine.run();  // every cycle has run: just finish
+  EXPECT_GT(kills_with_survivor, 0u);
+  EXPECT_GT(survivor_promoted, 0u);
+  EXPECT_EQ(digest(r), dc.digest);
+  EXPECT_EQ(r.terminated_messages, dc.terminated_messages);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultInjection, DeepFifoKill,
+    ::testing::Values(
+        DeepKillCase{"TMIN_delay0", NetworkKind::kTMIN,
+                     FlowControlScheme::kCredit, 0, 0x9f15299a9eca5167ULL,
+                     1361},
+        DeepKillCase{"TMIN_delay2", NetworkKind::kTMIN,
+                     FlowControlScheme::kCredit, 2, 0x3265e57fea3ea56fULL,
+                     1315},
+        DeepKillCase{"BMIN_1vc_delay0", NetworkKind::kBMIN,
+                     FlowControlScheme::kCredit, 0, 0xbb2f78a228d41ae1ULL,
+                     1277},
+        DeepKillCase{"BMIN_1vc_delay2", NetworkKind::kBMIN,
+                     FlowControlScheme::kCredit, 2, 0xe40d4edcbca371d0ULL,
+                     1176},
+        DeepKillCase{"TMIN_onoff_delay0", NetworkKind::kTMIN,
+                     FlowControlScheme::kOnOff, 0, 0x5d84c14bd0cf9a21ULL,
+                     1311},
+        DeepKillCase{"TMIN_onoff_delay2", NetworkKind::kTMIN,
+                     FlowControlScheme::kOnOff, 2, 0xec7a45b5559d4942ULL,
+                     1243}),
+    [](const ::testing::TestParamInfo<DeepKillCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // Repair brings a disconnected pair back: the same pair that a permanent
 // kill terminates is delivered once the plan's repair_cycle has passed.

@@ -13,6 +13,7 @@
 
 #include "experiment/figures.hpp"
 #include "experiment/results_json.hpp"
+#include "experiment/run_options.hpp"
 #include "experiment/sweep.hpp"
 #include "partition/channel_usage.hpp"
 #include "partition/cluster.hpp"
@@ -582,10 +583,9 @@ TEST(ResultWriter, WritesAndReadsBackThroughTheFilesystem) {
 
 TEST(ResultWriter, JsonDirComesFromEnvironment) {
   unsetenv("WORMSIM_JSON_DIR");
-  EXPECT_FALSE(json_dir_from_env().has_value());
+  EXPECT_TRUE(experiment::RunOptions::from_env().json_dir.empty());
   setenv("WORMSIM_JSON_DIR", "/tmp/worm-results", 1);
-  ASSERT_TRUE(json_dir_from_env().has_value());
-  EXPECT_EQ(*json_dir_from_env(), "/tmp/worm-results");
+  EXPECT_EQ(experiment::RunOptions::from_env().json_dir, "/tmp/worm-results");
   unsetenv("WORMSIM_JSON_DIR");
 }
 

@@ -36,9 +36,6 @@ struct EngineTestPeer {
   }
   static util::DenseBitset& header_bits(Engine& e) { return e.header_bits_; }
   static std::size_t header_count(const Engine& e) { return e.header_count_; }
-  static std::vector<std::uint32_t>& channel_sources(Engine& e) {
-    return e.channel_sources_;
-  }
   static util::DenseBitset& seed_bits(Engine& e) { return e.seed_bits_; }
   static util::DenseBitset& next_pass(Engine& e) { return e.next_pass_; }
   static std::vector<std::uint8_t>& tx_pending_flag(Engine& e) {
@@ -49,13 +46,12 @@ struct EngineTestPeer {
   static std::int64_t& worms_in_flight(Engine& e) {
     return e.worms_in_flight_;
   }
-  static std::uint64_t epoch(const Engine& e) { return e.epoch_; }
   static std::uint64_t cycle(const Engine& e) { return e.cycle_; }
   static FlowControlState& fc(Engine& e) { return e.fc_; }
   static util::DenseBitset& channel_faulty(Engine& e) {
     return e.channel_faulty_;
   }
-  static bool& fault_any(Engine& e) { return e.fault_any_; }
+  static bool& fault_applied(Engine& e) { return e.fault_state_.applied; }
   static std::vector<topology::LaneId>& switch_input_lanes(Engine& e) {
     return e.switch_input_lanes_;
   }
@@ -219,10 +215,10 @@ TEST_F(EngineCorruption, StaleEpochStampCaught) {
       {
         const LaneId lane = buffered_lane();
         EngineTestPeer::fc(engine_).stamp[lane] =
-            EngineTestPeer::epoch(engine_) + 7;
+            EngineTestPeer::cycle(engine_) + 7;
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
-      "invariant 'stale-epoch-stamp'.*ahead of the engine epoch");
+      "invariant 'stale-epoch-stamp'.*ahead of the current cycle");
 }
 
 TEST_F(EngineCorruption, DoubleGrantedOutputCaught) {
@@ -305,16 +301,6 @@ TEST_F(EngineCorruption, MissingHeaderEntryCaught) {
       "invariant 'header-set'.*missing from header_lanes_");
 }
 
-TEST_F(EngineCorruption, ChannelSourceCounterCaught) {
-  step_until([&] { return buffered_lane() != kInvalidId; });
-  EXPECT_DEATH(
-      {
-        ++EngineTestPeer::channel_sources(engine_)[0];
-        EngineTestPeer::validator(engine_).check_cycle_end();
-      },
-      "invariant 'channel-sources'.*counter says");
-}
-
 TEST_F(EngineCorruption, DroppedSeedBitCaught) {
   // Wait until an ejection channel is allocated with a flit waiting:
   // that channel can certainly transmit next cycle (an ejecting lane
@@ -334,7 +320,7 @@ TEST_F(EngineCorruption, DroppedSeedBitCaught) {
   EXPECT_DEATH(
       {
         // Clear the scheduled channel's seed bit: the engine would
-        // silently skip its move next epoch.
+        // silently skip its move next cycle.
         EngineTestPeer::seed_bits(engine_).clear(ready_ejection());
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
@@ -465,7 +451,7 @@ TEST_F(EngineCorruption, FlitsOnDeadChannelTripFaultQuiescence) {
         // draining it — leaked kill state the quiescence sweep must catch.
         const LaneId lane = buffered_lane();
         EngineTestPeer::channel_faulty(engine_).set(net_.lane(lane).channel);
-        EngineTestPeer::fault_any(engine_) = true;
+        EngineTestPeer::fault_applied(engine_) = true;
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
       "invariant 'fault-quiescence'.*still buffers");
@@ -504,7 +490,7 @@ TEST_F(EngineCorruption, StarvedHeaderTripsFaultRoutability) {
         for (const LaneId c : candidates) {
           EngineTestPeer::channel_faulty(engine_).set(net_.lane(c).channel);
         }
-        EngineTestPeer::fault_any(engine_) = true;
+        EngineTestPeer::fault_applied(engine_) = true;
         EngineTestPeer::validator(engine_).check_cycle_end();
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
