@@ -10,11 +10,11 @@
 #include <iostream>
 #include <sstream>
 
-#include "analysis/utilization.hpp"
 #include "experiment/figures.hpp"
 #include "partition/cluster.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
+#include "telemetry/heatmap.hpp"
 #include "topology/network.hpp"
 #include "traffic/workload.hpp"
 #include "util/cli.hpp"
@@ -61,14 +61,16 @@ void run_case(const topology::NetworkConfig& config,
             << (result.sustainable() ? "sustainable" : "UNSUSTAINABLE")
             << "\n";
   util::Table table({"level", "role", "channels", "mean util%", "max util%"});
-  for (const analysis::LevelUtilization& level : analysis::summarize_utilization(
-           net, result.channel_busy_cycles, sim_config.measure_cycles)) {
+  for (const telemetry::StageRow& row :
+       telemetry::build_heatmap(net, result.telemetry_counters,
+                                sim_config.measure_cycles)
+           .stages) {
     table.row()
-        .cell(static_cast<std::uint64_t>(level.level))
-        .cell(analysis::role_name(level.role))
-        .cell(level.channel_count)
-        .cell(level.mean * 100, 1)
-        .cell(level.max * 100, 1);
+        .cell(static_cast<std::uint64_t>(row.conn_index))
+        .cell(topology::role_name(row.role))
+        .cell(static_cast<std::uint64_t>(row.cells.size()))
+        .cell(row.mean_utilization * 100, 1)
+        .cell(row.max_utilization * 100, 1);
   }
   table.print(std::cout);
 }

@@ -94,7 +94,8 @@ int main(int argc, char** argv) {
         .cell(static_cast<std::uint64_t>(schedule->round_count()))
         .cell(static_cast<std::uint64_t>(schedule->message_count()))
         .cell(makespan)
-        .cell(static_cast<double>(makespan) / 20.0, 1);
+        .cell(static_cast<double>(makespan) / topology::kFlitsPerMicrosecond,
+              1);
   }
   table.print(std::cout);
   return 0;

@@ -216,28 +216,24 @@ int report_stalls(const std::string& figure, double load,
               << " us  " << (point.sustainable ? "sustainable" : "SATURATED")
               << "  (" << summary.delivered << " worms, "
               << summary.unfinished << " unfinished)\n";
-    const double fpus = result.flits_per_microsecond;
     util::Table table({"component", "mean_cycles", "mean_us", "p95_cycles"});
-    table.row().cell(std::string("queue"))
-        .cell(summary.queue_cycles.mean(), 1)
-        .cell(summary.queue_cycles.mean() / fpus, 2);
+    const auto component = [&table](const char* name,
+                                    const util::OnlineStats& cycles)
+        -> util::Table& {
+      return table.row()
+          .cell(std::string(name))
+          .cell(cycles.mean(), 1)
+          .cell(cycles.mean() / topology::kFlitsPerMicrosecond, 2);
+    };
+    component("queue", summary.queue_cycles);
     p95_cell(table, summary.queue_p95_cycles);
-    table.row().cell(std::string("routing"))
-        .cell(summary.routing_cycles.mean(), 1)
-        .cell(summary.routing_cycles.mean() / fpus, 2);
+    component("routing", summary.routing_cycles);
     p95_cell(table, summary.routing_p95_cycles);
-    table.row().cell(std::string("blocked"))
-        .cell(summary.blocked_cycles.mean(), 1)
-        .cell(summary.blocked_cycles.mean() / fpus, 2);
+    component("blocked", summary.blocked_cycles);
     p95_cell(table, summary.blocked_p95_cycles);
-    table.row().cell(std::string("streaming"))
-        .cell(summary.streaming_cycles.mean(), 1)
-        .cell(summary.streaming_cycles.mean() / fpus, 2);
+    component("streaming", summary.streaming_cycles);
     p95_cell(table, summary.streaming_p95_cycles);
-    table.row().cell(std::string("total"))
-        .cell(summary.total_cycles.mean(), 1)
-        .cell(summary.total_cycles.mean() / fpus, 2)
-        .cell(std::string("-"));
+    component("total", summary.total_cycles).cell(std::string("-"));
     table.print(std::cout);
 
     std::cout << "  blocked intervals " << summary.blocked_intervals
@@ -292,10 +288,8 @@ int report_stalls(const std::string& figure, double load,
         std::cerr << "cannot write '" << path.string() << "'\n";
         return 1;
       }
-      telemetry::WormChromeOptions chrome_options;
-      chrome_options.flits_per_microsecond = fpus;
-      const std::size_t slices = telemetry::write_worm_trace_chrome(
-          *result.worm_trace, out, chrome_options);
+      const std::size_t slices =
+          telemetry::write_worm_trace_chrome(*result.worm_trace, out);
       std::cout << "  wrote " << slices << " slices to " << path.string()
                 << "\n";
     }

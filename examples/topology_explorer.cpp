@@ -9,7 +9,6 @@
 
 #include <iostream>
 
-#include "analysis/utilization.hpp"
 #include "topology/network.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -113,7 +112,7 @@ int main(int argc, char** argv) {
   for (const topology::PhysChannel& ch : net.channels()) {
     table.row()
         .cell(static_cast<std::uint64_t>(ch.id))
-        .cell(analysis::role_name(ch.role))
+        .cell(topology::role_name(ch.role))
         .cell(static_cast<std::uint64_t>(ch.conn_index))
         .cell(addr.format(ch.address))
         .cell(endpoint_name(ch.src))

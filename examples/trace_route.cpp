@@ -8,7 +8,6 @@
 
 #include <iostream>
 
-#include "analysis/utilization.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
 #include "topology/network.hpp"
@@ -89,7 +88,7 @@ int main(int argc, char** argv) {
   auto lane_name = [&](topology::LaneId lane) {
     if (lane == topology::kInvalidId) return std::string("-");
     const topology::PhysChannel& ch = net.lane_channel(lane);
-    std::string out = analysis::role_name(ch.role);
+    std::string out = topology::role_name(ch.role);
     out += " ch";
     out += std::to_string(ch.id);
     if (ch.num_lanes > 1) {

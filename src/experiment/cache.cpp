@@ -170,7 +170,6 @@ std::string ResultCache::fingerprint(const SeriesSpec& spec, double load,
   key.field("sim.sustainable_queue_limit",
             sim_config.sustainable_queue_limit);
   key.field("sim.queue_capacity", sim_config.queue_capacity);
-  key.field("sim.flits_per_microsecond", sim_config.flits_per_microsecond);
   key.field("sim.deadlock_watchdog_cycles",
             sim_config.deadlock_watchdog_cycles);
   key.field("sim.buffer_depth", sim_config.buffer_depth);
@@ -180,7 +179,6 @@ std::string ResultCache::fingerprint(const SeriesSpec& spec, double load,
   key.field("sim.fault_fraction", sim_config.fault_fraction);
   key.field("sim.fault_seed", sim_config.fault_seed);
   key.field("sim.fault_at_cycle", sim_config.fault_at_cycle);
-  key.field("sim.fault_repair_cycle", sim_config.fault_repair_cycle);
   // implicit_topology is deliberately NOT keyed: both backends produce
   // bitwise-identical results (tests/implicit_test.cpp pins it), so a
   // point computed on either backend answers for both.

@@ -75,14 +75,14 @@ SweepPoint run_point(const SeriesSpec& spec, double load,
   point.latency_p99_us = result.latency_quantile_us(0.99);
   point.network_latency_us = result.mean_network_latency_us();
   point.queueing_us =
-      result.queueing_cycles.mean() / result.flits_per_microsecond;
+      result.queueing_cycles.mean() / topology::kFlitsPerMicrosecond;
   point.sustainable = result.sustainable(sim_config.sustainable_queue_limit);
   point.max_source_queue = result.max_source_queue;
   point.delivered_messages = result.delivered_messages_total;
   point.delivery_fraction = result.delivery_fraction();
   point.terminated_messages = result.terminated_messages;
   point.time_to_drain_us = static_cast<double>(result.time_to_drain_cycles) /
-                           result.flits_per_microsecond;
+                           topology::kFlitsPerMicrosecond;
   point.saturation_onset_cycle = result.saturation_onset_cycle;
   point.fault_onset_cycle = result.fault_onset_cycle;
   if (full_result != nullptr) *full_result = std::move(result);

@@ -46,9 +46,6 @@ struct SimConfig {
   /// marked unsustainable.
   std::uint64_t queue_capacity = 1'500;
 
-  /// Channel bandwidth: 20 flits/microsecond, i.e. 1 cycle = 0.05 us.
-  double flits_per_microsecond = 20.0;
-
   // ---- Flow control (src/sim/flow_control/) ---------------------------
   // The defaults reproduce the paper's model bitwise: credit-based
   // wormhole with single-flit buffers and instant credit return is
@@ -72,8 +69,7 @@ struct SimConfig {
 
   /// Telemetry collection (per-lane counters, interval sampling); all off
   /// by default and near-free when off.  Results land in
-  /// SimResult::telemetry_counters / telemetry_samples, and the counters
-  /// also fill SimResult::channel_busy_cycles.
+  /// SimResult::telemetry_counters / telemetry_samples.
   telemetry::TelemetryConfig telemetry;
 
   /// Runtime invariant checking (src/sim/validate.hpp): a read-only
@@ -110,18 +106,12 @@ struct SimConfig {
   /// WORMSIM_FAULT_SEED / --fault-seed.
   std::uint64_t fault_seed = 1;
   /// Cycle the kill lands (start of cycle, before arrivals); 0 = the
-  /// channels are dead from the first cycle.  Also settable via
-  /// WORMSIM_FAULT_AT_CYCLE / --fault-at-cycle.
+  /// channels are dead from the first cycle.  A kill is permanent.  Also
+  /// settable via WORMSIM_FAULT_AT_CYCLE / --fault-at-cycle.
   std::uint64_t fault_at_cycle = 0;
-  /// Cycle the faulted channels come back, ~0 (default) = permanent.
-  /// Test/API-only knob — not exposed on the CLI.
-  std::uint64_t fault_repair_cycle = ~std::uint64_t{0};
 
   std::uint64_t total_cycles() const {
     return warmup_cycles + measure_cycles + drain_cycles;
-  }
-  double microseconds(double cycles) const {
-    return cycles / flits_per_microsecond;
   }
 };
 

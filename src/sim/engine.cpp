@@ -120,11 +120,10 @@ Engine::Engine(const topology::NetView& network,
 
   result_.measure_cycles = config_.measure_cycles;
   result_.node_count = network_.node_count();
-  result_.flits_per_microsecond = config_.flits_per_microsecond;
   if (config_.fault_fraction > 0.0) {
     fault_state_.plan = fault_injection::build_fault_plan(
         network_, config_.fault_fraction, config_.fault_seed,
-        config_.fault_at_cycle, config_.fault_repair_cycle);
+        config_.fault_at_cycle);
     fault_injection::validate_plan(network_, fault_state_.plan);
   }
   if (config_.validate) validator_ = std::make_unique<EngineValidator>(*this);
@@ -320,9 +319,9 @@ bool Engine::route_and_allocate() {
       free_lanes.push_back(lane);
     }
     if (cand_count > 0 && !any_alive) {
-      // Every legal lane is dead: the worm can never progress (only a
-      // repair could save it, and waiting would either trip the deadlock
-      // watchdog or hold buffers hostage indefinitely).  Terminate it —
+      // Every legal lane is dead: the worm can never progress (kills are
+      // permanent, and waiting would either trip the deadlock watchdog or
+      // hold buffers hostage indefinitely).  Terminate it —
       // truncate-and-account, DESIGN.md §14.  Non-adaptive TMIN worms
       // whose unique path died land here; adaptive networks only when
       // the fault fraction disconnects the pair outright.
@@ -346,8 +345,8 @@ bool Engine::route_and_allocate() {
         return std::pair{cand_count == 0 ? kInvalidId : cand[0], false};
       });
       // With every candidate allocated or dead, only a release at this
-      // switch or a fault transition can change the outcome: sleep until
-      // one does.  A credit-short lane can refill without either, so a
+      // switch or a fault kill can change the outcome: sleep until one
+      // does.  A credit-short lane can refill without either, so a
       // header that met one stays awake.
       if (credit_gated == kInvalidId && cand_count > 0) sleep_header(pos);
       return;
@@ -474,9 +473,7 @@ std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
   fc_return_slots(lane, removed);
   // Freed slots may unblock a sender of a surviving worm on this lane.
   const ChannelId lane_ch = lane_channel_[lane];
-  if (!channel_faulty_.test(lane_ch) && has_source(lane_ch)) {
-    schedule_channel(lane_ch);
-  }
+  if (!channel_faulty_.test(lane_ch)) schedule_channel(lane_ch);
   observers_.discarded(lane, removed);
   return removed;
 }
@@ -526,7 +523,7 @@ void Engine::terminate_worm(PacketId pid) {
 
 void Engine::apply_fault_plan() {
   fault_state_.applied = true;
-  observers_.fault(cycle_, "kill", fault_state_.plan.channels.size());
+  observers_.fault(cycle_, fault_state_.plan.channels.size());
   const std::vector<ChannelId>& channels = fault_state_.plan.channels;
   for (const ChannelId ch : channels) channel_faulty_.set(ch);
   // A sleeper may have just lost its last live candidate (routing must
@@ -558,17 +555,6 @@ void Engine::apply_fault_plan() {
     if (pid == kNoPacket) continue;
     if (!packets_[pid].terminated()) terminate_worm(pid);
   }
-}
-
-void Engine::repair_fault_plan() {
-  fault_state_.repaired = true;
-  observers_.fault(cycle_, "repair", fault_state_.plan.channels.size());
-  for (const ChannelId ch : fault_state_.plan.channels) {
-    channel_faulty_.clear(ch);
-  }
-  // A repaired candidate may be free: every sleeper re-arbitrates, and
-  // new grants re-seed the repaired channels.
-  wake_all();
 }
 
 int Engine::decide_channel(ChannelId ch_id) {
@@ -859,14 +845,8 @@ void Engine::drain_flow_control_events() {
     if (now_sendable) {
       fc_close_starve(ev.lane);
       // Wake the sender: schedule its channel for this cycle's advance
-      // (the drain runs before the phases).  Source-less channels have
-      // nothing to send; skipping them keeps the seed set exact.  The
-      // lane's own allocation, usually the sender, answers most events
-      // without has_source's walk over the channel.
-      const ChannelId ch = lane_channel_[ev.lane];
-      if (alloc_owner_[ev.lane] != kInvalidId || has_source(ch)) {
-        schedule_channel(ch);
-      }
+      // (the drain runs before the phases).
+      schedule_channel(lane_channel_[ev.lane]);
     }
   }
 }
@@ -978,14 +958,10 @@ void Engine::advance_pass() {
     schedule_channel(ch);
     // Nothing upstream, or credits are delayed: then the freed slot
     // reaches its sender in a later cycle, so a re-try could only repeat
-    // a failure and the fixpoint is one pass.
+    // a failure and the fixpoint is one pass.  A sender that already
+    // moved this cycle, or has nothing to send, fails its re-try at once.
     if (popped_ == kInvalidId || fc_.delay > 0) return;
     const ChannelId u = lane_channel_[popped_];
-    if (channel_used_cycle_[u] == cycle_ || !has_source(u)) {
-      // The sender upstream already transmitted this cycle (its own move
-      // rescheduled it for the next one), or there is none.
-      return;
-    }
     if (u > ch) {
       cur_pass_.set(u);  // the ascending scan has not reached u yet
     } else {
@@ -1006,11 +982,10 @@ void Engine::step() {
     drain_flow_control_events();
     observers_.lap(EnginePhase::kFlowControl);
   }
-  const bool kill = fault_state_.kill_due(cycle_);
-  if (kill) apply_fault_plan();
-  const bool repair = fault_state_.repair_due(cycle_);
-  if (repair) repair_fault_plan();
-  if (kill || repair) observers_.lap(EnginePhase::kFault);
+  if (fault_state_.kill_due(cycle_)) {
+    apply_fault_plan();
+    observers_.lap(EnginePhase::kFault);
+  }
   generate_arrivals();
   observers_.lap(EnginePhase::kArrivals);
   if (start_transmissions()) observers_.lap(EnginePhase::kStartTx);
@@ -1073,10 +1048,6 @@ void Engine::report_deadlock() const {
                "(%lld flits stuck)\n",
                static_cast<unsigned long long>(cycle_),
                static_cast<long long>(occupied_));
-  std::size_t sourced = 0;
-  for (ChannelId ch = 0; ch < network_.channel_count(); ++ch) {
-    sourced += has_source(ch) ? 1 : 0;
-  }
   std::size_t calendar = 0;
   for (NodeId head : wheel_head_) {
     for (NodeId node = head; node != kInvalidId; node = wheel_next_[node]) {
@@ -1084,10 +1055,10 @@ void Engine::report_deadlock() const {
     }
   }
   std::fprintf(stderr,
-               "  active sets: %zu channels with sources, %zu seeded for "
-               "next cycle, %zu unrouted headers (%zu asleep), %zu "
-               "tx-pending nodes, %zu calendar entries\n",
-               sourced, seed_bits_.count(), header_count_, sleep_count_,
+               "  active sets: %zu channels seeded for next cycle, %zu "
+               "unrouted headers (%zu asleep), %zu tx-pending nodes, %zu "
+               "calendar entries\n",
+               seed_bits_.count(), header_count_, sleep_count_,
                tx_pending_.size(), calendar);
   for (LaneId lane = 0; lane < fc_.lanes; ++lane) {
     if (fc_.count[lane] == 0) continue;

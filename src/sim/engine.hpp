@@ -12,8 +12,8 @@
 //      forward BMIN channels).  The claimed lane stays allocated to the
 //      worm until its tail flit crosses it.  A header whose candidates
 //      are all allocated or dead sleeps until its switch releases a lane
-//      or a fault transition happens, instead of being denied again every
-//      cycle (DESIGN.md §7).
+//      or a fault kill lands, instead of being denied again every cycle
+//      (DESIGN.md §7).
 //   3. *Advance* — flits move one hop.  Each physical channel carries at
 //      most one flit per cycle; when several virtual-channel lanes of a
 //      channel are ready, a round-robin pointer picks one (flit-level fair
@@ -37,10 +37,9 @@
 //
 // The hot loop is event-driven (DESIGN.md "Engine hot loop"): each phase
 // visits only the entities that can make progress — the bitmap of
-// channels with a potential transmit source, the bitmap of switch input
-// lanes holding an unrouted header less those asleep, the wheel of
-// pending arrival times — instead of scanning the whole network every
-// cycle.  All hot
+// channels an event scheduled, the bitmap of switch input lanes holding
+// an unrouted header less those asleep, the wheel of pending arrival
+// times — instead of scanning the whole network every cycle.  All hot
 // state lives in flat structure-of-arrays form (DESIGN.md §12): per-lane
 // arrays, per-channel arrays, per-node arrays, and dense bitsets whose
 // ascending count-trailing-zeros scan reproduces the original sorted
@@ -244,14 +243,11 @@ class Engine {
   [[noreturn]] void report_deadlock() const;
 
   // ---- Runtime fault injection (src/sim/fault_injection/) -------------
-  /// Kill transition: marks the plan's channels faulty and terminates
+  /// The kill: marks the plan's channels faulty for good and terminates
   /// every worm resident in, streaming through, or allocated onto a dead
   /// lane (DESIGN.md §14 — a dead channel takes its input buffers with
   /// it).  Runs at the top of step(), before arrivals.
   void apply_fault_plan();
-  /// Repair transition: clears the plan's faulty bits and wakes every
-  /// sleeping header, whose dead candidates may now be free.
-  void repair_fault_plan();
   /// The worm currently streaming through input lane `u` (route held):
   /// the buffered head if the FIFO is nonempty, else the chain is walked
   /// upstream through alloc_owner_ to the worm's flits or its still-
@@ -281,10 +277,10 @@ class Engine {
 
   // ---- Flow control (src/sim/flow_control/) ---------------------------
   /// Delivers every backpressure event due this cycle: credits return to
-  /// their sender, on/off signals flip the stop bit, and a sender that
-  /// becomes able to transmit again is re-seeded.  Called at the top of
-  /// step(), before the phases, so a credit due at cycle T is usable at
-  /// cycle T (consistent with the delay -> 0 limit).
+  /// their sender, on/off signals flip the stop bit, and the channel of a
+  /// sender that becomes able to transmit again is scheduled.  Called at
+  /// the top of step(), before the phases, so a credit due at cycle T is
+  /// usable at cycle T (consistent with the delay -> 0 limit).
   void drain_flow_control_events();
   /// Pushes one flit into `lane`'s input FIFO and runs the sender-side
   /// accounting (credit decrement / STOP emission).  Returns true when
@@ -321,30 +317,15 @@ class Engine {
   /// upcoming one when called from the arrival/routing phases, the next
   /// cycle's when called mid-advance).  Every event that can newly make a
   /// channel ready calls this: a grant, a transmission start, a flit
-  /// arriving onto a lane with a route, or a buffer freed behind a
-  /// channel that already transmitted this cycle.  Setting a bit is the
-  /// dedup.
+  /// arriving onto a lane with a route, a credit or GO reaching a sender,
+  /// or slots a kill freed.  Setting a bit is the dedup.  A scheduled
+  /// channel with nothing to send costs one failed try (DESIGN.md §7).
   void schedule_channel(topology::ChannelId ch) { seed_bits_.set(ch); }
-
-  /// True when `ch` has a potential transmit source: its source node is
-  /// transmitting, or one of its lanes is allocated to a worm.  Unblock
-  /// events on a source-less channel are noise and schedule nothing.
-  bool has_source(topology::ChannelId ch) const {
-    const std::uint32_t src_node = ch_src_node_[ch];
-    if (src_node != topology::kInvalidId) {
-      return node_tx_packet_[src_node] != kNoPacket;
-    }
-    const topology::LaneId first = ch_first_lane_[ch];
-    for (unsigned v = 0; v < ch_num_lanes_[ch]; ++v) {
-      if (alloc_owner_[first + v] != topology::kInvalidId) return true;
-    }
-    return false;
-  }
 
   // ---- Sleeping headers (DESIGN.md §7, §10) ----------------------------
   /// Puts the header at scan position `pos`, just denied with every
   /// candidate allocated or dead, to sleep: routing skips it until its
-  /// switch releases an allocation or a fault transition wakes it.
+  /// switch releases an allocation or a fault kill wakes it.
   void sleep_header(std::uint32_t pos) {
     const std::uint32_t sw = pos_switch_[pos];
     sleep_bits_.set(pos);
@@ -357,8 +338,8 @@ class Engine {
   /// `out_lane`, just released, among their candidates.  The others
   /// would be denied again with the same culprit, so they sleep on.
   void wake_waiters(topology::LaneId in_lane, topology::LaneId out_lane);
-  /// Wakes every sleeper (a fault kill or repair changes which lanes are
-  /// dead at any switch).
+  /// Wakes every sleeper (a fault kill changes which lanes are dead at
+  /// any switch).
   void wake_all();
   /// Charges the denials the header at `pos` skipped while asleep, from
   /// sleep_since_[pos] through the previous cycle, to the observers.
@@ -427,9 +408,9 @@ class Engine {
   // multi-pass scan.
   bool chase_ = false;
 
-  // Runtime fault plan and its transition bookkeeping; applied stays
-  // true once the kill has fired, so the zero-fault hot paths and
-  // validator sweeps stay branch-cheap.
+  // Runtime fault plan and its kill bookkeeping; applied stays true once
+  // the kill has fired, so the zero-fault hot paths and validator sweeps
+  // stay branch-cheap.
   fault_injection::FaultState fault_state_;
 
   // Lanes whose buffer sits at a switch, in scan order for routing, and
@@ -478,7 +459,7 @@ class Engine {
 
   // Sleeping headers, a subset of header_bits_ (DESIGN.md §7): denied
   // with every candidate allocated or dead, so only a release at their
-  // switch or a fault transition can change their outcome.  sleep_bits_
+  // switch or a fault kill can change their outcome.  sleep_bits_
   // masks them out of the routing walk; each switch's sleepers form a
   // singly linked list (sleep_head_ per switch, sleep_next_ per scan
   // position) that a release there wakes in one go.  sleep_since_ is the

@@ -23,11 +23,9 @@ void insert_sorted_unique(std::vector<topology::ChannelId>& channels,
 }  // namespace
 
 FaultPlan build_fault_plan(const topology::NetView& view, double fraction,
-                           std::uint64_t seed, std::uint64_t at_cycle,
-                           std::uint64_t repair_cycle) {
+                           std::uint64_t seed, std::uint64_t at_cycle) {
   FaultPlan plan;
   plan.at_cycle = at_cycle;
-  plan.repair_cycle = repair_cycle;
   if (fraction <= 0.0) return plan;
   WORMSIM_CHECK_MSG(fraction <= 1.0, "fault fraction must be in [0, 1]");
   // One Bernoulli draw per interior channel in ascending id order: the

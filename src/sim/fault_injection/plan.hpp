@@ -1,8 +1,8 @@
 // Deterministic runtime fault plans (ROADMAP item 5, DESIGN.md §14).
 //
 // A FaultPlan is the full description of one fault scenario: the set of
-// interior (switch<->switch) channels to kill, the cycle the kill lands,
-// and an optional repair cycle.  Plans are built *before* the run from a
+// interior (switch<->switch) channels to kill and the cycle the kill
+// lands; a kill is permanent.  Plans are built *before* the run from a
 // dedicated seed — never from the engine's traffic RNG — so the same
 // (topology, fraction, seed) triple names the same dead-channel set on
 // every engine and backend, and the static
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/packet.hpp"
 #include "topology/net_view.hpp"
 
 namespace wormsim::sim::fault_injection {
@@ -27,8 +26,6 @@ struct FaultPlan {
   std::vector<topology::ChannelId> channels;
   /// Cycle the kill is applied (start of the cycle, before arrivals).
   std::uint64_t at_cycle = 0;
-  /// Cycle the channels come back, kNoCycle for a permanent fault.
-  std::uint64_t repair_cycle = kNoCycle;
 
   bool empty() const { return channels.empty(); }
 };
@@ -36,10 +33,9 @@ struct FaultPlan {
 /// Seed-driven plan: every switch<->switch channel dies independently
 /// with probability `fraction`, drawn from a dedicated Rng(seed) in
 /// ascending channel-id order (backend-independent).  `fraction <= 0`
-/// returns an empty plan; repair_cycle = kNoCycle means no repair.
+/// returns an empty plan.
 FaultPlan build_fault_plan(const topology::NetView& view, double fraction,
-                           std::uint64_t seed, std::uint64_t at_cycle,
-                           std::uint64_t repair_cycle = kNoCycle);
+                           std::uint64_t seed, std::uint64_t at_cycle);
 
 /// Adds one interior channel to `plan` (keeps the list sorted unique).
 /// Aborts on injection/ejection channels.

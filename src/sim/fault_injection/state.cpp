@@ -6,10 +6,6 @@ namespace wormsim::sim::fault_injection {
 
 void validate_plan(const topology::NetView& view, const FaultPlan& plan) {
   if (plan.empty()) return;
-  if (plan.repair_cycle != kNoCycle) {
-    WORMSIM_CHECK_MSG(plan.repair_cycle > plan.at_cycle,
-                      "fault repair must come after the kill");
-  }
   topology::ChannelId prev = topology::kInvalidId;
   for (const topology::ChannelId id : plan.channels) {
     WORMSIM_CHECK_MSG(id < view.channel_count(),

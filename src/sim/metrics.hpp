@@ -10,6 +10,7 @@
 #include "telemetry/profiler.hpp"
 #include "telemetry/run_monitor.hpp"
 #include "telemetry/sampler.hpp"
+#include "topology/network.hpp"
 #include "util/stats.hpp"
 
 namespace wormsim::telemetry {
@@ -51,15 +52,10 @@ struct SimResult {
 
   std::uint64_t measure_cycles = 0;
   std::uint64_t node_count = 0;
-  double flits_per_microsecond = 20.0;
-
-  /// Busy cycles per physical channel over the measurement window, the
-  /// per-channel sums of telemetry_counters.lane_flits (empty unless
-  /// SimConfig::telemetry.counters).
-  std::vector<std::uint64_t> channel_busy_cycles;
 
   /// Measurement-window telemetry counters (empty unless
-  /// SimConfig::telemetry.counters); feed telemetry::build_heatmap.
+  /// SimConfig::telemetry.counters); feed telemetry::build_heatmap, and
+  /// Counters::channel_flits gives a channel's busy cycles.
   telemetry::Counters telemetry_counters;
   /// Interval snapshots in chronological order (empty unless
   /// SimConfig::telemetry.sampling).
@@ -120,17 +116,17 @@ struct SimResult {
   }
 
   double mean_latency_us() const {
-    return latency_cycles.mean() / flits_per_microsecond;
+    return latency_cycles.mean() / topology::kFlitsPerMicrosecond;
   }
   double mean_network_latency_us() const {
-    return network_latency_cycles.mean() / flits_per_microsecond;
+    return network_latency_cycles.mean() / topology::kFlitsPerMicrosecond;
   }
   /// Latency quantile in microseconds (upper bin edge).  +infinity when
   /// the quantile falls in the histogram's overflow bin (saturated runs
   /// with tail latencies beyond 60k cycles); callers that serialize this
   /// must handle the non-finite case explicitly.
   double latency_quantile_us(double q) const {
-    return latency_histogram.quantile(q) / flits_per_microsecond;
+    return latency_histogram.quantile(q) / topology::kFlitsPerMicrosecond;
   }
 };
 

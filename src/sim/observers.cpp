@@ -10,8 +10,7 @@ namespace wormsim::sim {
 
 Observers::Observers(const topology::NetView& network,
                      const SimConfig& config, const char* engine,
-                     telemetry::Counters* counters)
-    : network_(network) {
+                     telemetry::Counters* counters) {
   const telemetry::TelemetryConfig& tel = config.telemetry;
   if (counters != nullptr && tel.counters) {
     counters->resize_for(network.lane_count(), network.switch_count());
@@ -49,19 +48,11 @@ void Observers::finish(SimResult& result,
                        const telemetry::HeartbeatSnapshot& last,
                        double run_seconds) {
   result.telemetry_samples = sampler_.ordered();
-  if (counters_ != nullptr) {
-    // A channel moves at most one flit per cycle, so its lanes' crossings
-    // are its busy cycles.
-    result.channel_busy_cycles.resize(network_.channel_count());
-    for (topology::ChannelId ch = 0; ch < network_.channel_count(); ++ch) {
-      result.channel_busy_cycles[ch] = counters_->channel_flits(network_, ch);
-    }
-  }
   result.worm_trace = tracer_;
   if (monitor_) {
     monitor_->finalize(last, result.drained,
                        static_cast<double>(result.time_to_drain_cycles) /
-                           result.flits_per_microsecond);
+                           topology::kFlitsPerMicrosecond);
     result.saturation_onset_cycle = monitor_->saturation_onset_cycle();
     result.fault_onset_cycle = monitor_->fault_onset_cycle();
   }

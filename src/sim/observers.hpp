@@ -92,9 +92,9 @@ class Observers {
     heartbeat_next_ = boundary + monitor_->interval();
     return true;
   }
-  void fault(std::uint64_t cycle, const char* transition,
-             std::size_t channels) {
-    if (monitor_) monitor_->on_fault(cycle, transition, channels);
+  /// A fault kill of `channels` channels landed at `cycle`.
+  void fault(std::uint64_t cycle, std::size_t channels) {
+    if (monitor_) monitor_->on_fault(cycle, channels);
   }
   /// Per-stage sums of `held(lane)` over the stage lane intervals, for a
   /// heartbeat snapshot (empty when heartbeats are off).
@@ -191,10 +191,10 @@ class Observers {
     if (window_ != nullptr) window_->lane_fault_terminated[lane] += flits;
   }
 
-  /// Ends the run: copies the samples, fills the per-channel busy cycles
-  /// from the counters, finalizes the heartbeat stream with `last` (and
-  /// the drain verdict record_drain left in `result`), and copies the
-  /// onsets and the profile, whose engine wall time is `run_seconds`.
+  /// Ends the run: copies the samples and shares the worm trace,
+  /// finalizes the heartbeat stream with `last` (and the drain verdict
+  /// record_drain left in `result`), and copies the onsets and the
+  /// profile, whose engine wall time is `run_seconds`.
   void finish(SimResult& result, const telemetry::HeartbeatSnapshot& last,
               double run_seconds);
 
@@ -205,7 +205,6 @@ class Observers {
     sink_->on_event(TraceEvent{kind, cycle, id, seq, lane});
   }
 
-  const topology::NetView network_;
   TraceSink* sink_ = nullptr;
   // Window counters: counters_ is null when they are off, window_ is
   // counters_ inside the measurement window and null outside it.

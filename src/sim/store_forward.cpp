@@ -35,7 +35,7 @@ StoreForwardEngine::StoreForwardEngine(const topology::NetView& network,
   if (config_.fault_fraction > 0.0) {
     fault_state_.plan = fault_injection::build_fault_plan(
         network_, config_.fault_fraction, config_.fault_seed,
-        config_.fault_at_cycle, config_.fault_repair_cycle);
+        config_.fault_at_cycle);
     fault_injection::validate_plan(network_, fault_state_.plan);
   }
   node_pending_flag_.assign(network_.node_count(), 0);
@@ -50,7 +50,6 @@ StoreForwardEngine::StoreForwardEngine(const topology::NetView& network,
 
   result_.measure_cycles = config_.measure_cycles;
   result_.node_count = network_.node_count();
-  result_.flits_per_microsecond = config_.flits_per_microsecond;
 
   for (NodeId node = 0; node < network_.node_count(); ++node) {
     nodes_[node].active = traffic_ != nullptr && traffic_->node_active(node);
@@ -321,7 +320,7 @@ void StoreForwardEngine::terminate_packet(PacketId pkt_id) {
 
 void StoreForwardEngine::apply_fault_plan() {
   fault_state_.applied = true;
-  observers_.fault(now_, "kill", fault_state_.plan.channels.size());
+  observers_.fault(now_, fault_state_.plan.channels.size());
   for (const ChannelId ch_id : fault_state_.plan.channels) {
     channel_faulty_[ch_id] = 1;
     const PhysChannel ch = network_.channel(ch_id);
@@ -341,15 +340,6 @@ void StoreForwardEngine::apply_fault_plan() {
     // died must be terminated now, not parked waiting for a free event
     // that will never come.
     mark_channel_users(ch_id);
-  }
-}
-
-void StoreForwardEngine::repair_fault_plan() {
-  fault_state_.repaired = true;
-  observers_.fault(now_, "repair", fault_state_.plan.channels.size());
-  for (const ChannelId ch_id : fault_state_.plan.channels) {
-    channel_faulty_[ch_id] = 0;
-    mark_channel_users(ch_id);  // blocked senders may route again
   }
 }
 
@@ -383,7 +373,6 @@ void StoreForwardEngine::process(const Event& event) {
     return heartbeat_snapshot(boundary);
   });
   if (fault_state_.kill_due(now_)) apply_fault_plan();
-  if (fault_state_.repair_due(now_)) repair_fault_plan();
   while (!free_calendar_.empty() && free_calendar_.top().first <= now_) {
     mark_channel_users(free_calendar_.top().second);
     free_calendar_.pop();

@@ -160,7 +160,6 @@ class StoreForwardEngine {
   /// caller's job.
   void terminate_packet(PacketId pkt);
   void apply_fault_plan();
-  void repair_fault_plan();
   bool lane_has_space(topology::LaneId lane) const;
   bool idle() const;
   /// Deterministic heartbeat snapshot at cadence boundary `cycle`
@@ -192,11 +191,11 @@ class StoreForwardEngine {
   std::vector<NodeState> nodes_;
   std::vector<LaneState> lanes_;
   std::vector<std::uint64_t> channel_free_at_;
-  /// Dead physical channels (fault injection); drained lazily at the top
-  /// of process() once now_ reaches the plan's kill / repair cycles.
+  /// Dead physical channels (fault injection); set at the top of
+  /// process() once now_ reaches the plan's kill cycle.
   std::vector<std::uint8_t> channel_faulty_;
-  /// applied stays true once the kill has fired (also across a repair),
-  /// so the validator knows terminated packets may exist.
+  /// applied stays true once the kill has fired, so the validator knows
+  /// terminated packets may exist.
   fault_injection::FaultState fault_state_;
   std::int64_t in_flight_ = 0;
   std::int64_t queued_packets_ = 0;  ///< packets in node + lane queues

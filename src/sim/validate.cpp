@@ -706,7 +706,7 @@ void EngineValidator::check_fault_state() {
   // Fault quiescence: a dead channel takes its input buffers with it
   // (DESIGN.md §14), so between cycles its lanes must be fully drained —
   // no buffered flits, no allocation, no held route.  Anything left
-  // behind is leaked kill state that a later repair would resurrect.
+  // behind is leaked kill state.
   for (ChannelId ch_id = 0; ch_id < e_.network_.channel_count(); ++ch_id) {
     if (!e_.channel_faulty_.test(ch_id)) continue;
     const PhysChannel ch = e_.network_.channel(ch_id);

@@ -48,7 +48,7 @@ std::size_t write_chrome_trace(const std::vector<TraceEvent>& events,
     ++span.flits;
   }
 
-  const double scale = 1.0 / options.flits_per_microsecond;
+  const double scale = 1.0 / topology::kFlitsPerMicrosecond;
   JsonValue trace_events = JsonValue::array();
   std::set<std::int64_t> pids_seen;
   for (const auto& [key, span] : spans) {

@@ -7,8 +7,8 @@
 // the lane's channel until its tail crosses.  Blocking chains show up
 // visually as stacked long slices upstream of a contended lane.
 //
-// Timestamps are microseconds (cycle / flits_per_microsecond), matching
-// the paper's 20 flits/us channel clock.
+// Timestamps are microseconds (cycle / topology::kFlitsPerMicrosecond,
+// the paper's 20 flits/us channel clock).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 namespace wormsim::telemetry {
 
 struct ChromeTraceOptions {
-  double flits_per_microsecond = 20.0;
   /// Also emit process/thread name metadata events (nice in the viewer,
   /// noise in tests).
   bool metadata = true;

@@ -57,7 +57,7 @@ struct TelemetryConfig {
 
   /// Engine phase self-profiler (telemetry/profiler.hpp): attributes the
   /// run's wall time to the step() phases (arrivals, routing, advance
-  /// decide/apply, flow control, fault transitions, telemetry, validate)
+  /// decide/apply, flow control, the fault kill, telemetry, validate)
   /// and surfaces them in the RunManifest and `telemetry_report
   /// --profile`.  Defaults to WORMSIM_PROFILE.  Zero-feedback like the
   /// heartbeats; costs a few steady_clock reads per cycle when on.

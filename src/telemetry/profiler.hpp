@@ -1,7 +1,7 @@
 // Engine phase self-profiler (DESIGN.md §15).
 //
 // Attributes a run's wall time to the step() phases: flow-control event
-// drain, fault transitions, arrival generation (calendar maintenance
+// drain, the fault kill, arrival generation (calendar maintenance
 // included), transmission starts, routing/allocation, the advance
 // fixpoint, telemetry emission (sampling + heartbeats), and validator
 // sweeps.
@@ -23,7 +23,7 @@ namespace wormsim::telemetry {
 
 enum class EnginePhase : std::uint8_t {
   kFlowControl = 0,  ///< backpressure event drain (credits, on/off)
-  kFault,            ///< fault plan kill / repair transitions
+  kFault,            ///< the fault plan's kill
   kArrivals,         ///< arrival calendar drain + message creation
   kStartTx,          ///< source port transmission starts
   kRouting,          ///< header routing + lane allocation

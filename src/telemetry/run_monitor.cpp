@@ -207,17 +207,16 @@ void RunMonitor::on_heartbeat(const HeartbeatSnapshot& snap) {
   last_ = snap;
 }
 
-void RunMonitor::on_fault(std::uint64_t cycle, const char* transition,
-                          std::uint64_t channels) {
+void RunMonitor::on_fault(std::uint64_t cycle, std::uint64_t channels) {
   JsonValue line = JsonValue::object();
   line.set("type", "fault");
   line.set("cycle", cycle);
-  line.set("transition", transition);
+  line.set("transition", "kill");
   line.set("channels", channels);
   line.set("wall_seconds", wall_seconds());
   append_line(line);
-  // Fault transitions are rare and load-bearing for whoever is tailing
-  // the stream: sync immediately.
+  // A kill is rare and load-bearing for whoever is tailing the stream:
+  // sync immediately.
   stream_.flush();
 }
 

@@ -13,7 +13,7 @@
 //   {"type":"start", ...run identity, cadence, cycle budget...}
 //   {"type":"heartbeat","cycle":...,"phase":"warmup|measure|drain",
 //    counters..., "stage_occupancy":[...], wall-clock fields...}
-//   {"type":"fault","cycle":...,"transition":"kill|repair",...}
+//   {"type":"fault","cycle":...,"transition":"kill",...}
 //   {"type":"final","cycle":...,"drained":...,onset fields...}
 // Every field except `wall_seconds`, `cycles_per_second`, and
 // `window_cycles_per_second` is a pure function of the simulation
@@ -100,9 +100,8 @@ class RunMonitor {
 
   static constexpr double kSyncIntervalSeconds = 0.25;
 
-  /// Appends a fault transition line ("kill" or "repair").
-  void on_fault(std::uint64_t cycle, const char* transition,
-                std::uint64_t channels);
+  /// Appends the fault line of a kill of `channels` channels.
+  void on_fault(std::uint64_t cycle, std::uint64_t channels);
 
   /// Emits the final partial window (when the run length is not a
   /// multiple of the cadence), then the "final" line and the terminal

@@ -1,10 +1,10 @@
 #include "telemetry/worm_trace.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <ostream>
 #include <string>
 
+#include "telemetry/json.hpp"
 #include "util/check.hpp"
 
 namespace wormsim::telemetry {
@@ -314,97 +314,10 @@ WormTraceSummary summarize_worm_trace(const WormTracer& tracer,
   return summary;
 }
 
-namespace {
-
-/// mean/p95 pair with the results-JSON overflow convention: a p95 in the
-/// histogram's overflow bin serializes as null plus an `_overflow` flag.
-void set_component(JsonValue& parent, const std::string& name,
-                   const util::OnlineStats& stats, double p95_cycles,
-                   double flits_per_microsecond) {
-  JsonValue component = JsonValue::object();
-  component.set("mean_cycles", stats.mean());
-  component.set("mean_us", stats.mean() / flits_per_microsecond);
-  if (p95_cycles == std::numeric_limits<double>::infinity()) {
-    component.set("p95_cycles", JsonValue());
-    component.set("p95_overflow", true);
-  } else {
-    component.set("p95_cycles", p95_cycles);
-    component.set("p95_overflow", false);
-  }
-  parent.set(name, std::move(component));
-}
-
-}  // namespace
-
-JsonValue worm_trace_summary_to_json(const WormTraceSummary& summary,
-                                     double flits_per_microsecond) {
-  JsonValue json = JsonValue::object();
-  json.set("worms_delivered", summary.delivered);
-  json.set("worms_unfinished", summary.unfinished);
-  // Only present under fault injection, keeping fault-free results
-  // byte-identical to the pre-fault schema (same discipline as the
-  // credit_starvation section below).
-  if (summary.terminated > 0) {
-    json.set("worms_terminated", summary.terminated);
-  }
-  set_component(json, "queue", summary.queue_cycles,
-                summary.queue_p95_cycles, flits_per_microsecond);
-  set_component(json, "routing", summary.routing_cycles,
-                summary.routing_p95_cycles, flits_per_microsecond);
-  set_component(json, "blocked", summary.blocked_cycles,
-                summary.blocked_p95_cycles, flits_per_microsecond);
-  set_component(json, "streaming", summary.streaming_cycles,
-                summary.streaming_p95_cycles, flits_per_microsecond);
-  json.set("mean_total_cycles", summary.total_cycles.mean());
-  json.set("blocked_intervals", summary.blocked_intervals);
-  JsonValue chain = JsonValue::array();
-  for (std::uint64_t count : summary.chain_depth_histogram) {
-    chain.push_back(count);
-  }
-  json.set("chain_depth_histogram", std::move(chain));
-  JsonValue lanes = JsonValue::array();
-  for (const WormTraceSummary::CulpritLane& lane : summary.top_lanes) {
-    JsonValue entry = JsonValue::object();
-    entry.set("lane", static_cast<std::int64_t>(lane.lane));
-    entry.set("blocked_cycles", lane.cycles);
-    entry.set("intervals", lane.intervals);
-    lanes.push_back(std::move(entry));
-  }
-  json.set("top_culprit_lanes", std::move(lanes));
-  JsonValue worms = JsonValue::array();
-  for (const WormTraceSummary::CulpritWorm& worm : summary.top_worms) {
-    JsonValue entry = JsonValue::object();
-    entry.set("worm", static_cast<std::int64_t>(worm.worm));
-    entry.set("blocked_cycles", worm.cycles);
-    entry.set("intervals", worm.intervals);
-    worms.push_back(std::move(entry));
-  }
-  json.set("top_culprit_worms", std::move(worms));
-  // Only present when starvation actually occurred, so results from the
-  // legacy depth-1 / delay-0 model serialize byte-identically to before
-  // the flow-control subsystem existed.
-  if (summary.starved_cycles_total > 0) {
-    JsonValue starvation = JsonValue::object();
-    starvation.set("starved_cycles", summary.starved_cycles_total);
-    starvation.set("starved_worms", summary.starved_worms);
-    JsonValue starved_lanes = JsonValue::array();
-    for (const WormTraceSummary::StarvedLane& lane :
-         summary.top_starved_lanes) {
-      JsonValue entry = JsonValue::object();
-      entry.set("lane", static_cast<std::int64_t>(lane.lane));
-      entry.set("starved_cycles", lane.cycles);
-      starved_lanes.push_back(std::move(entry));
-    }
-    starvation.set("top_starved_lanes", std::move(starved_lanes));
-    json.set("credit_starvation", std::move(starvation));
-  }
-  return json;
-}
-
 std::size_t write_worm_trace_chrome(const WormTracer& tracer,
                                     std::ostream& os,
                                     const WormChromeOptions& options) {
-  const double scale = 1.0 / options.flits_per_microsecond;
+  const double scale = 1.0 / topology::kFlitsPerMicrosecond;
   JsonValue trace_events = JsonValue::array();
   std::size_t slices = 0;
   auto slice = [&](const std::string& name, const char* cat, WormId tid,

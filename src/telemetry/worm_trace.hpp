@@ -42,7 +42,6 @@
 #include <memory>
 #include <vector>
 
-#include "telemetry/json.hpp"
 #include "topology/network.hpp"
 #include "util/stats.hpp"
 
@@ -264,14 +263,7 @@ class WormTracer {
 WormTraceSummary summarize_worm_trace(const WormTracer& tracer,
                                       std::size_t top_n = 8);
 
-/// Summary -> JSON object (means/p95s per component in cycles and
-/// microseconds, chain-depth histogram, culprit tables).  Schema is part
-/// of the versioned results layout (result_writer.hpp).
-JsonValue worm_trace_summary_to_json(const WormTraceSummary& summary,
-                                     double flits_per_microsecond);
-
 struct WormChromeOptions {
-  double flits_per_microsecond = 20.0;
   bool metadata = true;
   /// Worms spanning fewer cycles than this are dropped (keeps figure-point
   /// traces loadable in the Perfetto UI); 0 keeps everything.

@@ -20,6 +20,20 @@ std::string to_string(NetworkKind kind) {
   return "?";
 }
 
+std::string role_name(ChannelRole role) {
+  switch (role) {
+    case ChannelRole::kInjection:
+      return "injection";
+    case ChannelRole::kEjection:
+      return "ejection";
+    case ChannelRole::kForward:
+      return "forward";
+    case ChannelRole::kBackward:
+      return "backward";
+  }
+  return "?";
+}
+
 std::string NetworkConfig::describe() const {
   std::ostringstream os;
   if (splitter_dilation > 0) {

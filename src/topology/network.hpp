@@ -50,6 +50,13 @@ enum class ChannelRole : std::uint8_t {
   kBackward,   ///< inter-stage, toward lower stages (BMIN only)
 };
 
+/// "injection", "ejection", "forward" or "backward".
+std::string role_name(ChannelRole role);
+
+/// Channel bandwidth (Section 5): 20 flits/microsecond.  A channel moves
+/// at most one flit per cycle, so one cycle is 0.05 us.
+inline constexpr double kFlitsPerMicrosecond = 20.0;
+
 struct Endpoint {
   enum class Kind : std::uint8_t { kNode, kSwitch };
   Kind kind = Kind::kNode;

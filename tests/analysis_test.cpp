@@ -1,5 +1,5 @@
-// Tests for path enumeration (Theorem 1, Figs. 9-11), deadlock freedom
-// (Section 3.2.1), and utilization summaries.
+// Tests for path enumeration (Theorem 1, Figs. 9-11) and deadlock freedom
+// (Section 3.2.1).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +7,6 @@
 
 #include "analysis/deadlock.hpp"
 #include "analysis/path_enum.hpp"
-#include "analysis/utilization.hpp"
 #include "routing/router.hpp"
 #include "topology/network.hpp"
 #include "util/radix.hpp"
@@ -231,32 +230,6 @@ INSTANTIATE_TEST_SUITE_P(
                       DeadlockParam{NetworkKind::kBMIN, "butterfly", 4, 3, 1, 1},
                       DeadlockParam{NetworkKind::kBMIN, "butterfly", 4, 2, 1,
                                     2}));
-
-// ---- Utilization summaries -------------------------------------------------
-
-TEST(Utilization, AggregatesByLevelAndRole) {
-  const Network net =
-      topology::build_network(make_config(NetworkKind::kTMIN, "cube", 2, 3));
-  std::vector<std::uint64_t> busy(net.channels().size(), 0);
-  // Mark every injection channel busy half the time.
-  for (const auto& ch : net.channels()) {
-    if (ch.role == topology::ChannelRole::kInjection) busy[ch.id] = 50;
-  }
-  const auto summary = summarize_utilization(net, busy, 100);
-  bool found_injection = false;
-  for (const LevelUtilization& level : summary) {
-    if (level.role == topology::ChannelRole::kInjection) {
-      found_injection = true;
-      EXPECT_EQ(level.channel_count, 8u);
-      EXPECT_DOUBLE_EQ(level.mean, 0.5);
-      EXPECT_DOUBLE_EQ(level.max, 0.5);
-    } else {
-      EXPECT_DOUBLE_EQ(level.mean, 0.0);
-    }
-  }
-  EXPECT_TRUE(found_injection);
-  EXPECT_EQ(role_name(topology::ChannelRole::kForward), "forward");
-}
 
 }  // namespace
 }  // namespace wormsim::analysis

@@ -108,10 +108,10 @@ TEST(Arbitration, FirstFreeBiasesDilatedChannelUsage) {
         sibling.conn_index != ch.conn_index) {
       continue;
     }
-    random_a += random.channel_busy_cycles[ch.id];
-    random_b += random.channel_busy_cycles[ch.id + 1];
-    first_a += first.channel_busy_cycles[ch.id];
-    first_b += first.channel_busy_cycles[ch.id + 1];
+    random_a += random.telemetry_counters.channel_flits(net, ch.id);
+    random_b += random.telemetry_counters.channel_flits(net, ch.id + 1);
+    first_a += first.telemetry_counters.channel_flits(net, ch.id);
+    first_b += first.telemetry_counters.channel_flits(net, ch.id + 1);
   }
   // Random splits roughly evenly; first-free is heavily skewed.
   EXPECT_NEAR(static_cast<double>(random_a),

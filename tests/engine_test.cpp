@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "golden_digest.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
 #include "sim/validate.hpp"
@@ -22,13 +23,35 @@
 namespace wormsim::sim {
 
 // Friend of Engine: turns the worm chase off before the first step, so a
-// chase network runs on the multi-pass scan instead, and wakes every
-// sleeping header, so the next step serves every header as the engine did
-// before blocked headers slept.
+// chase network runs on the multi-pass scan instead; wakes every sleeping
+// header, so the next step serves every header as the engine did before
+// blocked headers slept; and schedules every channel with nothing to
+// send.
 struct EngineTestPeer {
   static bool chase(const Engine& e) { return e.chase_; }
   static void disable_chase(Engine& e) { e.chase_ = false; }
   static void wake_all(Engine& e) { e.wake_all(); }
+  /// Sets the seed bit of every channel that is not faulty, whose
+  /// injection node is not transmitting and none of whose lanes is
+  /// allocated; returns how many it set.
+  static std::size_t seed_sourceless(Engine& e) {
+    std::size_t seeded = 0;
+    for (topology::ChannelId ch = 0; ch < e.network_.channel_count(); ++ch) {
+      if (e.channel_faulty_.test(ch)) continue;
+      const std::uint32_t node = e.ch_src_node_[ch];
+      bool sourceless = node == topology::kInvalidId ||
+                        e.node_tx_packet_[node] == kNoPacket;
+      for (unsigned v = 0; v < e.ch_num_lanes_[ch]; ++v) {
+        sourceless = sourceless && e.alloc_owner_[e.ch_first_lane_[ch] + v] ==
+                                       topology::kInvalidId;
+      }
+      if (sourceless && !e.seed_bits_.test(ch)) {
+        e.seed_bits_.set(ch);
+        ++seeded;
+      }
+    }
+    return seeded;
+  }
 };
 
 namespace {
@@ -377,9 +400,11 @@ TEST(Engine, ChannelUtilizationRecording) {
   config.telemetry.counters = true;
   Engine engine(net, *router, &traffic, config);
   const SimResult result = engine.run();
-  ASSERT_EQ(result.channel_busy_cycles.size(), net.channels().size());
+  ASSERT_TRUE(result.telemetry_counters.enabled());
   std::uint64_t total_busy = 0;
-  for (std::uint64_t busy : result.channel_busy_cycles) {
+  for (const topology::PhysChannel& ch : net.channels()) {
+    const std::uint64_t busy =
+        result.telemetry_counters.channel_flits(net, ch.id);
     EXPECT_LE(busy, config.measure_cycles);
     total_busy += busy;
   }
@@ -658,7 +683,6 @@ SleepRun run_sleep_case(const SleepCase& c, bool serve_every_cycle) {
     config.fault_fraction = 0.05;
     config.fault_seed = 3;
     config.fault_at_cycle = 500;
-    config.fault_repair_cycle = 1'500;
   }
   config.telemetry.counters = true;
   config.telemetry.worm_trace = true;
@@ -722,8 +746,8 @@ SleepRun run_sleep_case(const SleepCase& c, bool serve_every_cycle) {
 class SleepMatchesServe : public ::testing::TestWithParam<SleepCase> {};
 
 // A header denied with every candidate allocated or dead sleeps until its
-// switch releases one of them or a fault transition happens (DESIGN.md
-// §7), and its skipped denials are charged in bulk (§10).  Waking every
+// switch releases one of them or a fault kill lands (DESIGN.md §7), and
+// its skipped denials are charged in bulk (§10).  Waking every
 // sleeper before each step serves every header every cycle, as the
 // engine did before; both must give the same events cycle by cycle, the
 // same counters and the same worm traces.
@@ -785,7 +809,7 @@ std::vector<SleepCase> sleep_cases() {
     c.credit_delay = 2;
     cases.push_back(c);
     c = base;
-    c.name = name + "_kill_repair";
+    c.name = name + "_kill";
     c.faults = true;
     cases.push_back(c);
   }
@@ -795,6 +819,147 @@ std::vector<SleepCase> sleep_cases() {
 INSTANTIATE_TEST_SUITE_P(
     Networks, SleepMatchesServe, ::testing::ValuesIn(sleep_cases()),
     [](const ::testing::TestParamInfo<SleepCase>& info) {
+      return info.param.name;
+    });
+
+// ---- The advance frontier: a try of a source-less channel is a no-op ------
+
+struct FrontierCase {
+  std::string name;
+  NetworkKind kind;
+  unsigned vcs = 2;
+  ArbitrationOrder arbitration = ArbitrationOrder::kRotating;
+  FlowControlScheme flow_control = FlowControlScheme::kCredit;
+  std::uint32_t buffer_depth = 1;
+  std::uint32_t credit_delay = 0;
+  bool kill = false;
+};
+
+void PrintTo(const FrontierCase& c, std::ostream* os) { *os << c.name; }
+
+struct FrontierRun {
+  /// Every event as (cycle, kind, packet, seq, lane), sorted: each
+  /// cycle's events in an order that does not depend on the engine's.
+  std::vector<std::tuple<std::uint64_t, int, PacketId, std::uint32_t,
+                         topology::LaneId>>
+      events;
+  telemetry::Counters counters;
+  std::uint64_t digest = 0;
+  std::uint64_t terminated = 0;
+  std::size_t extra_seeds = 0;  ///< bits seed_sourceless set
+};
+
+FrontierRun run_frontier_case(const FrontierCase& c, bool seed_sourceless) {
+  const Network net = topology::build_network(golden_network(c.kind, c.vcs));
+  const auto router = routing::make_router(net);
+  traffic::StandardTraffic traffic(net, golden_workload());
+  SimConfig config;
+  config.seed = 7;
+  config.warmup_cycles = 500;
+  config.measure_cycles = 4'000;
+  config.drain_cycles = 1'500;
+  config.arbitration = c.arbitration;
+  config.flow_control = c.flow_control;
+  config.buffer_depth = c.buffer_depth;
+  config.credit_delay = c.credit_delay;
+  config.telemetry.counters = true;
+  config.telemetry.sampling = true;
+  config.telemetry.sample_interval_cycles = 256;
+  config.telemetry.sample_capacity = 64;
+  if (c.kill) {
+    config.fault_fraction = 0.05;
+    config.fault_seed = 4;  // kills channels that some pair needs
+    config.fault_at_cycle = 500;
+  }
+  Engine engine(net, *router, &traffic, config);
+  RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
+  FrontierRun run;
+  if (seed_sourceless) {
+    while (engine.cycle() < config.total_cycles()) {
+      run.extra_seeds += EngineTestPeer::seed_sourceless(engine);
+      engine.step();
+    }
+  }
+  const SimResult r = engine.run();
+  for (const TraceEvent& e : sink.events()) {
+    run.events.emplace_back(e.cycle, static_cast<int>(e.kind), e.packet,
+                            e.flit_seq, e.lane);
+  }
+  std::sort(run.events.begin(), run.events.end());
+  run.counters = r.telemetry_counters;
+  run.digest = digest(r, net);
+  run.terminated = r.terminated_messages;
+  return run;
+}
+
+class SourcelessSeeds : public ::testing::TestWithParam<FrontierCase> {};
+
+// Unblock events schedule their channel whether or not it has anything
+// to send (DESIGN.md §7), which is sound only if trying a channel with
+// no source changes no state.  Seeding every such channel before each
+// step must give the same events cycle by cycle, the same counters and
+// the same golden digest.
+TEST_P(SourcelessSeeds, ChangeNoEventCounterOrDigest) {
+  const FrontierCase& c = GetParam();
+  const FrontierRun plain = run_frontier_case(c, false);
+  const FrontierRun seeded = run_frontier_case(c, true);
+  ASSERT_FALSE(plain.events.empty());
+  EXPECT_GT(seeded.extra_seeds, 0u);
+  if (c.kill) {
+    EXPECT_GT(plain.terminated, 0u) << "the kill hit no worm";
+  }
+  const auto diverged =
+      std::mismatch(plain.events.begin(), plain.events.end(),
+                    seeded.events.begin(), seeded.events.end());
+  ASSERT_TRUE(diverged.first == plain.events.end() &&
+              diverged.second == seeded.events.end())
+      << "events differ from cycle "
+      << std::get<0>(diverged.first != plain.events.end() ? *diverged.first
+                                                          : *diverged.second);
+  const telemetry::Counters& a = plain.counters;
+  const telemetry::Counters& b = seeded.counters;
+  EXPECT_EQ(a.lane_flits, b.lane_flits);
+  EXPECT_EQ(a.lane_blocked, b.lane_blocked);
+  EXPECT_EQ(a.switch_grants, b.switch_grants);
+  EXPECT_EQ(a.switch_denials, b.switch_denials);
+  EXPECT_EQ(a.lane_credit_starved, b.lane_credit_starved);
+  EXPECT_EQ(a.lane_fault_terminated, b.lane_fault_terminated);
+  EXPECT_EQ(plain.digest, seeded.digest);
+}
+
+std::vector<FrontierCase> frontier_cases() {
+  std::vector<FrontierCase> cases;
+  for (const GoldenCase& gc : kCases) {
+    if (gc.store_forward) continue;
+    FrontierCase c{gc.name, gc.kind, gc.vcs, gc.arbitration};
+    c.buffer_depth = gc.buffer_depth;
+    c.credit_delay = gc.credit_delay;
+    cases.push_back(c);
+  }
+  FrontierCase c{"TMIN_onoff_depth4_delay2", NetworkKind::kTMIN, 1};
+  c.flow_control = FlowControlScheme::kOnOff;
+  c.buffer_depth = 4;
+  c.credit_delay = 2;
+  cases.push_back(c);
+  c = FrontierCase{"TMIN_vct_depth64", NetworkKind::kTMIN, 1};
+  c.flow_control = FlowControlScheme::kVirtualCutThrough;
+  c.buffer_depth = 64;
+  cases.push_back(c);
+  c = FrontierCase{"TMIN_depth4_delay0", NetworkKind::kTMIN, 1};
+  c.buffer_depth = 4;
+  cases.push_back(c);
+  c = FrontierCase{"BMIN_vc_deep_kill", NetworkKind::kBMIN, 2};
+  c.buffer_depth = 4;
+  c.credit_delay = 2;
+  c.kill = true;
+  cases.push_back(c);
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Frontier, SourcelessSeeds, ::testing::ValuesIn(frontier_cases()),
+    [](const ::testing::TestParamInfo<FrontierCase>& info) {
       return info.param.name;
     });
 

@@ -13,7 +13,7 @@
 //   - with 4-flit FIFOs a kill removes the victim's flits and keeps the
 //     other worms' flits of the same FIFO, in order, under credit and
 //     on/off flow control;
-//   - repairs restore delivery for pairs the kill had disconnected;
+//   - a kill is permanent: a pair it disconnected stays disconnected;
 //   - the store-and-forward reference applies the same plan semantics;
 //   - implicit and materialized backends draw the same plan and coverage;
 //   - telemetry attributes fault terminations (counters + worm trace).
@@ -109,7 +109,7 @@ TEST(FaultInjection, EmptyPlanDigestsMatchCommittedSnapshot) {
       Engine engine(net, *router, &traffic, config);
       r = engine.run();
     }
-    EXPECT_EQ(digest(r), kExpected[i].digest);
+    EXPECT_EQ(digest(r, net), kExpected[i].digest);
     EXPECT_EQ(r.delivered_messages_total, kExpected[i].delivered_messages_total);
     EXPECT_EQ(r.terminated_messages, 0u);
     EXPECT_EQ(r.terminated_flits, 0u);
@@ -311,7 +311,7 @@ TEST_P(DeepFifoKill, KeepsSurvivors) {
   const SimResult r = engine.run();  // every cycle has run: just finish
   EXPECT_GT(kills_with_survivor, 0u);
   EXPECT_GT(survivor_promoted, 0u);
-  EXPECT_EQ(digest(r), dc.digest);
+  EXPECT_EQ(digest(r, net), dc.digest);
   EXPECT_EQ(r.terminated_messages, dc.terminated_messages);
 }
 
@@ -340,9 +340,9 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-// Repair brings a disconnected pair back: the same pair that a permanent
-// kill terminates is delivered once the plan's repair_cycle has passed.
-TEST(FaultInjection, RepairRestoresDelivery) {
+// A kill is permanent: a pair whose unique path it cut is terminated
+// even when the message is injected long after the kill landed.
+TEST(FaultInjection, KillIsPermanent) {
   NetworkConfig nc;
   nc.kind = NetworkKind::kTMIN;
   nc.topology = "cube";
@@ -377,30 +377,22 @@ TEST(FaultInjection, RepairRestoresDelivery) {
   ASSERT_NE(victim, topology::kInvalidId)
       << "no interior channel disconnects any TMIN pair";
 
-  const auto run_pair = [&](std::uint64_t repair_cycle) {
-    SimConfig config;
-    config.seed = 3;
-    config.warmup_cycles = 0;
-    config.measure_cycles = 1 << 20;
-    config.drain_cycles = 0;
-    config.validate = true;
-    Engine engine(net, *router, nullptr, config);
-    fault_injection::FaultPlan plan;
-    fault_injection::add_channel_kill(plan, view, victim);
-    plan.at_cycle = 0;
-    plan.repair_cycle = repair_cycle;
-    engine.set_fault_plan(plan);
-    // Inject only after any repair has landed: fault-starved worms are
-    // terminated (never parked awaiting repair), so the injection time
-    // decides which network the worm sees.
-    while (engine.cycle() < 64) engine.step();
-    const PacketId pid = engine.inject_message(src, dst, 4);
-    EXPECT_TRUE(engine.run_until_idle(10'000));
-    return engine.packet(pid).delivered();
-  };
-
-  EXPECT_FALSE(run_pair(kNoCycle)) << "permanent kill should terminate";
-  EXPECT_TRUE(run_pair(32)) << "repaired network should deliver";
+  SimConfig config;
+  config.seed = 3;
+  config.warmup_cycles = 0;
+  config.measure_cycles = 1 << 20;
+  config.drain_cycles = 0;
+  config.validate = true;
+  Engine engine(net, *router, nullptr, config);
+  fault_injection::FaultPlan plan;
+  fault_injection::add_channel_kill(plan, view, victim);
+  plan.at_cycle = 0;
+  engine.set_fault_plan(plan);
+  while (engine.cycle() < 64) engine.step();
+  const PacketId pid = engine.inject_message(src, dst, 4);
+  EXPECT_TRUE(engine.run_until_idle(10'000));
+  EXPECT_FALSE(engine.packet(pid).delivered());
+  EXPECT_TRUE(engine.packet(pid).terminated());
 }
 
 // The store-and-forward reference applies the same plan semantics:

@@ -19,7 +19,6 @@
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
 #include "sim/store_forward.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/worm_trace.hpp"
 #include "topology/network.hpp"
 
@@ -302,15 +301,12 @@ TEST_F(FlowControl, StarvationChargedWhenCreditsLag) {
   EXPECT_GT(record.starved_cycles, 0u);
   EXPECT_LE(record.starved_cycles, record.total_cycles());
 
-  // The summary surfaces it, and the JSON carries the starvation block.
+  // The summary surfaces it.
   const telemetry::WormTraceSummary summary =
       summarize_worm_trace(*engine.worm_tracer(), 4);
   EXPECT_GT(summary.starved_cycles_total, 0u);
   EXPECT_EQ(summary.starved_worms, 1u);
-  ASSERT_FALSE(summary.top_starved_lanes.empty());
-  const std::string json =
-      telemetry::worm_trace_summary_to_json(summary, 4).dump_string();
-  EXPECT_NE(json.find("credit_starvation"), std::string::npos);
+  EXPECT_FALSE(summary.top_starved_lanes.empty());
 }
 
 TEST_F(FlowControl, LegacyContentionIsNeverCalledStarvation) {
@@ -331,9 +327,6 @@ TEST_F(FlowControl, LegacyContentionIsNeverCalledStarvation) {
   const telemetry::WormTraceSummary summary =
       summarize_worm_trace(*engine.worm_tracer(), 4);
   EXPECT_EQ(summary.starved_cycles_total, 0u);
-  const std::string json =
-      telemetry::worm_trace_summary_to_json(summary, 4).dump_string();
-  EXPECT_EQ(json.find("credit_starvation"), std::string::npos);
 }
 
 TEST_F(FlowControl, StarvedWormStillReconciles) {

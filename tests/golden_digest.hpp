@@ -1,13 +1,14 @@
 // The golden digest the engine tests pin results with.
 //
 // digest() is FNV-1a over the exact bit patterns of a SimResult: latency
-// statistics, histogram bins, window counts, channel busy cycles, and the
-// telemetry counters and samples when a run collects them (empty vectors
-// hash nothing, so a run with counters and sampling off hashes only the
-// fields before them).  kCases are the pinned configurations and
-// kExpected their committed digests (engine_golden.inc; golden_test.cpp
-// has the regeneration recipe).  golden_network and golden_workload build
-// the 8-node networks and the traffic every case runs on.
+// statistics, histogram bins, window counts, and, when a run collects
+// them, each channel's busy cycles (its flit crossings, summed over its
+// lanes on the run's network), the telemetry counters and the samples.
+// A run with counters and sampling off hashes only the fields before
+// them.  kCases are the pinned configurations and kExpected their
+// committed digests (engine_golden.inc; golden_test.cpp has the
+// regeneration recipe).  golden_network and golden_workload build the
+// 8-node networks and the traffic every case runs on.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 
 #include "sim/config.hpp"
 #include "sim/metrics.hpp"
+#include "topology/net_view.hpp"
 #include "topology/network.hpp"
 #include "traffic/workload.hpp"
 #include "util/stats.hpp"
@@ -46,7 +48,8 @@ struct Fnv {
   }
 };
 
-inline std::uint64_t digest(const SimResult& r) {
+inline std::uint64_t digest(const SimResult& r,
+                            const topology::NetView& view) {
   Fnv f;
   f.stats(r.latency_cycles);
   f.stats(r.network_latency_cycles);
@@ -62,7 +65,11 @@ inline std::uint64_t digest(const SimResult& r) {
   f.u64(r.dropped_messages);
   f.u64(r.max_source_queue);
   f.u64(r.measured_messages_unfinished);
-  for (std::uint64_t busy : r.channel_busy_cycles) f.u64(busy);
+  if (r.telemetry_counters.enabled()) {
+    for (topology::ChannelId ch = 0; ch < view.channel_count(); ++ch) {
+      f.u64(r.telemetry_counters.channel_flits(view, ch));
+    }
+  }
   for (std::uint64_t v : r.telemetry_counters.lane_flits) f.u64(v);
   for (std::uint64_t v : r.telemetry_counters.lane_blocked) f.u64(v);
   for (std::uint64_t v : r.telemetry_counters.switch_grants) f.u64(v);

@@ -1,8 +1,8 @@
 // Golden determinism tests for the simulation engines.
 //
 // Pins the *bitwise* content of SimResult (the digest of
-// golden_digest.hpp) — latency statistics, histogram bins, channel busy
-// cycles, telemetry counters and samples — for one small configuration
+// golden_digest.hpp) — latency statistics, histogram bins, per-channel
+// busy cycles, telemetry counters and samples — for one small configuration
 // per network kind (TMIN/DMIN/VMIN/BMIN), plus a
 // random-arbitration variant, a single-VC BMIN (the single-lane advance
 // path on a network whose channel ids are not feed-forward), a 2-VC BMIN
@@ -87,6 +87,13 @@ SimResult run_case(const GoldenCase& gc, bool worm_trace = false) {
   return run_case(gc, config);
 }
 
+/// digest() of a run of `gc`, on the network the case runs on.
+std::uint64_t case_digest(const GoldenCase& gc, const SimResult& r) {
+  const topology::Network net =
+      topology::build_network(golden_network(gc.kind, gc.vcs));
+  return digest(r, net);
+}
+
 std::uint64_t bits_of(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -100,7 +107,7 @@ TEST(Golden, SameSeedSameBits) {
     SCOPED_TRACE(gc.name);
     const SimResult a = run_case(gc);
     const SimResult b = run_case(gc);
-    EXPECT_EQ(digest(a), digest(b));
+    EXPECT_EQ(case_digest(gc, a), case_digest(gc, b));
     EXPECT_EQ(a.delivered_messages_total, b.delivered_messages_total);
     EXPECT_EQ(bits_of(a.latency_cycles.mean()), bits_of(b.latency_cycles.mean()));
   }
@@ -118,7 +125,7 @@ TEST(Golden, MatchesCommittedSnapshot) {
     EXPECT_EQ(bits_of(r.latency_cycles.mean()),
               kExpected[i].latency_mean_bits)
         << "latency mean drifted: " << r.latency_cycles.mean();
-    EXPECT_EQ(digest(r), kExpected[i].digest);
+    EXPECT_EQ(case_digest(kCases[i], r), kExpected[i].digest);
   }
 }
 
@@ -131,7 +138,7 @@ TEST(Golden, TraceOnDigestsBitwiseUnchanged) {
     SCOPED_TRACE(kCases[i].name);
     const SimResult r = run_case(kCases[i], /*worm_trace=*/true);
     ASSERT_NE(r.worm_trace, nullptr);
-    EXPECT_EQ(digest(r), kExpected[i].digest);
+    EXPECT_EQ(case_digest(kCases[i], r), kExpected[i].digest);
     EXPECT_EQ(r.delivered_messages_total,
               kExpected[i].delivered_messages_total);
     EXPECT_EQ(bits_of(r.latency_cycles.mean()),
@@ -163,7 +170,7 @@ TEST(Golden, EveryObserverOnDigestsBitwiseUnchanged) {
     RecordingTraceSink sink;
     std::size_t packets = 0;
     const SimResult r = run_case(gc, config, &sink, &packets);
-    EXPECT_EQ(digest(r), kExpected[i].digest);
+    EXPECT_EQ(case_digest(gc, r), kExpected[i].digest);
     EXPECT_EQ(r.delivered_messages_total,
               kExpected[i].delivered_messages_total);
     EXPECT_EQ(bits_of(r.latency_cycles.mean()),
@@ -192,7 +199,8 @@ TEST(Golden, Emit) {
   for (const GoldenCase& gc : kCases) {
     const SimResult r = run_case(gc);
     std::printf("    {\"%s\", 0x%016llxULL, %lluULL, 0x%016llxULL},\n",
-                gc.name, static_cast<unsigned long long>(digest(r)),
+                gc.name,
+                static_cast<unsigned long long>(case_digest(gc, r)),
                 static_cast<unsigned long long>(r.delivered_messages_total),
                 static_cast<unsigned long long>(
                     bits_of(r.latency_cycles.mean())));

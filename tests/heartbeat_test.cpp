@@ -174,6 +174,7 @@ TEST(Heartbeat, ResultsBitwiseIdenticalWithHeartbeatsOn) {
       topology::NetworkKind::kVMIN, topology::NetworkKind::kBMIN};
   for (topology::NetworkKind kind : kinds) {
     SCOPED_TRACE(topology::to_string(kind));
+    const topology::Network net = topology::build_network(small_network(kind));
     const SimResult off = run_wormhole(base_config(), 0.45, kind);
     SimConfig on_config = base_config();
     on_config.telemetry.heartbeat_cycles = 256;
@@ -181,7 +182,7 @@ TEST(Heartbeat, ResultsBitwiseIdenticalWithHeartbeatsOn) {
         testing::TempDir() + "hb_feedback_" +
         std::string(topology::to_string(kind));
     const SimResult on = run_wormhole(on_config, 0.45, kind);
-    EXPECT_EQ(digest(off), digest(on));
+    EXPECT_EQ(digest(off, net), digest(on, net));
   }
 }
 
@@ -369,7 +370,8 @@ TEST(Heartbeat, ProfilerIsZeroFeedback) {
   SimConfig config = base_config();
   config.telemetry.profile = true;
   const SimResult on = run_wormhole(config);
-  EXPECT_EQ(digest(off), digest(on));
+  const topology::Network net = topology::build_network(small_network());
+  EXPECT_EQ(digest(off, net), digest(on, net));
 }
 
 // ---- Peak RSS helper -----------------------------------------------------

@@ -209,9 +209,15 @@ sim::SimConfig test_sim_config() {
 
 enum class Backend { kMaterialized, kImplicit };
 
-SimResult run_backend(const NetworkConfig& net_config,
-                      const sim::SimConfig& sim_config, Backend backend,
-                      bool store_forward = false) {
+/// A run's result and its golden digest, taken on the run's own view.
+struct BackendRun {
+  SimResult result;
+  std::uint64_t digest = 0;
+};
+
+BackendRun run_backend(const NetworkConfig& net_config,
+                       const sim::SimConfig& sim_config, Backend backend,
+                       bool store_forward = false) {
   // Keep whichever backing object the NetView points at alive for the
   // whole run, exactly like experiment::run_point does.
   std::unique_ptr<const Network> materialized;
@@ -227,6 +233,7 @@ SimResult run_backend(const NetworkConfig& net_config,
                               : NetView(*materialized);
   const auto router = routing::make_router(network);
   traffic::StandardTraffic traffic(network, test_workload());
+  BackendRun run;
   if (store_forward) {
     sim::SimConfig sf;
     sf.seed = sim_config.seed;
@@ -235,21 +242,25 @@ SimResult run_backend(const NetworkConfig& net_config,
     sf.measure_cycles = sim_config.measure_cycles;
     sf.drain_cycles = sim_config.drain_cycles;
     sim::StoreForwardEngine engine(network, *router, &traffic, sf);
-    return engine.run();
+    run.result = engine.run();
+  } else {
+    sim::Engine engine(network, *router, &traffic, sim_config);
+    run.result = engine.run();
   }
-  sim::Engine engine(network, *router, &traffic, sim_config);
-  return engine.run();
+  run.digest = digest(run.result, network);
+  return run;
 }
 
 TEST(ImplicitBackend, GoldenCasesBitwiseIdentical) {
   for (const NetworkConfig& config : record_configs()) {
     SCOPED_TRACE(config.describe());
-    const SimResult mat =
+    const BackendRun mat =
         run_backend(config, test_sim_config(), Backend::kMaterialized);
-    const SimResult imp =
+    const BackendRun imp =
         run_backend(config, test_sim_config(), Backend::kImplicit);
-    EXPECT_EQ(digest(mat), digest(imp));
-    EXPECT_EQ(mat.delivered_messages_total, imp.delivered_messages_total);
+    EXPECT_EQ(mat.digest, imp.digest);
+    EXPECT_EQ(mat.result.delivered_messages_total,
+              imp.result.delivered_messages_total);
   }
 }
 
@@ -257,18 +268,19 @@ TEST(ImplicitBackend, RandomArbitrationBitwiseIdentical) {
   sim::SimConfig config = test_sim_config();
   config.arbitration = sim::ArbitrationOrder::kRandom;
   const NetworkConfig net = base_config(NetworkKind::kTMIN);
-  EXPECT_EQ(digest(run_backend(net, config, Backend::kMaterialized)),
-            digest(run_backend(net, config, Backend::kImplicit)));
+  EXPECT_EQ(run_backend(net, config, Backend::kMaterialized).digest,
+            run_backend(net, config, Backend::kImplicit).digest);
 }
 
 TEST(ImplicitBackend, StoreForwardBitwiseIdentical) {
   for (NetworkKind kind : {NetworkKind::kTMIN, NetworkKind::kBMIN}) {
     const NetworkConfig net = base_config(kind);
     SCOPED_TRACE(net.describe());
-    EXPECT_EQ(digest(run_backend(net, test_sim_config(),
-                                 Backend::kMaterialized, true)),
-              digest(run_backend(net, test_sim_config(), Backend::kImplicit,
-                                 true)));
+    EXPECT_EQ(
+        run_backend(net, test_sim_config(), Backend::kMaterialized, true)
+            .digest,
+        run_backend(net, test_sim_config(), Backend::kImplicit, true)
+            .digest);
   }
 }
 
@@ -287,8 +299,8 @@ TEST(ImplicitBackend, FlowControlSchemesBitwiseIdentical) {
       const NetworkConfig net = base_config(kind);
       SCOPED_TRACE(std::string(sim::to_string(scheme)) + " " +
                    net.describe());
-      EXPECT_EQ(digest(run_backend(net, config, Backend::kMaterialized)),
-                digest(run_backend(net, config, Backend::kImplicit)));
+      EXPECT_EQ(run_backend(net, config, Backend::kMaterialized).digest,
+                run_backend(net, config, Backend::kImplicit).digest);
     }
   }
 }
@@ -310,12 +322,12 @@ TEST(ImplicitBackend, ValidatorCleanOnMidSizeNetwork) {
   config.warmup_cycles = 200;
   config.measure_cycles = 1'000;
   config.drain_cycles = 500;
-  const SimResult imp = run_backend(net, config, Backend::kImplicit);
+  const BackendRun imp = run_backend(net, config, Backend::kImplicit);
   sim::SimConfig plain = config;
   plain.validate = false;
-  const SimResult mat = run_backend(net, plain, Backend::kMaterialized);
-  EXPECT_EQ(digest(imp), digest(mat));  // validator is a pure observer too
-  EXPECT_GT(imp.delivered_messages_total, 0u);
+  const BackendRun mat = run_backend(net, plain, Backend::kMaterialized);
+  EXPECT_EQ(imp.digest, mat.digest);  // validator is a pure observer too
+  EXPECT_GT(imp.result.delivered_messages_total, 0u);
 }
 
 }  // namespace

@@ -80,7 +80,8 @@ TEST(Integration, CubeClusterTrafficUsesExactlyPredictedChannels) {
   }
   for (const topology::PhysChannel& ch : net.channels()) {
     if (ch.role != ChannelRole::kForward) continue;
-    const bool was_busy = result.channel_busy_cycles[ch.id] > 0;
+    const bool was_busy =
+        result.telemetry_counters.channel_flits(net, ch.id) > 0;
     const bool is_predicted =
         predicted.count({ch.conn_index, ch.address}) > 0;
     // A channel outside every cluster's footprint must stay idle.
@@ -93,7 +94,7 @@ TEST(Integration, CubeClusterTrafficUsesExactlyPredictedChannels) {
   std::uint64_t busy_count = 0;
   for (const topology::PhysChannel& ch : net.channels()) {
     if (ch.role == ChannelRole::kForward &&
-        result.channel_busy_cycles[ch.id] > 0) {
+        result.telemetry_counters.channel_flits(net, ch.id) > 0) {
       ++busy_count;
     }
   }
@@ -112,7 +113,7 @@ TEST(Integration, ButterflySharedClusteringLightsUpForeignChannels) {
   std::uint64_t busy_level1 = 0;
   for (const topology::PhysChannel& ch : net.channels()) {
     if (ch.role == ChannelRole::kForward && ch.conn_index == 1 &&
-        result.channel_busy_cycles[ch.id] > 0) {
+        result.telemetry_counters.channel_flits(net, ch.id) > 0) {
       ++busy_level1;
     }
   }
@@ -133,7 +134,7 @@ TEST(Integration, BminBaseCubeTrafficStaysInSubtrees) {
   for (const topology::PhysChannel& ch : net.channels()) {
     if (ch.conn_index == 2 && (ch.role == ChannelRole::kForward ||
                                ch.role == ChannelRole::kBackward)) {
-      EXPECT_EQ(result.channel_busy_cycles[ch.id], 0u)
+      EXPECT_EQ(result.telemetry_counters.channel_flits(net, ch.id), 0u)
           << "top-level channel " << ch.id << " should be idle";
     }
   }
@@ -162,7 +163,7 @@ TEST(Integration, StaticAndDynamicAgreeOnBminUsage) {
   for (const topology::PhysChannel& ch : net.channels()) {
     if ((ch.role == ChannelRole::kForward ||
          ch.role == ChannelRole::kInjection) &&
-        result.channel_busy_cycles[ch.id] > 0) {
+        result.telemetry_counters.channel_flits(net, ch.id) > 0) {
       ++dynamic_forward[ch.conn_index];
     }
   }
@@ -205,7 +206,7 @@ TEST(Integration, PermutationTrafficUsesOnlyPermutationPaths) {
   for (const topology::PhysChannel& ch : net.channels()) {
     if (ch.role != ChannelRole::kForward) continue;
     if (predicted.count({ch.conn_index, ch.address}) == 0) {
-      EXPECT_EQ(result.channel_busy_cycles[ch.id], 0u);
+      EXPECT_EQ(result.telemetry_counters.channel_flits(net, ch.id), 0u);
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include "sim/config.hpp"
 #include "sim/metrics.hpp"
+#include "topology/network.hpp"
 
 namespace wormsim::sim {
 namespace {
@@ -39,7 +40,6 @@ TEST(SimResult, SustainabilityCriteria) {
 
 TEST(SimResult, LatencyUnitsUseChannelBandwidth) {
   SimResult result;
-  result.flits_per_microsecond = 20.0;
   result.latency_cycles.add(100.0);
   result.latency_cycles.add(300.0);
   EXPECT_DOUBLE_EQ(result.mean_latency_us(), 10.0);  // 200 cycles
@@ -56,7 +56,6 @@ TEST(SimResult, SaturatedQuantileReportsInfinityNotTopEdge) {
   // making a saturated network look merely slow; it must report
   // +infinity so downstream consumers see the saturation.
   SimResult result;
-  result.flits_per_microsecond = 20.0;
   for (int i = 0; i < 100; ++i) {
     result.latency_histogram.add(i < 40 ? 100.0 : 1e6);
   }
@@ -70,7 +69,8 @@ TEST(SimConfig, CycleBudgetAndConversion) {
   config.measure_cycles = 20;
   config.drain_cycles = 5;
   EXPECT_EQ(config.total_cycles(), 35u);
-  EXPECT_DOUBLE_EQ(config.microseconds(40.0), 2.0);  // 20 flits/us
+  // The paper's channel clock, 20 flits/us: 40 cycles are 2 us.
+  EXPECT_DOUBLE_EQ(40.0 / topology::kFlitsPerMicrosecond, 2.0);
 }
 
 }  // namespace

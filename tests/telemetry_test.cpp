@@ -122,6 +122,34 @@ TEST(Counters, FullWindowRunCountsEveryCrossingExactly) {
 
 // ---- Heatmap ------------------------------------------------------------
 
+// Rows are the (connection level, role) groups with their mean and max
+// busy fraction, the per-level table cluster_workload prints.
+TEST(Heatmap, AggregatesByLevelAndRole) {
+  const topology::Network net = topology::build_network(small_tmin());
+  Counters counters;
+  counters.resize_for(net.lane_count(), net.switches().size());
+  // Mark every injection channel busy half the time.
+  for (const topology::PhysChannel& ch : net.channels()) {
+    if (ch.role == topology::ChannelRole::kInjection) {
+      counters.lane_flits[ch.first_lane] = 50;
+    }
+  }
+  const ChannelHeatmap heatmap = build_heatmap(net, counters, 100);
+  bool found_injection = false;
+  for (const StageRow& row : heatmap.stages) {
+    if (row.role == topology::ChannelRole::kInjection) {
+      found_injection = true;
+      EXPECT_EQ(row.cells.size(), 8u);
+      EXPECT_DOUBLE_EQ(row.mean_utilization, 0.5);
+      EXPECT_DOUBLE_EQ(row.max_utilization, 0.5);
+    } else {
+      EXPECT_DOUBLE_EQ(row.mean_utilization, 0.0);
+    }
+  }
+  EXPECT_TRUE(found_injection);
+  EXPECT_EQ(topology::role_name(topology::ChannelRole::kForward), "forward");
+}
+
 TEST(Heatmap, MatchesChannelUsageAnalysis) {
   // Drive all intra-cluster pairs of one contiguous half of a 8-node TMIN
   // and compare the channels the simulation actually touched, per

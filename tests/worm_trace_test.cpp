@@ -361,9 +361,9 @@ TEST(WormTrace, StoreForwardReconciles) {
   EXPECT_EQ(measured_delivered, result.latency_cycles.count());
 }
 
-// summarize + JSON schema: the aggregate must be consistent with the raw
-// records it was built from.
-TEST(WormTrace, SummaryAggregatesAndSerializes) {
+// summarize: the aggregate must be consistent with the raw records it
+// was built from.
+TEST(WormTrace, SummaryAggregatesRecords) {
   const topology::Network net = topology::build_network(tiny_tmin());
   const auto router = routing::make_router(net);
   const ChainSources sources = discover_chain_sources(net, *router);
@@ -403,26 +403,6 @@ TEST(WormTrace, SummaryAggregatesAndSerializes) {
     EXPECT_TRUE(culprit.worm == a || culprit.worm == b);
     EXPECT_LE(culprit.cycles, summary.top_worms.front().cycles);
   }
-
-  const telemetry::JsonValue json =
-      telemetry::worm_trace_summary_to_json(summary, 20.0);
-  EXPECT_EQ(json.at("worms_delivered").as_uint(), 3u);
-  for (const char* key : {"queue", "routing", "blocked", "streaming"}) {
-    const telemetry::JsonValue& component = json.at(key);
-    EXPECT_TRUE(component.is_object()) << key;
-    EXPECT_FALSE(component.at("p95_overflow").as_bool()) << key;
-    EXPECT_GE(component.at("mean_cycles").as_number(), 0.0) << key;
-  }
-  EXPECT_TRUE(json.at("chain_depth_histogram").is_array());
-  EXPECT_TRUE(json.at("top_culprit_lanes").is_array());
-  EXPECT_TRUE(json.at("top_culprit_worms").is_array());
-  // Round-trips through the parser.
-  std::string error;
-  const telemetry::JsonValue parsed =
-      telemetry::JsonValue::parse(json.dump_string(), &error);
-  EXPECT_TRUE(error.empty()) << error;
-  EXPECT_EQ(parsed.at("blocked_intervals").as_uint(),
-            summary.blocked_intervals);
 }
 
 TEST(WormTrace, ChromeExportIsValidJsonWithCulpritSlices) {
