@@ -132,6 +132,9 @@ int main(int argc, char** argv) {
   std::printf("delivered messages %llu\n",
               static_cast<unsigned long long>(
                   result.delivered_messages_total));
+  // Records are reused once their message is delivered or terminated, so
+  // this is the most messages alive at once, not the messages created.
+  std::printf("packet records held %zu\n", engine.packet_count());
   std::printf("peak rss %.0f MiB (budget %lld MiB)\n", rss,
               static_cast<long long>(rss_budget_mb));
 

@@ -139,15 +139,15 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  std::cout << "\nlatency: "
-            << engine.packet(id).deliver_cycle -
-                   engine.packet(id).create_cycle
-            << " cycles";
+  // The engine reuses a delivered message's record, so the outcome comes
+  // from the trace.
+  const auto latency = [&](sim::PacketId packet) {
+    const sim::PacketTimeline timeline = sink.timeline(packet);
+    return timeline.delivered - timeline.created;
+  };
+  std::cout << "\nlatency: " << latency(id) << " cycles";
   if (rival != sim::kNoPacket) {
-    std::cout << "; rival: "
-              << engine.packet(rival).deliver_cycle -
-                     engine.packet(rival).create_cycle
-              << " cycles";
+    std::cout << "; rival: " << latency(rival) << " cycles";
   }
   std::cout << "\n";
   return 0;

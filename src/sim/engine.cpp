@@ -36,6 +36,7 @@ Engine::Engine(const topology::NetView& network,
       traffic_(traffic),
       config_(config),
       rng_(config.seed),
+      drain_(config_),
       observers_(network_, config_, "wormhole",
                  &result_.telemetry_counters) {
   const std::size_t lanes = network_.lane_count();
@@ -98,7 +99,9 @@ Engine::Engine(const topology::NetView& network,
            fc_.depth == 1 && fc_.delay == 0;
 
   const std::size_t node_count = network_.node_count();
-  node_queue_.resize(node_count);
+  queue_head_.assign(node_count, kNoPacket);
+  queue_tail_.assign(node_count, kNoPacket);
+  queue_length_.assign(node_count, 0);
   node_tx_packet_.assign(node_count, kNoPacket);
   node_tx_sent_.assign(node_count, 0);
   node_next_arrival_.assign(node_count, 0.0);
@@ -142,33 +145,49 @@ PacketId Engine::inject_message(NodeId src, std::uint64_t dst,
                       "virtual cut-through needs buffer_depth >= packet "
                       "length");
   }
-  PacketState pkt;
-  pkt.src = src;
-  pkt.dst = dst;
-  pkt.length = length;
-  pkt.create_cycle = cycle_;
-  pkt.measured = in_measure_window();
-  pkt.turn_stage = routing::make_query(network_, src, dst).turn_stage;
-  const PacketId id = next_packet_id(packets_.size());
-  packets_.push_back(pkt);
-  enqueue_packet(src, id);
-  observers_.created(id, cycle_, src, dst, length, pkt.measured);
-  return id;
+  const PacketId serial = next_packet_id(drain_.created_count());
+  const bool measured = in_measure_window();
+  drain_.created(cycle_);
+  if (measured) drain_.measured();
+  if (validator_ != nullptr) validator_->on_created(measured);
+  if (queue_length_[src] >= config_.queue_capacity) {
+    ++result_.dropped_messages;
+  } else {
+    PacketState pkt;
+    pkt.src = src;
+    pkt.dst = dst;
+    pkt.length = length;
+    pkt.create_cycle = cycle_;
+    pkt.measured = measured;
+    pkt.turn_stage = static_cast<std::uint8_t>(
+        routing::make_query(network_, src, dst).turn_stage);
+    enqueue_packet(src, PacketRecord{pkt, serial});
+  }
+  observers_.created(serial, cycle_, src, dst, length, measured);
+  return serial;
 }
 
-void Engine::enqueue_packet(NodeId src, PacketId id) {
-  std::deque<PacketId>& queue = node_queue_[src];
-  if (queue.size() >= config_.queue_capacity) {
-    ++result_.dropped_messages;
-    packets_[id].deliver_cycle = kNoCycle;
-    return;
+void Engine::enqueue_packet(NodeId src, const PacketRecord& record) {
+  PacketId pid = free_head_;
+  if (pid != kNoPacket) {
+    free_head_ = packets_[pid].next;
+    packets_[pid] = record;
+  } else {
+    pid = static_cast<PacketId>(packets_.size());
+    packets_.push_back(record);
   }
-  queue.push_back(id);
+  if (queue_tail_[src] == kNoPacket) {
+    queue_head_[src] = pid;
+  } else {
+    packets_[queue_tail_[src]].next = pid;
+  }
+  queue_tail_[src] = pid;
+  ++queue_length_[src];
   ++queued_messages_;
   if (node_tx_packet_[src] == kNoPacket) mark_tx_pending(src);
   if (in_measure_window()) {
-    result_.max_source_queue =
-        std::max<std::uint64_t>(result_.max_source_queue, queue.size());
+    result_.max_source_queue = std::max<std::uint64_t>(
+        result_.max_source_queue, queue_length_[src]);
   }
 }
 
@@ -205,10 +224,10 @@ void Engine::generate_arrivals() {
       const std::uint64_t dst = traffic_->next_destination(node, rng_);
       WORMSIM_DCHECK(dst != node);
       const std::uint32_t length = traffic_->next_length(node, rng_);
-      const PacketId id = inject_message(node, dst, length);
+      inject_message(node, dst, length);
       if (in_measure_window()) {
         ++result_.generated_messages_in_window;
-        result_.generated_flits_in_window += packets_[id].length;
+        result_.generated_flits_in_window += length;
       }
       next += std::max(traffic_->next_gap(node, rng_), 1e-9);
     }
@@ -225,11 +244,13 @@ bool Engine::start_transmissions() {
   bool started = false;
   for (NodeId node : tx_pending_) {
     tx_pending_flag_[node] = 0;
-    std::deque<PacketId>& queue = node_queue_[node];
-    if (node_tx_packet_[node] == kNoPacket && !queue.empty()) {
+    const PacketId head = queue_head_[node];
+    if (node_tx_packet_[node] == kNoPacket && head != kNoPacket) {
       started = true;
-      node_tx_packet_[node] = queue.front();
-      queue.pop_front();
+      node_tx_packet_[node] = head;
+      queue_head_[node] = packets_[head].next;
+      if (queue_head_[node] == kNoPacket) queue_tail_[node] = kNoPacket;
+      --queue_length_[node];
       --queued_messages_;
       node_tx_sent_[node] = 0;
       ++transmitting_nodes_;
@@ -269,10 +290,10 @@ bool Engine::route_and_allocate() {
     WORMSIM_DCHECK(fc_.front_seq(u) == 0);
     WORMSIM_DCHECK(route_out_[u] == kInvalidId);
     if (sleep_since_[pos] != kNoCycle) charge_sleep(pos);
-    const PacketState& pkt = packets_[pid];
-    // Router::candidates is pure in (packet, lane) and packet ids are
-    // unique per run, so a blocked header re-arbitrating every cycle
-    // reuses its memoized list instead of re-walking the topology.
+    const PacketRecord& pkt = packets_[pid];
+    // Router::candidates is pure in (packet, lane), so a blocked header
+    // re-arbitrating every cycle reuses its memoized list instead of
+    // re-walking the topology.
     const LaneId* cand = nullptr;
     std::size_t cand_count = 0;
     if (cand_pkt_[u] == pid && cand_len_[u] != kCandOverflow) {
@@ -330,7 +351,8 @@ bool Engine::route_and_allocate() {
     }
     const std::uint32_t sw = pos_switch_[pos];
     if (free_lanes.empty()) {  // blocked; the bit stays for next cycle
-      observers_.blocked(pid, u, sw, credit_gated != kInvalidId, cycle_, [&] {
+      const bool credit_short = credit_gated != kInvalidId;
+      observers_.blocked(pkt.serial, u, sw, credit_short, cycle_, [&] {
         // Culprit: the first *allocated* candidate in candidate order (the
         // tracer resolves its holder worm).  A header whose only obstacle
         // is a credit-dry lane is credit-starved, not contending; with
@@ -358,10 +380,11 @@ bool Engine::route_and_allocate() {
                   rng_.below(free_lanes.size()))];
     header_bits_.clear(pos);
     --header_count_;
+    cand_pkt_[u] = kNoPacket;  // the memo dies with the unrouted header
     route_out_[u] = chosen;
     alloc_owner_[chosen] = u;
     schedule_channel(lane_channel_[chosen]);
-    observers_.granted(pid, u, sw, chosen, cycle_);
+    observers_.granted(pkt.serial, u, sw, chosen, cycle_);
   };
   // Sleepers are masked out word by word; the sleep word is re-read after
   // every serve, so a header woken mid-walk (a termination released a
@@ -411,7 +434,8 @@ void Engine::charge_sleep(std::uint32_t pos) {
   sleep_since_[pos] = sleep_bits_.test(pos) ? cycle_ : kNoCycle;
   if (first >= cycle_) return;
   const LaneId u = switch_input_lanes_[pos];
-  observers_.slept(fc_.front(u), u, pos_switch_[pos], first, cycle_ - 1);
+  observers_.slept(packets_[fc_.front(u)].serial, u, pos_switch_[pos], first,
+                   cycle_ - 1);
 }
 
 void Engine::set_fault_plan(fault_injection::FaultPlan plan) {
@@ -454,6 +478,7 @@ std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
     if (sleep_since_[pos] != kNoCycle) charge_sleep(pos);
     header_bits_.clear(pos);
     --header_count_;
+    cand_pkt_[lane] = kNoPacket;
   }
   const std::uint32_t removed = fc_.erase(lane, pid);
   if (removed == 0) return 0;
@@ -479,9 +504,8 @@ std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
 }
 
 void Engine::terminate_worm(PacketId pid) {
-  PacketState& pkt = packets_[pid];
-  WORMSIM_DCHECK(!pkt.delivered());
-  WORMSIM_DCHECK(!pkt.terminated());
+  const PacketRecord& pkt = packets_[pid];
+  WORMSIM_DCHECK(pkt.length != 0);
   // (1) Collect the routes the worm holds, before anything changes:
   // releasing mutates the alloc_owner_ links chain_worm() walks, and a
   // chain of empty lanes (credit bubbles between flits) is traced back
@@ -509,16 +533,16 @@ void Engine::terminate_worm(PacketId pid) {
   }
   // (5) Account: delivered + terminated is the generalized conservation
   // the validator reconciles (flits ejected before the kill stay
-  // delivered; sent - truncated of them were).
-  pkt.terminate_cycle = cycle_;
-  pkt.flits_sent_at_kill = sent;
-  pkt.flits_truncated = truncated;
+  // delivered; sent - truncated of them were), then free the record.
   ++result_.terminated_messages;
   result_.terminated_flits += truncated;
   --worms_in_flight_;
   // Termination is progress: state changed, nothing is stuck.
   last_move_cycle_ = cycle_;
-  observers_.terminated(pid, sent, cycle_);
+  drain_.terminated(pkt.create_cycle, cycle_);
+  observers_.terminated(pkt.serial, sent, cycle_);
+  if (validator_ != nullptr) validator_->on_terminated(pid, sent, truncated);
+  free_record(pid);
 }
 
 void Engine::apply_fault_plan() {
@@ -549,12 +573,15 @@ void Engine::apply_fault_plan() {
       }
     }
   }
-  std::sort(victims.begin(), victims.end());
+  // Terminate in creation order: records are reused, so slot order is
+  // not it.
+  victims.erase(std::remove(victims.begin(), victims.end(), kNoPacket),
+                victims.end());
+  std::sort(victims.begin(), victims.end(), [&](PacketId a, PacketId b) {
+    return packets_[a].serial < packets_[b].serial;
+  });
   victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
-  for (const PacketId pid : victims) {
-    if (pid == kNoPacket) continue;
-    if (!packets_[pid].terminated()) terminate_worm(pid);
-  }
+  for (const PacketId pid : victims) terminate_worm(pid);
 }
 
 int Engine::decide_channel(ChannelId ch_id) {
@@ -670,7 +697,7 @@ bool Engine::try_single_lane(ChannelId ch) {
       fc_.credits[lane] = 0;
     }
   }
-  observers_.moved(pid, seq, lane, cycle_);
+  observers_.moved(packets_[pid].serial, seq, lane, cycle_);
   channel_used_cycle_[ch] = cycle_;
   last_move_cycle_ = cycle_;
   return true;
@@ -679,7 +706,7 @@ bool Engine::try_single_lane(ChannelId ch) {
 void Engine::move_from_node(NodeId node_id, LaneId lane) {
   const PacketId tx = node_tx_packet_[node_id];
   const std::uint32_t sent = node_tx_sent_[node_id];
-  PacketState& pkt = packets_[tx];
+  PacketRecord& pkt = packets_[tx];
   const bool at_front = fc_push(lane, tx, sent);
   // The arrived flit can cross its (already routed) next hop next cycle.
   // A flit landing behind the front changes nothing about readiness.
@@ -688,14 +715,14 @@ void Engine::move_from_node(NodeId node_id, LaneId lane) {
     pkt.inject_cycle = cycle_;
     ++worms_in_flight_;
     if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
-      tracer->on_injected(tx, cycle_);
+      tracer->on_injected(pkt.serial, cycle_);
     }
     // A header behind an earlier worm's flits becomes routable only when
     // it reaches the front (move_from_switch registers it after the tail
     // ahead of it pops).  Injection channels end at switches.
     if (at_front) header_at_front(lane);
   }
-  observers_.moved(tx, sent, lane, cycle_);
+  observers_.moved(pkt.serial, sent, lane, cycle_);
   node_tx_sent_[node_id] = sent + 1;
   if (sent + 1 == pkt.length) stop_source(node_id);
 }
@@ -709,7 +736,7 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
   // The channel feeding in_lane's buffer may now transmit its next flit:
   // the scan re-tries it, the chase tries it at once.
   popped_ = in_lane;
-  observers_.moved(pkt_id, seq, out_lane, cycle_);
+  observers_.moved(packets_[pkt_id].serial, seq, out_lane, cycle_);
   if (!ch_dst_is_switch_.test(lane_channel_[out_lane])) {
     deliver_flit(pkt_id, seq);
   } else {
@@ -740,7 +767,7 @@ void Engine::header_at_front(LaneId lane) {
   header_bits_.set(pos);
   ++header_count_;
   if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
-    tracer->on_header_arrival(fc_.front(lane), lane, cycle_);
+    tracer->on_header_arrival(packets_[fc_.front(lane)].serial, lane, cycle_);
   }
 }
 
@@ -758,7 +785,7 @@ void Engine::stop_source(NodeId node) {
   node_tx_packet_[node] = kNoPacket;
   node_tx_sent_[node] = 0;
   --transmitting_nodes_;
-  if (!node_queue_[node].empty()) mark_tx_pending(node);
+  if (queue_head_[node] != kNoPacket) mark_tx_pending(node);
 }
 
 bool Engine::fc_push(LaneId lane, PacketId pkt, std::uint32_t seq) {
@@ -861,9 +888,9 @@ void Engine::fc_close_starve(LaneId lane) {
     // transmitting node's packet on an injection lane, the upstream
     // FIFO's head worm otherwise.
     const std::uint32_t src_node = ch_src_node_[lane_channel_[lane]];
-    if (src_node != kInvalidId) return node_tx_packet_[src_node];
+    if (src_node != kInvalidId) return serial(node_tx_packet_[src_node]);
     const LaneId owner = alloc_owner_[lane];
-    return owner != kInvalidId ? fc_.front(owner) : kNoPacket;
+    return owner != kInvalidId ? serial(fc_.front(owner)) : kNoPacket;
   });
 }
 
@@ -877,7 +904,7 @@ bool Engine::upstream_has_flit(LaneId lane) const {
 }
 
 void Engine::deliver_flit(PacketId pkt_id, std::uint32_t seq) {
-  PacketState& pkt = packets_[pkt_id];
+  const PacketRecord& pkt = packets_[pkt_id];
   WORMSIM_DCHECK(network_
                      .channel(network_.ejection_channel(
                          static_cast<NodeId>(pkt.dst)))
@@ -887,10 +914,10 @@ void Engine::deliver_flit(PacketId pkt_id, std::uint32_t seq) {
   }
   ++delivered_flits_total_;
   if (seq + 1 == pkt.length) {
-    pkt.deliver_cycle = cycle_;
     --worms_in_flight_;
-    observers_.delivered(pkt_id, seq, cycle_);
+    observers_.delivered(pkt.serial, seq, cycle_);
     ++result_.delivered_messages_total;
+    drain_.delivered(pkt.create_cycle, pkt.measured, cycle_);
     if (pkt.measured) {
       const auto latency =
           static_cast<double>(cycle_ - pkt.create_cycle);
@@ -901,6 +928,8 @@ void Engine::deliver_flit(PacketId pkt_id, std::uint32_t seq) {
       result_.queueing_cycles.add(
           static_cast<double>(pkt.inject_cycle - pkt.create_cycle));
     }
+    if (validator_ != nullptr) validator_->on_delivered(pkt_id);
+    free_record(pkt_id);
   }
 }
 
@@ -1002,7 +1031,7 @@ void Engine::step() {
     sample.flits_in_flight = occupied_;
     sample.worms_in_flight = worms_in_flight_;
     sample.mean_queue_depth = static_cast<double>(queued_messages_) /
-                              static_cast<double>(node_queue_.size());
+                              static_cast<double>(queue_length_.size());
     observers_.sample(sample);
   }
   // `cycle_ + 1` cycles are complete once this step ends.
@@ -1027,7 +1056,7 @@ telemetry::HeartbeatSnapshot Engine::heartbeat_snapshot(
     std::uint64_t cycle) const {
   telemetry::HeartbeatSnapshot snap;
   snap.cycle = cycle;
-  snap.messages_created = packets_.size();
+  snap.messages_created = drain_.created_count();
   snap.messages_delivered = result_.delivered_messages_total;
   snap.messages_terminated = result_.terminated_messages;
   snap.flits_delivered = delivered_flits_total_;
@@ -1067,10 +1096,10 @@ void Engine::report_deadlock() const {
                  lane, ch.id, static_cast<int>(ch.role), fc_.count[lane]);
     for (std::uint32_t s = 0; s < fc_.count[lane]; ++s) {
       const std::size_t at = fc_.slot(lane, s);
-      const PacketState& pkt = packets_[fc_.slot_packet[at]];
+      const PacketRecord& pkt = packets_[fc_.slot_packet[at]];
       std::fprintf(stderr,
                    "    slot %u: packet %u seq %u (src %llu dst %llu len %u)\n",
-                   s, fc_.slot_packet[at], fc_.slot_seq[at],
+                   s, pkt.serial, fc_.slot_seq[at],
                    static_cast<unsigned long long>(pkt.src),
                    static_cast<unsigned long long>(pkt.dst), pkt.length);
     }
@@ -1107,7 +1136,7 @@ SimResult Engine::run() {
   const double run_seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - run_start)
                                  .count();
-  record_drain(packets_, config_, result_);
+  drain_.finish(result_);
   observers_.finish(result_, heartbeat_snapshot(cycle_), run_seconds);
   if (validator_ != nullptr) validator_->check_final(result_);
   return result_;

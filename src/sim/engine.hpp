@@ -51,7 +51,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -93,6 +92,9 @@ class Engine {
   std::uint64_t cycle() const { return cycle_; }
 
   /// Queues a message at its source node, bypassing the traffic source.
+  /// Returns its creation serial, the id its trace events and worm trace
+  /// carry.  A message its full source queue drops gets a serial but no
+  /// record.
   PacketId inject_message(topology::NodeId src, std::uint64_t dst,
                           std::uint32_t length);
 
@@ -106,19 +108,22 @@ class Engine {
   /// Steps until idle() or `max_cycles` elapse; returns true if idle.
   bool run_until_idle(std::uint64_t max_cycles);
 
-  const PacketState& packet(PacketId id) const { return packets_.at(id); }
+  /// Packet records held: the most messages alive at once (queued,
+  /// transmitting or in the network) so far, not the messages created.
+  /// A delivered or fault-terminated message's record is reused, so its
+  /// outcome is read from trace events (RecordingTraceSink::timeline).
   std::size_t packet_count() const { return packets_.size(); }
   const topology::NetView& network() const { return network_; }
 
-  /// Lane occupancy introspection for tests: the packet of the lane
-  /// FIFO's oldest flit, or kNoPacket.
+  /// Lane occupancy introspection for tests: the serial of the packet of
+  /// the lane FIFO's oldest flit, or kNoPacket.
   PacketId buffered_packet(topology::LaneId lane) const {
     WORMSIM_CHECK(lane < fc_.lanes);
-    return fc_.front(lane);
+    return serial(fc_.front(lane));
   }
 
   std::uint64_t source_queue_length(topology::NodeId node) const {
-    return node_queue_.at(node).size();
+    return queue_length_.at(node);
   }
 
   /// Total flits currently buffered in the network.
@@ -232,7 +237,21 @@ class Engine {
     schedule_channel(ch);
   }
   void deliver_flit(PacketId pkt, std::uint32_t seq);
-  void enqueue_packet(topology::NodeId src, PacketId id);
+  /// Stores `record` in the free list's most recently freed slot (a new
+  /// slot when the list is empty) and appends it to `src`'s source queue.
+  void enqueue_packet(topology::NodeId src, const PacketRecord& record);
+  /// Returns record `pid` of a delivered or fault-terminated message to
+  /// the free list.
+  void free_record(PacketId pid) {
+    PacketRecord& rec = packets_[pid];
+    rec.length = 0;
+    rec.next = free_head_;
+    free_head_ = pid;
+  }
+  /// What observers see of record `pid`: its creation serial.
+  PacketId serial(PacketId pid) const {
+    return pid == kNoPacket ? kNoPacket : packets_[pid].serial;
+  }
   bool in_measure_window() const {
     return cycle_ >= config_.warmup_cycles &&
            cycle_ < config_.warmup_cycles + config_.measure_cycles;
@@ -368,14 +387,22 @@ class Engine {
   std::uint64_t transmitting_nodes_ = 0;  ///< nodes with tx_packet set
   std::uint64_t queued_messages_ = 0;     ///< sum of source-queue lengths
 
-  std::vector<PacketState> packets_;
+  // Packet records, indexed by slot (DESIGN.md §12).  FIFO slots,
+  // transmit registers and source queues hold slots; observers see
+  // serials.  A delivered or fault-terminated message's slot goes on a
+  // LIFO free list (free_head_, linked through next) and the next message
+  // created takes it, so the table holds the most messages ever alive at
+  // once, not every message created.
+  std::vector<PacketRecord> packets_;
+  PacketId free_head_ = kNoPacket;
 
   // Per-node state, structure-of-arrays (DESIGN.md §12).  The hot advance
-  // loop touches only node_tx_packet_ (is the source streaming?); the
-  // queue deques — by far the widest field — live in their own cold
-  // array so a transmit-readiness probe never drags a deque header
-  // through the cache.
-  std::vector<std::deque<PacketId>> node_queue_;
+  // loop touches only node_tx_packet_ (is the source streaming?).  Each
+  // node's FCFS source queue is threaded through the records' next
+  // links: head and tail slots (kNoPacket when empty) and length.
+  std::vector<PacketId> queue_head_;
+  std::vector<PacketId> queue_tail_;
+  std::vector<std::uint32_t> queue_length_;
   std::vector<PacketId> node_tx_packet_;
   std::vector<std::uint32_t> node_tx_sent_;
   std::vector<double> node_next_arrival_;
@@ -419,10 +446,12 @@ class Engine {
   std::vector<std::uint32_t> lane_scan_pos_;
 
   // Memoized routing candidates per switch-input lane, keyed by the
-  // header packet occupying it.  Router::candidates is pure in
-  // (packet, lane), and packet ids are unique per run, so a blocked
-  // header re-arbitrating every cycle reuses its list instead of
-  // re-walking the topology.  The per-lane slot width is the network's
+  // record of the unrouted header occupying it.  Router::candidates is
+  // pure in (packet, lane), so a blocked header re-arbitrating every
+  // cycle reuses its list instead of re-walking the topology.  An entry
+  // lives only while its header is unrouted: a grant or a kill of the
+  // header clears it, so a record reused by a later message never meets
+  // its predecessor's list.  The per-lane slot width is the network's
   // maximum routing fan-out capped at kCandStrideMax — a TMIN needs one
   // slot per lane, not sixteen, and at 2M nodes that is the difference
   // between an 8 MB and a 1 GB memo table.  Lists longer than the
@@ -493,6 +522,8 @@ class Engine {
   std::unique_ptr<EngineValidator> validator_;
 
   SimResult result_;
+  // Messages created, and the drain verdict tallied as they resolve.
+  DrainTally drain_;
   // Declared after result_: it accumulates into result_.telemetry_counters.
   Observers observers_;
 };

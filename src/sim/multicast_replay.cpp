@@ -7,6 +7,21 @@
 
 namespace wormsim::sim {
 
+namespace {
+
+/// The cycle of the latest delivery an engine reports.
+class LastDelivery final : public TraceSink {
+ public:
+  void on_event(const TraceEvent& event) override {
+    if (event.kind == TraceEvent::Kind::kDelivered) {
+      cycle = std::max(cycle, event.cycle);
+    }
+  }
+  std::uint64_t cycle = 0;
+};
+
+}  // namespace
+
 std::uint64_t simulate_makespan(const topology::Network& network,
                                 const routing::Router& router,
                                 const routing::MulticastSchedule& schedule,
@@ -21,19 +36,14 @@ std::uint64_t simulate_makespan(const topology::Network& network,
     config.measure_cycles = 1u << 30;
     config.drain_cycles = 0;
     Engine engine(network, router, nullptr, config);
-    std::vector<PacketId> ids;
-    ids.reserve(round.size());
+    LastDelivery last;
+    engine.set_trace_sink(&last);
     for (const routing::Unicast& uc : round) {
-      ids.push_back(engine.inject_message(uc.src, uc.dst, message_flits));
+      engine.inject_message(uc.src, uc.dst, message_flits);
     }
     WORMSIM_CHECK_MSG(engine.run_until_idle(10'000'000),
                       "multicast round did not drain");
-    std::uint64_t round_makespan = 0;
-    for (PacketId id : ids) {
-      round_makespan =
-          std::max(round_makespan, engine.packet(id).deliver_cycle + 1);
-    }
-    total += round_makespan;
+    total += last.cycle + 1;
   }
   return total;
 }

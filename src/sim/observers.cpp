@@ -62,30 +62,14 @@ void Observers::finish(SimResult& result,
   }
 }
 
-void record_drain(const std::vector<PacketState>& packets,
-                  const SimConfig& config, SimResult& result) {
-  const std::uint64_t measure_end =
-      config.warmup_cycles + config.measure_cycles;
-  std::uint64_t last_resolved = 0;
-  bool all_resolved = true;
-  for (const PacketState& pkt : packets) {
-    if (pkt.measured && !pkt.delivered()) {
-      ++result.measured_messages_unfinished;
-    }
-    if (pkt.create_cycle >= measure_end) continue;
-    if (pkt.delivered()) {
-      last_resolved = std::max(last_resolved, pkt.deliver_cycle);
-    } else if (pkt.terminated()) {
-      last_resolved = std::max(last_resolved, pkt.terminate_cycle);
-    } else {
-      all_resolved = false;
-    }
-  }
-  result.drained = all_resolved;
+void DrainTally::finish(SimResult& result) const {
+  result.measured_messages_unfinished = unfinished_measured_;
+  result.drained = open_ == 0;
   result.time_to_drain_cycles =
-      all_resolved
-          ? (last_resolved > measure_end ? last_resolved - measure_end : 0)
-          : config.drain_cycles;
+      open_ == 0 ? (last_resolved_ > measure_end_
+                        ? last_resolved_ - measure_end_
+                        : 0)
+                 : drain_cycles_;
 }
 
 }  // namespace wormsim::sim

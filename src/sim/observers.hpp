@@ -193,7 +193,7 @@ class Observers {
 
   /// Ends the run: copies the samples and shares the worm trace,
   /// finalizes the heartbeat stream with `last` (and the drain verdict
-  /// record_drain left in `result`), and copies the onsets and the
+  /// DrainTally::finish left in `result`), and copies the onsets and the
   /// profile, whose engine wall time is `run_seconds`.
   void finish(SimResult& result, const telemetry::HeartbeatSnapshot& last,
               double run_seconds);
@@ -224,13 +224,61 @@ class Observers {
   std::optional<telemetry::PhaseProfiler> profiler_;
 };
 
-/// The drain SLO both engines report: cycles past the measurement window
+/// The drain SLO both engines report, tallied as messages are created,
+/// delivered and fault-terminated: cycles past the measurement window
 /// until every message created before it ended was delivered or
 /// fault-terminated (sources keep offering traffic through the drain, so
 /// "network momentarily empty" would never fire at real loads), plus the
 /// count of measured messages never delivered.  A pre-drain message
-/// still queued (or dropped at creation) fails the drain.
-void record_drain(const std::vector<PacketState>& packets,
-                  const SimConfig& config, SimResult& result);
+/// still queued, or dropped at creation, fails the drain: nothing ever
+/// resolves it.
+class DrainTally {
+ public:
+  explicit DrainTally(const SimConfig& config)
+      : measure_end_(config.warmup_cycles + config.measure_cycles),
+        drain_cycles_(config.drain_cycles) {}
+
+  /// A message was created at `create_cycle` (dropped ones too).
+  void created(std::uint64_t create_cycle) {
+    ++created_;
+    if (create_cycle < measure_end_) ++open_;
+  }
+  /// A created message counts as measured: unfinished until delivered.
+  void measured() { ++unfinished_measured_; }
+  /// The message created at `create_cycle` was delivered at `cycle`.
+  void delivered(std::uint64_t create_cycle, bool measured,
+                 std::uint64_t cycle) {
+    if (measured) --unfinished_measured_;
+    resolved(create_cycle, cycle);
+  }
+  /// The message created at `create_cycle` was fault-terminated at `cycle`.
+  void terminated(std::uint64_t create_cycle, std::uint64_t cycle) {
+    resolved(create_cycle, cycle);
+  }
+
+  /// Messages created so far: the heartbeat count, and the serial of the
+  /// next message.
+  std::uint64_t created_count() const { return created_; }
+
+  /// Writes drained, time_to_drain_cycles and
+  /// measured_messages_unfinished into `result`.
+  void finish(SimResult& result) const;
+
+ private:
+  void resolved(std::uint64_t create_cycle, std::uint64_t cycle) {
+    if (create_cycle >= measure_end_) return;
+    --open_;
+    last_resolved_ = std::max(last_resolved_, cycle);
+  }
+
+  std::uint64_t measure_end_;
+  std::uint64_t drain_cycles_;
+  std::uint64_t created_ = 0;
+  /// Messages created before measure_end_ and not yet resolved.
+  std::uint64_t open_ = 0;
+  /// Latest delivery or termination of such a message.
+  std::uint64_t last_resolved_ = 0;
+  std::uint64_t unfinished_measured_ = 0;
+};
 
 }  // namespace wormsim::sim

@@ -26,6 +26,7 @@ StoreForwardEngine::StoreForwardEngine(const topology::NetView& network,
       traffic_(traffic),
       config_(config),
       rng_(config.seed),
+      drain_(config_),
       observers_(network_, config_, "store_forward", nullptr) {
   WORMSIM_CHECK(config_.buffer_depth >= 1);
   nodes_.resize(network_.node_count());
@@ -87,17 +88,20 @@ PacketId StoreForwardEngine::inject_message(NodeId src, std::uint64_t dst,
   WORMSIM_CHECK_MSG(dst != src, "self-addressed message");
   WORMSIM_CHECK(length >= 1);
   WORMSIM_CHECK(when >= now_);
-  PacketState pkt;
+  Packet pkt;
   pkt.src = src;
   pkt.dst = dst;
   pkt.length = length;
   pkt.create_cycle = when;
-  pkt.turn_stage = routing::make_query(network_, src, dst).turn_stage;
+  pkt.turn_stage = static_cast<std::uint8_t>(
+      routing::make_query(network_, src, dst).turn_stage);
   const PacketId id = next_packet_id(packets_.size());
   packets_.push_back(pkt);
+  drain_.created(when);
   observers_.created(id, when, src, dst, length, false);
   if (when == now_) {
     packets_[id].measured = in_measure_window();
+    if (packets_[id].measured) drain_.measured();
     if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
       tracer->set_measured(id, packets_[id].measured);
     }
@@ -122,7 +126,7 @@ bool StoreForwardEngine::start_transfer(PacketId pkt, LaneId from,
   const PhysChannel& ch = network_.lane_channel(to);
   WORMSIM_DCHECK(channel_free_at_[ch.id] <= now_);
   if (from == kInvalidId) {
-    PacketState& state = packets_[pkt];
+    Packet& state = packets_[pkt];
     nodes_[state.src].transmitting = true;
     state.inject_cycle = now_;
   } else {
@@ -234,8 +238,9 @@ void StoreForwardEngine::pump() {
 }
 
 void StoreForwardEngine::deliver(PacketId pkt_id) {
-  PacketState& pkt = packets_[pkt_id];
+  Packet& pkt = packets_[pkt_id];
   pkt.deliver_cycle = now_;
+  drain_.delivered(pkt.create_cycle, pkt.measured, now_);
   if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
     tracer->on_sf_delivered(pkt_id, now_);
   }
@@ -306,13 +311,12 @@ void StoreForwardEngine::finish_transfer(const Transfer& transfer) {
 }
 
 void StoreForwardEngine::terminate_packet(PacketId pkt_id) {
-  PacketState& pkt = packets_[pkt_id];
+  Packet& pkt = packets_[pkt_id];
   WORMSIM_DCHECK(!pkt.delivered() && !pkt.terminated());
   pkt.terminate_cycle = now_;
+  drain_.terminated(pkt.create_cycle, now_);
   // Packet granularity: the whole packet sat in (or was headed for) the
   // dead buffer, so every flit that left the source is truncated.
-  pkt.flits_sent_at_kill = pkt.length;
-  pkt.flits_truncated = pkt.length;
   ++result_.terminated_messages;
   result_.terminated_flits += pkt.length;
   observers_.terminated(pkt_id, pkt.length, now_);
@@ -347,7 +351,7 @@ telemetry::HeartbeatSnapshot StoreForwardEngine::heartbeat_snapshot(
     std::uint64_t cycle) const {
   telemetry::HeartbeatSnapshot snap;
   snap.cycle = cycle;
-  snap.messages_created = packets_.size();
+  snap.messages_created = drain_.created_count();
   snap.messages_delivered = result_.delivered_messages_total;
   snap.messages_terminated = result_.terminated_messages;
   snap.flits_delivered = delivered_flits_total_;
@@ -403,8 +407,9 @@ void StoreForwardEngine::process(const Event& event) {
       finish_transfer(transfers_[event.payload]);
       break;
     case Event::Kind::kInject: {
-      PacketState& pkt = packets_[event.payload];
+      Packet& pkt = packets_[event.payload];
       pkt.measured = in_measure_window();
+      if (pkt.measured) drain_.measured();
       if (telemetry::WormTracer* tracer = observers_.worm_tracer()) {
         tracer->set_measured(static_cast<PacketId>(event.payload),
                              pkt.measured);
@@ -442,7 +447,7 @@ SimResult StoreForwardEngine::run() {
     process(event);
   }
   now_ = total;
-  record_drain(packets_, config_, result_);
+  drain_.finish(result_);
   observers_.finish(result_, heartbeat_snapshot(total), 0.0);
   if (validator_ != nullptr) validator_->check_final(result_);
   return result_;

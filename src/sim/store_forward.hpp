@@ -54,6 +54,18 @@ class StoreForwardEngine {
   /// Out of line: StoreForwardValidator is incomplete here.
   ~StoreForwardEngine();
 
+  /// A message and its outcome.  This engine keeps every message's record
+  /// for the whole run.
+  struct Packet : PacketState {
+    std::uint64_t deliver_cycle = kNoCycle;  ///< arrived at its destination
+    /// Cycle a fault kill discarded the packet (DESIGN.md §14); kNoCycle
+    /// for every packet in a fault-free run.
+    std::uint64_t terminate_cycle = kNoCycle;
+
+    bool delivered() const { return deliver_cycle != kNoCycle; }
+    bool terminated() const { return terminate_cycle != kNoCycle; }
+  };
+
   /// Queues a message at its source at the given time (>= current time).
   PacketId inject_message(topology::NodeId src, std::uint64_t dst,
                           std::uint32_t length, std::uint64_t when = 0);
@@ -65,7 +77,7 @@ class StoreForwardEngine {
   /// when fully drained before `max_time`.
   bool run_until_idle(std::uint64_t max_time);
 
-  const PacketState& packet(PacketId id) const { return packets_.at(id); }
+  const Packet& packet(PacketId id) const { return packets_.at(id); }
   std::uint64_t now() const { return now_; }
 
   /// Non-null when per-packet tracing is on (telemetry.worm_trace); run()
@@ -187,7 +199,7 @@ class StoreForwardEngine {
       free_calendar_;
   std::vector<Transfer> transfers_;  // indexed by payload of kTransferDone
 
-  std::vector<PacketState> packets_;
+  std::vector<Packet> packets_;
   std::vector<NodeState> nodes_;
   std::vector<LaneState> lanes_;
   std::vector<std::uint64_t> channel_free_at_;
@@ -213,6 +225,8 @@ class StoreForwardEngine {
   std::uint64_t delivered_flits_total_ = 0;
 
   SimResult result_;
+  // Messages created, and the drain verdict tallied as they resolve.
+  DrainTally drain_;
   Observers observers_;
 };
 

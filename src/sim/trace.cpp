@@ -29,4 +29,30 @@ std::vector<TraceEvent> RecordingTraceSink::packet_events(
   return out;
 }
 
+PacketTimeline RecordingTraceSink::timeline(PacketId packet) const {
+  PacketTimeline timeline;
+  for (const TraceEvent& event : events_) {
+    if (event.packet != packet) continue;
+    switch (event.kind) {
+      case TraceEvent::Kind::kCreated:
+        timeline.created = event.cycle;
+        break;
+      case TraceEvent::Kind::kFlitMoved:
+        if (event.flit_seq == 0 && timeline.injected == kNoCycle) {
+          timeline.injected = event.cycle;
+        }
+        break;
+      case TraceEvent::Kind::kDelivered:
+        timeline.delivered = event.cycle;
+        break;
+      case TraceEvent::Kind::kTerminated:
+        timeline.terminated = event.cycle;
+        break;
+      case TraceEvent::Kind::kRouted:
+        break;
+    }
+  }
+  return timeline;
+}
+
 }  // namespace wormsim::sim

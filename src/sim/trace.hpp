@@ -3,8 +3,10 @@
 // An optional observer the engine reports to: message creation, header
 // routing decisions, per-channel flit transmissions, blocking retries,
 // and delivery.  Used by tests to validate micro-behavior (e.g. that a
-// worm's route is one of the enumerated static paths) and by the
-// trace_route example to print a packet's journey.
+// worm's route is one of the enumerated static paths) and read delivery
+// outcomes, by the multicast replay to time its rounds, and by the
+// trace_route example to print a packet's journey.  Events carry a
+// packet's creation serial, the id inject_message returns.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +32,19 @@ struct TraceEvent {
   topology::LaneId lane = topology::kInvalidId;
 };
 
+/// What one packet's events say about it: the cycle of its creation, of
+/// its header's first move (injection), of its delivery and of its
+/// termination, each kNoCycle when it never happened.
+struct PacketTimeline {
+  std::uint64_t created = kNoCycle;
+  std::uint64_t injected = kNoCycle;
+  std::uint64_t delivered = kNoCycle;
+  std::uint64_t terminated = kNoCycle;
+
+  bool was_delivered() const { return delivered != kNoCycle; }
+  bool was_terminated() const { return terminated != kNoCycle; }
+};
+
 /// Receives engine events.  Implementations must be cheap; the engine
 /// calls into the sink from its hot loop when tracing is enabled.
 class TraceSink {
@@ -53,6 +68,11 @@ class RecordingTraceSink final : public TraceSink {
 
   /// Events of one packet only.
   std::vector<TraceEvent> packet_events(PacketId packet) const;
+
+  /// `packet`'s creation, injection, delivery and termination cycles:
+  /// how a caller reads a message's outcome once the engine has reused
+  /// its record.
+  PacketTimeline timeline(PacketId packet) const;
 
  private:
   std::vector<TraceEvent> events_;

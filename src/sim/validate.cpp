@@ -125,6 +125,7 @@ EngineValidator::EngineValidator(const Engine& engine) : e_(engine) {
 
 void EngineValidator::check_cycle_end() {
   ++sweeps_;
+  check_live_records();
   check_buffers_and_counters();
   check_flow_control();
   check_allocation();
@@ -134,6 +135,109 @@ void EngineValidator::check_cycle_end() {
   check_arrival_calendar();
   check_fault_state();
   maybe_probe_deadlock();
+}
+
+void EngineValidator::check_live_records() {
+  const std::uint64_t cycle = e_.cycle_;
+  const auto& packets = e_.packets_;
+  const std::size_t records = packets.size();
+  if (record_mark_.size() < records) record_mark_.resize(records, 0);
+  // Why `pid` cannot be a held id: unknown, free, or kNoPacket (null).
+  const auto not_in_use = [&](PacketId pid) -> const char* {
+    if (pid == kNoPacket) return "no";
+    if (pid >= records) return "unknown";
+    return packets[pid].length == 0 ? "freed" : nullptr;
+  };
+
+  // The free list: free records only, each once (a revisit is a loop).
+  for (PacketId pid = e_.free_head_; pid != kNoPacket;
+       pid = packets[pid].next) {
+    if (pid >= records || packets[pid].length != 0 ||
+        record_mark_[pid] == sweeps_) {
+      engine_fail("live-record", cycle, kInvalidId,
+                  "free list entry %u is %s", pid,
+                  pid >= records               ? "unknown"
+                  : packets[pid].length != 0 ? "in use"
+                                               : "listed twice");
+    }
+    record_mark_[pid] = sweeps_;
+  }
+
+  // Source queues: each a chain of records in use, in one queue once,
+  // whose length and tail are the node's books.
+  for (NodeId node = 0; node < e_.queue_head_.size(); ++node) {
+    std::uint64_t length = 0;
+    PacketId last = kNoPacket;
+    for (PacketId pid = e_.queue_head_[node]; pid != kNoPacket;
+         pid = packets[pid].next) {
+      if (const char* what = not_in_use(pid)) {
+        engine_fail("live-record", cycle, kInvalidId,
+                    "node %u's source queue holds %s record %u", node, what,
+                    pid);
+      }
+      if (record_mark_[pid] == sweeps_) {
+        engine_fail("live-record", cycle, kInvalidId,
+                    "packet %u is queued twice", packets[pid].serial);
+      }
+      record_mark_[pid] = sweeps_;
+      last = pid;
+      ++length;
+    }
+    if (length != e_.queue_length_[node] || last != e_.queue_tail_[node]) {
+      engine_fail("live-record", cycle, kInvalidId,
+                  "node %u's source queue holds %llu records ending at %u "
+                  "but its books say %u ending at %u",
+                  node, static_cast<unsigned long long>(length), last,
+                  e_.queue_length_[node], e_.queue_tail_[node]);
+    }
+  }
+
+  // Transmit registers: a record in use that left its queue.
+  for (NodeId node = 0; node < e_.node_tx_packet_.size(); ++node) {
+    const PacketId pid = e_.node_tx_packet_[node];
+    if (pid == kNoPacket) continue;
+    if (const char* what = not_in_use(pid)) {
+      engine_fail("live-record", cycle, kInvalidId,
+                  "node %u is transmitting %s record %u", node, what, pid);
+    }
+    if (record_mark_[pid] == sweeps_) {
+      engine_fail("live-record", cycle, kInvalidId,
+                  "node %u is transmitting packet %u, which is also queued "
+                  "or transmitted elsewhere",
+                  node, packets[pid].serial);
+    }
+    record_mark_[pid] = sweeps_;
+  }
+
+  // FIFO slots.  A slot inside the occupancy holding no flit is the
+  // buffer-occupancy invariant's to report.
+  const FlowControlState& fc = e_.fc_;
+  for (LaneId lane = 0; lane < fc.lanes; ++lane) {
+    const std::uint32_t count = std::min(fc.count[lane], fc.depth);
+    for (std::uint32_t s = 0; s < count; ++s) {
+      const PacketId pid = fc.slot_packet[fc.slot(lane, s)];
+      if (pid == kNoPacket) continue;
+      if (const char* what = not_in_use(pid)) {
+        engine_fail("live-record", cycle, lane,
+                    "fifo slot %u holds %s record %u", s, what, pid);
+      }
+      record_mark_[pid] = sweeps_;
+    }
+  }
+
+  // Every record is held by the free list or, in use, by one of the
+  // above: a record nothing holds is leaked, and the table grows.
+  for (PacketId pid = 0; pid < records; ++pid) {
+    if (record_mark_[pid] == sweeps_) continue;
+    if (packets[pid].length == 0) {
+      engine_fail("live-record", cycle, kInvalidId,
+                  "record %u is free but not on the free list", pid);
+    }
+    engine_fail("live-record", cycle, kInvalidId,
+                "record %u (packet %u) is in use but no source queue, "
+                "transmit register or fifo holds it (leaked)",
+                pid, packets[pid].serial);
+  }
 }
 
 void EngineValidator::check_buffers_and_counters() {
@@ -174,30 +278,17 @@ void EngineValidator::check_buffers_and_counters() {
       const std::size_t at = fc.slot(lane, s);
       const PacketId pid = fc.slot_packet[at];
       const std::uint32_t seq = fc.slot_seq[at];
-      if (pid >= e_.packets_.size()) {
-        engine_fail("flit-conservation", cycle, lane,
-                    "fifo slot %u holds %s packet id %u", s,
-                    pid == kNoPacket ? "no" : "unknown", pid);
+      if (pid == kNoPacket) {
+        engine_fail("buffer-occupancy", cycle, lane,
+                    "fifo slot %u inside the %u-flit occupancy holds no flit",
+                    s, count);
       }
-      const PacketState& pkt = e_.packets_[pid];
+      // check_live_records vouched for every other id: a record in use.
+      const PacketRecord& pkt = e_.packets_[pid];
       if (seq >= pkt.length) {
         engine_fail("worm-contiguity", cycle, lane,
                     "fifo slot %u's seq %u beyond packet %u's length %u", s,
-                    seq, pid, pkt.length);
-      }
-      if (pkt.delivered()) {
-        engine_fail("flit-conservation", cycle, lane,
-                    "packet %u delivered at cycle %llu but still buffered "
-                    "in fifo slot %u",
-                    pid, static_cast<unsigned long long>(pkt.deliver_cycle),
-                    s);
-      }
-      if (pkt.terminated()) {
-        engine_fail("fault-termination", cycle, lane,
-                    "packet %u terminated at cycle %llu but still buffered "
-                    "in fifo slot %u",
-                    pid, static_cast<unsigned long long>(pkt.terminate_cycle),
-                    s);
+                    seq, pkt.serial, pkt.length);
       }
       if (s > 0) {
         const std::size_t prev = fc.slot(lane, s - 1);
@@ -210,7 +301,8 @@ void EngineValidator::check_buffers_and_counters() {
           engine_fail("fifo-order", cycle, lane,
                       "slot %u (packet %u seq %u) does not follow slot %u "
                       "(packet %u seq %u)",
-                      s, pid, seq, s - 1, prev_pid, prev_seq);
+                      s, pkt.serial, seq, s - 1,
+                      e_.packets_[prev_pid].serial, prev_seq);
         }
       }
       ++occupied;
@@ -234,7 +326,7 @@ void EngineValidator::check_buffers_and_counters() {
   std::int64_t worms = 0;
   for (std::size_t i = 0; i < buffered_.size();) {
     const auto pid = static_cast<PacketId>(buffered_[i].first >> 32);
-    const PacketState& pkt = e_.packets_[pid];
+    const PacketRecord& pkt = e_.packets_[pid];
     std::size_t j = i + 1;
     while (j < buffered_.size() &&
            static_cast<PacketId>(buffered_[j].first >> 32) == pid) {
@@ -242,8 +334,8 @@ void EngineValidator::check_buffers_and_counters() {
       const auto cur = static_cast<std::uint32_t>(buffered_[j].first);
       if (cur != prev + 1) {
         engine_fail("worm-contiguity", cycle, buffered_[j].second,
-                    "packet %u's buffered flits jump from seq %u to %u", pid,
-                    prev, cur);
+                    "packet %u's buffered flits jump from seq %u to %u",
+                    pkt.serial, prev, cur);
       }
       ++j;
     }
@@ -255,7 +347,7 @@ void EngineValidator::check_buffers_and_counters() {
       engine_fail("worm-contiguity", cycle, buffered_[j - 1].second,
                   "packet %u's newest buffered flit is seq %u but %u flits "
                   "left the source",
-                  pid, newest, sent);
+                  pkt.serial, newest, sent);
     }
     ++worms;
     i = j;
@@ -287,20 +379,8 @@ void EngineValidator::check_buffers_and_counters() {
   std::uint64_t transmitting = 0;
   std::uint64_t queued = 0;
   for (NodeId node = 0; node < e_.node_tx_packet_.size(); ++node) {
-    const PacketId tx = e_.node_tx_packet_[node];
-    queued += e_.node_queue_[node].size();
-    if (tx == kNoPacket) continue;
-    ++transmitting;
-    if (tx >= e_.packets_.size() || e_.packets_[tx].delivered()) {
-      engine_fail("flit-conservation", cycle, kInvalidId,
-                  "node %u is transmitting packet %u which is %s", node, tx,
-                  tx >= e_.packets_.size() ? "unknown" : "already delivered");
-    }
-    if (e_.packets_[tx].terminated()) {
-      engine_fail("fault-termination", cycle, kInvalidId,
-                  "node %u is still transmitting terminated packet %u", node,
-                  tx);
-    }
+    queued += e_.queue_length_[node];
+    if (e_.node_tx_packet_[node] != kNoPacket) ++transmitting;
   }
   if (transmitting != e_.transmitting_nodes_) {
     engine_fail("flit-conservation", cycle, kInvalidId,
@@ -463,14 +543,13 @@ void EngineValidator::check_routing_legality() {
       pid = fc.slot_packet[fc.slot(out, fc.count[out] - 1)];
     }
     if (pid == kNoPacket) continue;
-    const char* reason =
-        illegal_hop_reason(e_.network_, e_.packets_[pid], in, out);
+    const PacketRecord& pkt = e_.packets_[pid];
+    const char* reason = illegal_hop_reason(e_.network_, pkt, in, out);
     if (reason != nullptr) {
-      const PacketState& pkt = e_.packets_[pid];
       engine_fail("routing-legality", cycle, in,
                   "route to output lane %u is illegal for packet %u "
                   "(src %llu dst %llu turn %u): %s",
-                  out, pid, static_cast<unsigned long long>(pkt.src),
+                  out, pkt.serial, static_cast<unsigned long long>(pkt.src),
                   static_cast<unsigned long long>(pkt.dst), pkt.turn_stage,
                   reason);
     }
@@ -629,8 +708,7 @@ void EngineValidator::check_header_sleep() {
                   "asleep but missing from switch %u's sleep list",
                   e_.pos_switch_[pos]);
     }
-    const PacketId pid = e_.fc_.front(lane);
-    const PacketState& pkt = e_.packets_[pid];
+    const PacketRecord& pkt = e_.packets_[e_.fc_.front(lane)];
     routing::RouteQuery query;
     query.src = pkt.src;
     query.dst = pkt.dst;
@@ -643,7 +721,7 @@ void EngineValidator::check_header_sleep() {
         engine_fail("header-sleep", cycle, lane,
                     "packet %u's header sleeps with candidate lane %u free "
                     "and live",
-                    pid, c);
+                    pkt.serial, c);
       }
     }
   }
@@ -741,8 +819,7 @@ void EngineValidator::check_fault_state() {
   for (std::size_t pos = 0; pos < e_.switch_input_lanes_.size(); ++pos) {
     if (!e_.header_bits_.test(pos)) continue;
     const LaneId lane = e_.switch_input_lanes_[pos];
-    const PacketId pid = e_.fc_.front(lane);
-    const PacketState& pkt = e_.packets_[pid];
+    const PacketRecord& pkt = e_.packets_[e_.fc_.front(lane)];
     routing::RouteQuery query;
     query.src = pkt.src;
     query.dst = pkt.dst;
@@ -758,14 +835,14 @@ void EngineValidator::check_fault_state() {
       }
     }
     if (alive) continue;
-    const auto key = std::make_pair(lane, pid);
+    const auto key = std::make_pair(lane, pkt.serial);
     if (std::find(fault_blocked_prev_.begin(), fault_blocked_prev_.end(),
                   key) != fault_blocked_prev_.end()) {
       engine_fail("fault-routability", cycle, lane,
                   "packet %u's header sat two sweeps with every legal "
                   "candidate faulty — fault-starved worms must be "
                   "terminated, not stalled",
-                  pid);
+                  pkt.serial);
     }
     starved.push_back(key);
   }
@@ -975,79 +1052,83 @@ void EngineValidator::maybe_probe_deadlock() {
               static_cast<unsigned long long>(stall), detail);
 }
 
+void EngineValidator::on_delivered(PacketId pid) {
+  const PacketRecord& pkt = e_.packets_[pid];
+  if (pkt.length == 0) {
+    engine_fail("live-record", e_.cycle_, kInvalidId,
+                "delivered the freed record %u", pid);
+  }
+  ++delivered_;
+  retired_flits_ += pkt.length;
+  if (pkt.measured) ++measured_delivered_;
+}
+
+void EngineValidator::on_terminated(PacketId pid, std::uint32_t sent,
+                                    std::uint32_t truncated) {
+  const PacketRecord& pkt = e_.packets_[pid];
+  if (pkt.length == 0) {
+    engine_fail("live-record", e_.cycle_, kInvalidId,
+                "terminated the freed record %u", pid);
+  }
+  // A terminated worm's flits split exactly into delivered before the
+  // kill plus truncated.
+  if (truncated > sent || sent > pkt.length) {
+    engine_fail("fault-termination", e_.cycle_, kInvalidId,
+                "packet %u truncated %u of %u sent flits (length %u)",
+                pkt.serial, truncated, sent, pkt.length);
+  }
+  ++terminated_;
+  terminated_flits_ += truncated;
+  retired_flits_ += sent - truncated;
+}
+
 void EngineValidator::check_final(const SimResult& result) {
   const std::uint64_t cycle = e_.cycle_;
-  std::vector<std::uint32_t> buffered_flits(e_.packets_.size(), 0);
+  ++sweeps_;
+  check_live_records();
+  const auto& packets = e_.packets_;
+  std::vector<std::uint32_t> buffered_flits(packets.size(), 0);
   const FlowControlState& fc = e_.fc_;
   for (LaneId lane = 0; lane < fc.lanes; ++lane) {
     for (std::uint32_t s = 0; s < fc.count[lane]; ++s) {
       ++buffered_flits[fc.slot_packet[fc.slot(lane, s)]];
     }
   }
-  std::vector<std::uint8_t> queued(e_.packets_.size(), 0);
-  for (const std::deque<PacketId>& queue : e_.node_queue_) {
-    for (const PacketId pid : queue) queued[pid] = 1;
-  }
 
-  // Message and flit conservation over every packet ever generated:
-  // generated = delivered + dropped + still queued + in flight.
-  std::uint64_t delivered_messages = 0;
-  std::uint64_t delivered_flits = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t unfinished_measured = 0;
-  std::uint64_t measured_delivered = 0;
-  std::uint64_t terminated_messages = 0;
-  std::uint64_t terminated_flits = 0;
-  for (PacketId pid = 0; pid < e_.packets_.size(); ++pid) {
-    const PacketState& pkt = e_.packets_[pid];
-    if (pkt.delivered()) {
-      ++delivered_messages;
-      delivered_flits += pkt.length;
-      if (pkt.measured) ++measured_delivered;
-      if (buffered_flits[pid] != 0) {
-        engine_fail("flit-conservation", cycle, kInvalidId,
-                    "delivered packet %u still has %u buffered flits", pid,
-                    buffered_flits[pid]);
-      }
-      continue;
-    }
-    if (pkt.measured) ++unfinished_measured;
-    if (pkt.terminated()) {
-      // Conservation generalizes under faults: generated = delivered +
-      // terminated + queued + in flight, and a terminated worm's flits
-      // split exactly into delivered-before-the-kill plus truncated.
-      ++terminated_messages;
-      terminated_flits += pkt.flits_truncated;
-      if (buffered_flits[pid] != 0) {
-        engine_fail("fault-termination", cycle, kInvalidId,
-                    "terminated packet %u still has %u buffered flits", pid,
-                    buffered_flits[pid]);
-      }
-      if (pkt.flits_truncated > pkt.flits_sent_at_kill ||
-          pkt.flits_sent_at_kill > pkt.length) {
-        engine_fail("fault-termination", cycle, kInvalidId,
-                    "packet %u truncated %u of %u sent flits (length %u)",
-                    pid, pkt.flits_truncated, pkt.flits_sent_at_kill,
-                    pkt.length);
-      }
-      delivered_flits += pkt.flits_sent_at_kill - pkt.flits_truncated;
-      continue;
-    }
+  // Message and flit conservation: generated = delivered + terminated +
+  // dropped + live (queued, transmitting or in flight).  Retired
+  // messages count from the hooks' tallies, live ones from their records;
+  // every flit that left a source reached a destination, was truncated,
+  // or is still buffered.
+  std::uint64_t live = 0;
+  std::uint64_t delivered_flits = retired_flits_;
+  for (PacketId pid = 0; pid < packets.size(); ++pid) {
+    const PacketRecord& pkt = packets[pid];
+    if (pkt.length == 0) continue;
+    ++live;
     std::uint32_t sent = 0;
     if (e_.node_tx_packet_[pkt.src] == pid) {
       sent = e_.node_tx_sent_[pkt.src];
     } else if (pkt.inject_cycle != kNoCycle) {
       sent = pkt.length;  // fully injected, partially delivered
-    } else if (!queued[pid]) {
-      ++dropped;
     }
     if (buffered_flits[pid] > sent) {
       engine_fail("flit-conservation", cycle, kInvalidId,
                   "packet %u has %u buffered flits but only %u were sent",
-                  pid, buffered_flits[pid], sent);
+                  pkt.serial, buffered_flits[pid], sent);
     }
     delivered_flits += sent - buffered_flits[pid];
   }
+  if (delivered_ + terminated_ + live > created_) {
+    engine_fail("message-conservation", cycle, kInvalidId,
+                "%llu packets delivered, %llu terminated and %llu live but "
+                "only %llu created",
+                static_cast<unsigned long long>(delivered_),
+                static_cast<unsigned long long>(terminated_),
+                static_cast<unsigned long long>(live),
+                static_cast<unsigned long long>(created_));
+  }
+  const std::uint64_t dropped = created_ - delivered_ - terminated_ - live;
   if (delivered_flits != e_.delivered_flits_total_) {
     engine_fail("flit-conservation", cycle, kInvalidId,
                 "per-packet recount delivers %llu flits but the engine "
@@ -1055,10 +1136,10 @@ void EngineValidator::check_final(const SimResult& result) {
                 static_cast<unsigned long long>(delivered_flits),
                 static_cast<unsigned long long>(e_.delivered_flits_total_));
   }
-  if (delivered_messages != result.delivered_messages_total) {
+  if (delivered_ != result.delivered_messages_total) {
     engine_fail("result-reconcile", cycle, kInvalidId,
                 "%llu packets delivered but the result says %llu",
-                static_cast<unsigned long long>(delivered_messages),
+                static_cast<unsigned long long>(delivered_),
                 static_cast<unsigned long long>(
                     result.delivered_messages_total));
   }
@@ -1068,16 +1149,18 @@ void EngineValidator::check_final(const SimResult& result) {
                 static_cast<unsigned long long>(dropped),
                 static_cast<unsigned long long>(result.dropped_messages));
   }
-  if (terminated_messages != result.terminated_messages ||
-      terminated_flits != result.terminated_flits) {
+  if (terminated_ != result.terminated_messages ||
+      terminated_flits_ != result.terminated_flits) {
     engine_fail("fault-termination", cycle, kInvalidId,
                 "per-packet recount finds %llu terminated worms / %llu "
                 "truncated flits but the result says %llu / %llu",
-                static_cast<unsigned long long>(terminated_messages),
-                static_cast<unsigned long long>(terminated_flits),
+                static_cast<unsigned long long>(terminated_),
+                static_cast<unsigned long long>(terminated_flits_),
                 static_cast<unsigned long long>(result.terminated_messages),
                 static_cast<unsigned long long>(result.terminated_flits));
   }
+  const std::uint64_t unfinished_measured =
+      measured_created_ - measured_delivered_;
   if (unfinished_measured != result.measured_messages_unfinished) {
     engine_fail("result-reconcile", cycle, kInvalidId,
                 "%llu measured packets unfinished but the result says %llu",
@@ -1085,10 +1168,10 @@ void EngineValidator::check_final(const SimResult& result) {
                 static_cast<unsigned long long>(
                     result.measured_messages_unfinished));
   }
-  if (result.latency_cycles.count() != measured_delivered ||
-      result.latency_histogram.total() != measured_delivered ||
-      result.network_latency_cycles.count() != measured_delivered ||
-      result.queueing_cycles.count() != measured_delivered) {
+  if (result.latency_cycles.count() != measured_delivered_ ||
+      result.latency_histogram.total() != measured_delivered_ ||
+      result.network_latency_cycles.count() != measured_delivered_ ||
+      result.queueing_cycles.count() != measured_delivered_) {
     engine_fail("result-reconcile", cycle, kInvalidId,
                 "latency accumulators hold %llu/%llu/%llu/%llu samples but "
                 "%llu measured packets were delivered",
@@ -1099,7 +1182,7 @@ void EngineValidator::check_final(const SimResult& result) {
                     result.network_latency_cycles.count()),
                 static_cast<unsigned long long>(
                     result.queueing_cycles.count()),
-                static_cast<unsigned long long>(measured_delivered));
+                static_cast<unsigned long long>(measured_delivered_));
   }
   if (result.delivered_flits_in_window > delivered_flits) {
     engine_fail("result-reconcile", cycle, kInvalidId,
@@ -1379,7 +1462,7 @@ void StoreForwardValidator::check_final(const SimResult& result) {
   std::uint64_t unfinished_measured = 0;
   std::uint64_t terminated_messages = 0;
   std::uint64_t terminated_flits = 0;
-  for (const PacketState& pkt : e_.packets_) {
+  for (const StoreForwardEngine::Packet& pkt : e_.packets_) {
     if (pkt.delivered()) {
       ++delivered_messages;
       if (pkt.measured) ++measured_delivered;
@@ -1392,14 +1475,8 @@ void StoreForwardValidator::check_final(const SimResult& result) {
                 "a packet is both delivered and terminated");
       }
       ++terminated_messages;
-      terminated_flits += pkt.flits_truncated;
       // Packet granularity: a terminated packet loses every flit.
-      if (pkt.flits_truncated != pkt.length ||
-          pkt.flits_sent_at_kill != pkt.length) {
-        sf_fail("fault-termination", now, kInvalidId,
-                "terminated packet truncated %u / sent %u of its %u flits",
-                pkt.flits_truncated, pkt.flits_sent_at_kill, pkt.length);
-      }
+      terminated_flits += pkt.length;
     }
   }
   if (terminated_messages != result.terminated_messages ||

@@ -50,8 +50,9 @@ struct WaitForAnalysis {
   bool deadlocked() const { return !stuck_lanes.empty(); }
 };
 
-/// Invariant checker for the wormhole Engine.  Holds only scratch space;
-/// all checked state is read from the engine via friendship.
+/// Invariant checker for the wormhole Engine.  Holds scratch space and
+/// the tallies of retired messages; all other checked state is read from
+/// the engine via friendship.
 class EngineValidator {
  public:
   explicit EngineValidator(const Engine& engine);
@@ -67,6 +68,12 @@ class EngineValidator {
   }
 
   /// Full structural sweep:
+  ///   * live records: every id held by a FIFO slot, a node's transmit
+  ///     register or a source queue names a packet record in use, each
+  ///     queued message sits in one queue once (its length and tail as
+  ///     the node's books say) and transmits nowhere, the free list holds
+  ///     only free records, and every record in use is held somewhere
+  ///     (none leaked);
   ///   * flit conservation: one walk over every lane FIFO checks its
   ///     shape (occupancy within depth, slots past it cleared), its
   ///     order (each flit continues the worm ahead or starts the next
@@ -104,8 +111,23 @@ class EngineValidator {
   void check_cycle_end();
 
   /// End-of-run reconciliation of per-packet ground truth against the
-  /// aggregated SimResult and telemetry counters.
+  /// aggregated SimResult, the engine's flit total and the telemetry
+  /// counters.  The ground truth of a message whose record was freed is
+  /// what the hooks below tallied from the record as it retired; live
+  /// messages are read off their records.
   void check_final(const SimResult& result);
+
+  /// Engine hooks: a message was created (dropped ones too); the message
+  /// in record `pid` was delivered; it was fault-terminated after its
+  /// source sent `sent` flits, `truncated` of which were discarded.  The
+  /// last two run before the record is freed.
+  void on_created(bool measured) {
+    ++created_;
+    if (measured) ++measured_created_;
+  }
+  void on_delivered(PacketId pid);
+  void on_terminated(PacketId pid, std::uint32_t sent,
+                     std::uint32_t truncated);
 
   /// Wait-for-graph analysis over the current blocked worms (read-only;
   /// also used by Engine::report_deadlock for its post-mortem).
@@ -119,6 +141,7 @@ class EngineValidator {
  private:
   static constexpr std::uint64_t kSweepStride = 4;
 
+  void check_live_records();
   void check_buffers_and_counters();
   void check_flow_control();
   void check_allocation();
@@ -132,6 +155,18 @@ class EngineValidator {
   const Engine& e_;
   std::uint64_t cycle_ends_ = 0;
   std::uint64_t sweeps_ = 0;
+
+  // Retired messages, tallied by the hooks: check_final's ground truth
+  // once their records are reused.  retired_flits_ counts the flits that
+  // reached a destination: a delivered message's length, a terminated
+  // one's sent - truncated.
+  std::uint64_t created_ = 0;
+  std::uint64_t measured_created_ = 0;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t measured_delivered_ = 0;
+  std::uint64_t terminated_ = 0;
+  std::uint64_t terminated_flits_ = 0;
+  std::uint64_t retired_flits_ = 0;
   /// Last stall length already probed, so one episode probes once.
   std::uint64_t probed_stall_cycle_ = kNoCycle;
 
@@ -142,15 +177,18 @@ class EngineValidator {
   std::vector<std::uint64_t> chan_mark_;
   std::vector<std::uint64_t> sleep_mark_;  // per routing scan position
   std::vector<std::uint64_t> wheel_mark_;  // per node
+  std::vector<std::uint64_t> record_mark_;  // per packet record
   // Flow-control scratch: in-flight credit returns and the newest pending
   // on/off signal per lane (-1 none, 0 STOP, 1 GO), both rebuilt from one
   // pass over the backpressure calendar.
   std::vector<std::uint32_t> pending_returns_;
   std::vector<std::int8_t> last_signal_;
-  // Fault-routability two-strike memory: (lane, packet) headers seen
-  // starved by faults last sweep.  A header promoted after this cycle's
-  // routing pass has legitimately not been served yet; only a pair still
-  // starved a full sweep later is a violation.
+  // Fault-routability two-strike memory: (lane, packet serial) headers
+  // seen starved by faults last sweep.  A header promoted after this
+  // cycle's routing pass has legitimately not been served yet; only a
+  // pair still starved a full sweep later is a violation.  Serials, not
+  // record slots: a slot freed by the kill may hold a new message by the
+  // next sweep.
   std::vector<std::pair<topology::LaneId, PacketId>> fault_blocked_prev_;
 };
 

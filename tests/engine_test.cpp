@@ -88,12 +88,14 @@ std::uint64_t solo_latency(const Network& net, std::uint64_t src,
                            std::uint64_t dst, std::uint32_t len) {
   const auto router = routing::make_router(net);
   Engine engine(net, *router, nullptr, manual_config());
+  RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
   const PacketId id = engine.inject_message(
       static_cast<topology::NodeId>(src), dst, len);
   EXPECT_TRUE(engine.run_until_idle(100'000));
-  const PacketState& pkt = engine.packet(id);
-  EXPECT_TRUE(pkt.delivered());
-  return pkt.deliver_cycle - pkt.create_cycle;
+  const PacketTimeline pkt = sink.timeline(id);
+  EXPECT_TRUE(pkt.was_delivered());
+  return pkt.delivered - pkt.created;
 }
 
 // ---- Zero-load latency -----------------------------------------------------
@@ -143,10 +145,12 @@ TEST(Engine, AllNetworksDeliverEveryPair) {
       for (std::uint64_t d = 0; d < 8; ++d) {
         if (s == d) continue;
         Engine engine(net, *router, nullptr, manual_config());
+        RecordingTraceSink sink;
+        engine.set_trace_sink(&sink);
         const PacketId id = engine.inject_message(
             static_cast<topology::NodeId>(s), d, 12);
         ASSERT_TRUE(engine.run_until_idle(10'000));
-        EXPECT_TRUE(engine.packet(id).delivered());
+        EXPECT_TRUE(sink.timeline(id).was_delivered());
         EXPECT_EQ(engine.flits_in_flight(), 0);
       }
     }
@@ -162,12 +166,14 @@ TEST(Engine, OutputContentionSerializesWorms) {
       make_config(NetworkKind::kTMIN, "cube", 2, 3));
   const auto router = routing::make_router(net);
   Engine engine(net, *router, nullptr, manual_config());
+  RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
   const std::uint32_t len = 10;
   const PacketId a = engine.inject_message(0, 7, len);
   const PacketId b = engine.inject_message(1, 7, len);
   ASSERT_TRUE(engine.run_until_idle(10'000));
-  std::uint64_t lat_a = engine.packet(a).deliver_cycle;
-  std::uint64_t lat_b = engine.packet(b).deliver_cycle;
+  std::uint64_t lat_a = sink.timeline(a).delivered;
+  std::uint64_t lat_b = sink.timeline(b).delivered;
   if (lat_a > lat_b) std::swap(lat_a, lat_b);
   EXPECT_EQ(lat_a, 4 + len - 2);        // winner unimpeded
   EXPECT_EQ(lat_b, 4 + len - 2 + len);  // loser delayed by one worm
@@ -210,13 +216,15 @@ std::pair<std::uint64_t, std::uint64_t> race_shared_segment(
       make_config(kind, "cube", 2, 3));
   const auto router = routing::make_router(net);
   Engine engine(net, *router, nullptr, manual_config());
+  RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
   const SharedSegment seg;
   const PacketId a = engine.inject_message(
       static_cast<topology::NodeId>(seg.src_a), seg.dst_a, len);
   const PacketId b = engine.inject_message(
       static_cast<topology::NodeId>(seg.src_b), seg.dst_b, len);
   EXPECT_TRUE(engine.run_until_idle(100'000));
-  return {engine.packet(a).deliver_cycle, engine.packet(b).deliver_cycle};
+  return {sink.timeline(a).delivered, sink.timeline(b).delivered};
 }
 
 TEST(Engine, VirtualChannelsShareBandwidthFairly) {
@@ -261,14 +269,16 @@ TEST(Engine, SameSourceDestinationPairStaysFifo) {
       make_config(NetworkKind::kTMIN, "cube", 4, 3));
   const auto router = routing::make_router(net);
   Engine engine(net, *router, nullptr, manual_config());
+  RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
   std::vector<PacketId> ids;
   for (int i = 0; i < 5; ++i) {
     ids.push_back(engine.inject_message(3, 42, 20 + i));
   }
   ASSERT_TRUE(engine.run_until_idle(100'000));
   for (std::size_t i = 1; i < ids.size(); ++i) {
-    EXPECT_LT(engine.packet(ids[i - 1]).deliver_cycle,
-              engine.packet(ids[i]).deliver_cycle);
+    EXPECT_LT(sink.timeline(ids[i - 1]).delivered,
+              sink.timeline(ids[i]).delivered);
   }
 }
 
@@ -280,6 +290,8 @@ TEST(Engine, RandomStressConservesAllFlits) {
         make_config(kind, "cube", 4, 2));
     const auto router = routing::make_router(net);
     Engine engine(net, *router, nullptr, manual_config());
+    RecordingTraceSink sink;
+    engine.set_trace_sink(&sink);
     const std::uint64_t N = net.node_count();
     std::vector<PacketId> ids;
     for (int i = 0; i < 300; ++i) {
@@ -291,11 +303,82 @@ TEST(Engine, RandomStressConservesAllFlits) {
     }
     ASSERT_TRUE(engine.run_until_idle(1'000'000))
         << topology::to_string(kind);
-    for (PacketId id : ids) {
-      EXPECT_TRUE(engine.packet(id).delivered());
+    std::vector<std::uint8_t> delivered(ids.size(), 0);
+    for (const TraceEvent& event : sink.events()) {
+      if (event.kind == TraceEvent::Kind::kDelivered) {
+        ASSERT_LT(event.packet, ids.size());
+        ++delivered[event.packet];
+      }
     }
+    for (PacketId id : ids) EXPECT_EQ(delivered[id], 1u) << id;
     EXPECT_EQ(engine.flits_in_flight(), 0);
   }
+}
+
+// ---- Packet records -----------------------------------------------------------
+
+struct RecordRun {
+  std::size_t records = 0;  ///< Engine::packet_count() after run()
+  std::uint64_t nodes = 0;
+  SimResult result;
+};
+
+/// Runs the 64-node TMIN under uniform traffic of 16-flit messages at
+/// `offered` load, with a `measure`-cycle window and a sample of every
+/// cycle.
+RecordRun run_for_records(double offered, std::uint64_t measure,
+                          std::uint64_t queue_capacity = 1'500) {
+  const Network net =
+      topology::build_network(make_config(NetworkKind::kTMIN, "cube", 4, 3));
+  const auto router = routing::make_router(net);
+  traffic::WorkloadSpec workload;
+  workload.offered = offered;
+  workload.length = traffic::LengthSpec::fixed(16);
+  traffic::StandardTraffic traffic(net, workload);
+  SimConfig config;
+  config.seed = 5;
+  config.warmup_cycles = 200;
+  config.measure_cycles = measure;
+  config.drain_cycles = 200;
+  config.queue_capacity = queue_capacity;
+  config.telemetry.sampling = true;
+  config.telemetry.sample_interval_cycles = 1;
+  config.telemetry.sample_capacity = config.total_cycles();
+  Engine engine(net, *router, &traffic, config);
+  RecordRun run;
+  run.result = engine.run();
+  run.records = engine.packet_count();
+  run.nodes = net.node_count();
+  return run;
+}
+
+// A delivered message's record is reused, so at a sustainable load the
+// record table holds about the messages alive at once however long the
+// run: a 4x longer window, about 4x the messages, not 4x the records.
+TEST(PacketRecords, FlatInRunLengthAtSustainableLoad) {
+  const RecordRun short_run = run_for_records(0.3, 2'000);
+  const RecordRun long_run = run_for_records(0.3, 8'000);
+  ASSERT_GT(short_run.result.delivered_messages_total, 0u);
+  EXPECT_GT(long_run.result.delivered_messages_total,
+            3 * short_run.result.delivered_messages_total);
+  EXPECT_LE(long_run.records, short_run.records + short_run.records / 4);
+  EXPECT_LT(20 * long_run.records, long_run.result.delivered_messages_total);
+}
+
+// Past saturation the source queues fill and drop: a live message is
+// queued (at most queue_capacity per node), transmitting (at most one per
+// node) or in flight, so the records stay within that bound.
+TEST(PacketRecords, BoundedBySourceQueuesPastSaturation) {
+  constexpr std::uint64_t kCapacity = 4;
+  const RecordRun run = run_for_records(1.0, 2'000, kCapacity);
+  EXPECT_GT(run.result.dropped_messages, 0u);
+  std::int64_t worms = 0;
+  for (const telemetry::Sample& sample : run.result.telemetry_samples) {
+    worms = std::max(worms, sample.worms_in_flight);
+  }
+  ASSERT_EQ(run.result.telemetry_samples.size(), 2'400u);
+  EXPECT_LE(run.records, run.nodes * (kCapacity + 1) +
+                             static_cast<std::uint64_t>(worms));
 }
 
 TEST(Engine, HeavyRandomTrafficNeverDeadlocks) {

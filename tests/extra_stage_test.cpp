@@ -87,10 +87,12 @@ TEST(ExtraStage, ZeroLoadLatencyUsesLongerPath) {
   config.measure_cycles = 1u << 30;
   config.drain_cycles = 0;
   sim::Engine engine(net, *router, nullptr, config);
+  sim::RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
   const sim::PacketId id = engine.inject_message(0, 7, 10);
   ASSERT_TRUE(engine.run_until_idle(10'000));
   // Path length n + extra + 1 = 5 channels.
-  EXPECT_EQ(engine.packet(id).deliver_cycle, 5u + 10u - 2u);
+  EXPECT_EQ(sink.timeline(id).delivered, 5u + 10u - 2u);
 }
 
 TEST(ExtraStage, RelievesSharedChannelContention) {
@@ -107,11 +109,12 @@ TEST(ExtraStage, RelievesSharedChannelContention) {
     config.measure_cycles = 1u << 30;
     config.drain_cycles = 0;
     sim::Engine engine(net, *router, nullptr, config);
+    sim::RecordingTraceSink sink;
+    engine.set_trace_sink(&sink);
     const sim::PacketId a = engine.inject_message(0b000, 0b111, len);
     const sim::PacketId b = engine.inject_message(0b100, 0b110, len);
     EXPECT_TRUE(engine.run_until_idle(10'000));
-    return std::max(engine.packet(a).deliver_cycle,
-                    engine.packet(b).deliver_cycle);
+    return std::max(sink.timeline(a).delivered, sink.timeline(b).delivered);
   };
   const std::uint64_t serialized = race(0);
   EXPECT_GE(serialized, 2u * len - 10);

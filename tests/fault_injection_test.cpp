@@ -40,13 +40,14 @@
 
 namespace wormsim::sim {
 
-// Friend of Engine: reads one lane's FIFO, oldest flit first.
+// Friend of Engine: reads the packets of one lane's FIFO, oldest flit
+// first.
 struct EngineTestPeer {
   static std::vector<PacketId> fifo_packets(const Engine& e,
                                             topology::LaneId lane) {
     std::vector<PacketId> packets;
     for (std::uint32_t s = 0; s < e.fc_.count[lane]; ++s) {
-      packets.push_back(e.fc_.slot_packet[e.fc_.slot(lane, s)]);
+      packets.push_back(e.serial(e.fc_.slot_packet[e.fc_.slot(lane, s)]));
     }
     return packets;
   }
@@ -130,13 +131,15 @@ bool pair_delivers(const Network& net, const routing::Router& router,
   config.drain_cycles = 0;
   config.validate = true;
   Engine engine(net, router, nullptr, config);
+  RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
   engine.set_fault_plan(plan);
   const PacketId pid = engine.inject_message(src, dst, 4);
   EXPECT_TRUE(engine.run_until_idle(10'000));
-  const PacketState& pkt = engine.packet(pid);
-  EXPECT_TRUE(pkt.delivered() || pkt.terminated())
+  const PacketTimeline pkt = sink.timeline(pid);
+  EXPECT_TRUE(pkt.was_delivered() || pkt.was_terminated())
       << src << "->" << dst << " neither delivered nor terminated";
-  return pkt.delivered();
+  return pkt.was_delivered();
 }
 
 // On a unique-path network a cycle-0 kill is exactly the static picture:
@@ -267,6 +270,17 @@ void PrintTo(const DeepKillCase& c, std::ostream* os) { *os << c.name; }
 
 class DeepFifoKill : public ::testing::TestWithParam<DeepKillCase> {};
 
+/// The packets fault-terminated since `killed` was last cleared.
+class KillSink final : public TraceSink {
+ public:
+  void on_event(const TraceEvent& event) override {
+    if (event.kind == TraceEvent::Kind::kTerminated) {
+      killed.push_back(event.packet);
+    }
+  }
+  std::vector<PacketId> killed;
+};
+
 TEST_P(DeepFifoKill, KeepsSurvivors) {
   const DeepKillCase& dc = GetParam();
   const Network net = topology::build_network(golden_network(dc.kind, 1));
@@ -288,6 +302,8 @@ TEST_P(DeepFifoKill, KeepsSurvivors) {
   config.fault_seed = 2;
   config.fault_at_cycle = 250;
   Engine engine(net, *router, &traffic, config);
+  KillSink kills;
+  engine.set_trace_sink(&kills);
   std::vector<std::vector<PacketId>> fifos(net.lane_count());
   std::uint64_t kills_with_survivor = 0;
   std::uint64_t survivor_promoted = 0;
@@ -295,10 +311,11 @@ TEST_P(DeepFifoKill, KeepsSurvivors) {
     for (topology::LaneId lane = 0; lane < net.lane_count(); ++lane) {
       fifos[lane] = EngineTestPeer::fifo_packets(engine, lane);
     }
-    const std::uint64_t cycle = engine.cycle();
+    kills.killed.clear();
     engine.step();
     const auto killed_now = [&](PacketId pid) {
-      return engine.packet(pid).terminate_cycle == cycle;
+      return std::find(kills.killed.begin(), kills.killed.end(), pid) !=
+             kills.killed.end();
     };
     for (const std::vector<PacketId>& fifo : fifos) {
       if (std::any_of(fifo.begin(), fifo.end(), killed_now) &&
@@ -388,11 +405,13 @@ TEST(FaultInjection, KillIsPermanent) {
   fault_injection::add_channel_kill(plan, view, victim);
   plan.at_cycle = 0;
   engine.set_fault_plan(plan);
+  RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
   while (engine.cycle() < 64) engine.step();
   const PacketId pid = engine.inject_message(src, dst, 4);
   EXPECT_TRUE(engine.run_until_idle(10'000));
-  EXPECT_FALSE(engine.packet(pid).delivered());
-  EXPECT_TRUE(engine.packet(pid).terminated());
+  EXPECT_FALSE(sink.timeline(pid).was_delivered());
+  EXPECT_TRUE(sink.timeline(pid).was_terminated());
 }
 
 // The store-and-forward reference applies the same plan semantics:

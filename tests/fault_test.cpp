@@ -162,6 +162,8 @@ TEST(Fault, EngineRoutesAroundFaultsInDmin) {
   config.measure_cycles = 1u << 30;
   config.drain_cycles = 0;
   sim::Engine engine(net, *router, nullptr, config);
+  sim::RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
   engine.set_fault_plan(kill_at_start(net, first_interstage(net)));
 
   util::Rng rng(77);
@@ -174,7 +176,7 @@ TEST(Fault, EngineRoutesAroundFaultsInDmin) {
   }
   ASSERT_TRUE(engine.run_until_idle(200'000));
   for (sim::PacketId id : ids) {
-    EXPECT_TRUE(engine.packet(id).delivered());
+    EXPECT_TRUE(sink.timeline(id).was_delivered());
   }
 }
 
@@ -187,6 +189,8 @@ TEST(Fault, EngineRoutesAroundUpFaultInBmin) {
   config.measure_cycles = 1u << 30;
   config.drain_cycles = 0;
   sim::Engine engine(net, *router, nullptr, config);
+  sim::RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
   engine.set_fault_plan(kill_at_start(net, first_interstage(net)));
 
   util::Rng rng(78);
@@ -199,7 +203,7 @@ TEST(Fault, EngineRoutesAroundUpFaultInBmin) {
   }
   ASSERT_TRUE(engine.run_until_idle(400'000));
   for (sim::PacketId id : ids) {
-    EXPECT_TRUE(engine.packet(id).delivered());
+    EXPECT_TRUE(sink.timeline(id).was_delivered());
   }
 }
 

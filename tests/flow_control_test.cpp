@@ -59,16 +59,18 @@ std::vector<std::uint64_t> run_batch(const Network& net,
                                      const routing::Router& router,
                                      const SimConfig& config) {
   Engine engine(net, router, nullptr, config);
-  engine.inject_message(0, 7, 8);
-  engine.inject_message(3, 7, 8);  // contends for node 7's ejection
-  engine.inject_message(5, 2, 8);
-  engine.inject_message(6, 2, 4);  // contends for node 2's ejection
-  engine.inject_message(1, 4, 12);
+  RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
+  const PacketId ids[] = {
+      engine.inject_message(0, 7, 8),
+      engine.inject_message(3, 7, 8),  // contends for node 7's ejection
+      engine.inject_message(5, 2, 8),
+      engine.inject_message(6, 2, 4),  // contends for node 2's ejection
+      engine.inject_message(1, 4, 12),
+  };
   EXPECT_TRUE(engine.run_until_idle(100'000));
   std::vector<std::uint64_t> cycles;
-  for (PacketId id = 0; id < engine.packet_count(); ++id) {
-    cycles.push_back(engine.packet(id).deliver_cycle);
-  }
+  for (const PacketId id : ids) cycles.push_back(sink.timeline(id).delivered);
   return cycles;
 }
 
@@ -76,10 +78,12 @@ std::vector<std::uint64_t> run_batch(const Network& net,
 std::uint64_t lone_latency(const Network& net, const routing::Router& router,
                            SimConfig config, std::uint32_t length) {
   Engine engine(net, router, nullptr, config);
+  RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
   const PacketId id = engine.inject_message(0, 7, length);
   EXPECT_TRUE(engine.run_until_idle(100'000));
-  const PacketState& pkt = engine.packet(id);
-  return pkt.deliver_cycle - pkt.inject_cycle;
+  const PacketTimeline pkt = sink.timeline(id);
+  return pkt.delivered - pkt.injected;
 }
 
 class FlowControl : public ::testing::Test {
@@ -337,10 +341,10 @@ TEST_F(FlowControl, StarvedWormStillReconciles) {
   config.credit_delay = 5;
   config.telemetry.worm_trace = true;
   Engine engine(net_, *router_, nullptr, config);
-  engine.inject_message(0, 7, 12);
-  engine.inject_message(3, 7, 12);
+  const PacketId ids[] = {engine.inject_message(0, 7, 12),
+                          engine.inject_message(3, 7, 12)};
   ASSERT_TRUE(engine.run_until_idle(100'000));
-  for (PacketId id = 0; id < engine.packet_count(); ++id) {
+  for (const PacketId id : ids) {
     const telemetry::WormRecord& r = engine.worm_tracer()->record(id);
     ASSERT_TRUE(r.delivered());
     EXPECT_EQ(r.queue_cycles + r.routing_cycles + r.blocked_cycles +

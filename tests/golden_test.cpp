@@ -149,7 +149,8 @@ TEST(Golden, TraceOnDigestsBitwiseUnchanged) {
 // Every observer at once — counters, sampling, worm trace, heartbeats,
 // profiler, validator, and a recording sink on the wormhole cases — still
 // leaves every digest on the committed snapshot, and the sink sees one
-// creation per packet and one delivery per delivered message.  The
+// delivery per delivered message and at least as many creations as the
+// engine holds packet records (records are reused).  The
 // store-and-forward engine ignores the per-cycle observers it has no use
 // for, so its digests cannot move either.
 TEST(Golden, EveryObserverOnDigestsBitwiseUnchanged) {
@@ -186,7 +187,8 @@ TEST(Golden, EveryObserverOnDigestsBitwiseUnchanged) {
       delivered += event.kind == TraceEvent::Kind::kDelivered ? 1 : 0;
     }
     EXPECT_GT(created, 0u);
-    EXPECT_EQ(created, packets);
+    EXPECT_GT(packets, 0u);
+    EXPECT_LE(packets, created);
     EXPECT_EQ(delivered, r.delivered_messages_total);
   }
 }

@@ -11,6 +11,7 @@
 // engine's wall time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -382,6 +383,144 @@ TEST(Heartbeat, PeakRssHelperReportsPlausibleValue) {
   // on platforms with neither /proc nor getrusage.
   EXPECT_GT(rss, 1.0);
   EXPECT_LT(rss, 1024.0 * 1024.0);
+}
+
+// ---- Drain tally -----------------------------------------------------------
+
+/// The drain verdict and the heartbeat creation counts, recomputed from a
+/// run's trace events: the oracle for the engine's running tally, which
+/// never walks the messages of the run.
+struct DrainOracle {
+  bool drained = true;
+  std::uint64_t time_to_drain_cycles = 0;
+  std::uint64_t measured_unfinished = 0;
+  std::vector<std::uint64_t> create_cycles;  ///< indexed by serial
+};
+
+DrainOracle drain_oracle(const RecordingTraceSink& sink,
+                         const SimConfig& config) {
+  const std::uint64_t begin = config.warmup_cycles;
+  const std::uint64_t end = begin + config.measure_cycles;
+  DrainOracle oracle;
+  std::vector<std::uint64_t> resolved;
+  std::vector<std::uint8_t> delivered;
+  for (const TraceEvent& event : sink.events()) {
+    if (event.kind == TraceEvent::Kind::kCreated) {
+      // Serials count creations, so they arrive in order.
+      EXPECT_EQ(event.packet, oracle.create_cycles.size());
+      oracle.create_cycles.push_back(event.cycle);
+      resolved.push_back(kNoCycle);
+      delivered.push_back(0);
+    } else if (event.kind == TraceEvent::Kind::kDelivered ||
+               event.kind == TraceEvent::Kind::kTerminated) {
+      EXPECT_EQ(resolved.at(event.packet), kNoCycle);
+      resolved.at(event.packet) = event.cycle;
+      delivered.at(event.packet) =
+          event.kind == TraceEvent::Kind::kDelivered ? 1 : 0;
+    }
+  }
+  std::uint64_t last = 0;
+  for (std::size_t id = 0; id < oracle.create_cycles.size(); ++id) {
+    const std::uint64_t created = oracle.create_cycles[id];
+    if (created >= begin && created < end && !delivered[id]) {
+      ++oracle.measured_unfinished;
+    }
+    if (created >= end) continue;
+    if (resolved[id] == kNoCycle) {
+      oracle.drained = false;
+    } else {
+      last = std::max(last, resolved[id]);
+    }
+  }
+  oracle.time_to_drain_cycles =
+      oracle.drained ? (last > end ? last - end : 0) : config.drain_cycles;
+  return oracle;
+}
+
+/// Runs `config` on `kind`'s golden network under the golden workload at
+/// `offered` load with a recording sink and a heartbeat every 256 cycles,
+/// then checks the drain verdict, the unfinished count and every
+/// heartbeat's creation count against the oracle.  Returns the result.
+SimResult expect_tally_matches_oracle(SimConfig config,
+                                      topology::NetworkKind kind,
+                                      unsigned vcs, double offered,
+                                      const std::string& name) {
+  SCOPED_TRACE(name);
+  config.telemetry.heartbeat_cycles = 256;
+  config.telemetry.heartbeat_dir = testing::TempDir() + "hb_drain_tally";
+  config.telemetry.heartbeat_tag = name;
+  const topology::Network net =
+      topology::build_network(golden_network(kind, vcs));
+  const auto router = routing::make_router(net);
+  traffic::WorkloadSpec workload = golden_workload();
+  workload.offered = offered;
+  traffic::StandardTraffic traffic(net, workload);
+  Engine engine(net, *router, &traffic, config);
+  RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
+  const SimResult result = engine.run();
+
+  const DrainOracle oracle = drain_oracle(sink, config);
+  EXPECT_EQ(result.drained, oracle.drained);
+  EXPECT_EQ(result.time_to_drain_cycles, oracle.time_to_drain_cycles);
+  EXPECT_EQ(result.measured_messages_unfinished, oracle.measured_unfinished);
+  std::size_t checked = 0;
+  for (const std::string& line : read_lines(
+           config.telemetry.heartbeat_dir + "/" + name + ".ndjson")) {
+    const telemetry::JsonValue doc = parse_line(line);
+    const std::string type = doc.at("type").as_string();
+    if (type != "heartbeat" && type != "final") continue;
+    // A line at cycle B follows cycle B - 1.
+    const std::uint64_t boundary = doc.at("cycle").as_uint();
+    const auto created = static_cast<std::uint64_t>(std::count_if(
+        oracle.create_cycles.begin(), oracle.create_cycles.end(),
+        [&](std::uint64_t cycle) { return cycle < boundary; }));
+    EXPECT_EQ(doc.at("messages_created").as_uint(), created)
+        << type << " line at cycle " << boundary;
+    ++checked;
+  }
+  EXPECT_EQ(checked, config.total_cycles() / 256 + 2);
+  return result;
+}
+
+SimConfig golden_config(const GoldenCase& gc) {
+  SimConfig config = base_config();
+  config.arbitration = gc.arbitration;
+  config.buffer_depth = gc.buffer_depth;
+  config.credit_delay = gc.credit_delay;
+  return config;
+}
+
+// The drain verdict, the unfinished count and heartbeat messages_created
+// are tallied as messages are created and resolved; the trace events say
+// what each must read.  Covers every wormhole golden case, a fault kill
+// inside the measurement window (a terminated message resolves the drain
+// but stays unfinished) and a full source queue that drops messages (a
+// dropped message never resolves).
+TEST(DrainTally, MatchesTraceEventOracle) {
+  bool drained_late = false;
+  for (const GoldenCase& gc : kCases) {
+    if (gc.store_forward) continue;
+    const SimResult r = expect_tally_matches_oracle(
+        golden_config(gc), gc.kind, gc.vcs, 0.45, gc.name);
+    drained_late |= r.drained && r.time_to_drain_cycles > 0;
+  }
+  EXPECT_TRUE(drained_late);
+
+  SimConfig kill = base_config();
+  kill.fault_fraction = 0.25;
+  kill.fault_seed = 3;
+  kill.fault_at_cycle = 2'000;
+  const SimResult killed = expect_tally_matches_oracle(
+      kill, topology::NetworkKind::kTMIN, 2, 0.45, "kill");
+  EXPECT_GT(killed.terminated_messages, 0u);
+
+  SimConfig drop = base_config();
+  drop.queue_capacity = 2;
+  const SimResult dropped = expect_tally_matches_oracle(
+      drop, topology::NetworkKind::kTMIN, 2, 1.0, "drop");
+  EXPECT_GT(dropped.dropped_messages, 0u);
+  EXPECT_FALSE(dropped.drained);
 }
 
 }  // namespace

@@ -57,6 +57,8 @@ TEST_P(NetworkProperties, RandomBatchDeliversEverythingExactlyOnce) {
   const Network net = topology::build_network(shape.config());
   const auto router = routing::make_router(net);
   sim::Engine engine(net, *router, nullptr, manual_config(seed));
+  sim::RecordingTraceSink sink;
+  engine.set_trace_sink(&sink);
 
   util::Rng rng(seed);
   const std::uint64_t N = net.node_count();
@@ -72,10 +74,10 @@ TEST_P(NetworkProperties, RandomBatchDeliversEverythingExactlyOnce) {
   }
   ASSERT_TRUE(engine.run_until_idle(500'000));
   for (sim::PacketId id : ids) {
-    const sim::PacketState& pkt = engine.packet(id);
-    EXPECT_TRUE(pkt.delivered());
-    EXPECT_GE(pkt.deliver_cycle, pkt.inject_cycle);
-    EXPECT_GE(pkt.inject_cycle, pkt.create_cycle);
+    const sim::PacketTimeline pkt = sink.timeline(id);
+    EXPECT_TRUE(pkt.was_delivered());
+    EXPECT_GE(pkt.delivered, pkt.injected);
+    EXPECT_GE(pkt.injected, pkt.created);
   }
   EXPECT_EQ(engine.flits_in_flight(), 0);
 }
@@ -92,11 +94,13 @@ TEST_P(NetworkProperties, SoloLatencyMatchesRouterPathLength) {
     while (dst == src) dst = rng.below(N);
     const auto len = static_cast<std::uint32_t>(rng.between(1, 40));
     sim::Engine engine(net, *router, nullptr, manual_config(seed));
+    sim::RecordingTraceSink sink;
+    engine.set_trace_sink(&sink);
     const sim::PacketId id = engine.inject_message(src, dst, len);
     ASSERT_TRUE(engine.run_until_idle(50'000));
     const unsigned path_len =
         router->path_length(routing::make_query(net, src, dst));
-    EXPECT_EQ(engine.packet(id).deliver_cycle, path_len + len - 2u)
+    EXPECT_EQ(sink.timeline(id).delivered, path_len + len - 2u)
         << shape << " " << src << "->" << dst;
   }
 }

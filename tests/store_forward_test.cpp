@@ -87,9 +87,11 @@ TEST(StoreForward, WormholeIsDistanceInsensitiveInComparison) {
     config.measure_cycles = 1u << 30;
     config.drain_cycles = 0;
     Engine engine(net, *router, nullptr, config);
+    RecordingTraceSink sink;
+    engine.set_trace_sink(&sink);
     const PacketId id = engine.inject_message(0, dst, len);
     EXPECT_TRUE(engine.run_until_idle(1'000'000));
-    return engine.packet(id).deliver_cycle;
+    return sink.timeline(id).delivered;
   };
   EXPECT_EQ(sf_latency(0b100) - sf_latency(0b001), 4ull * len);
   EXPECT_EQ(wh_latency(0b100) - wh_latency(0b001), 4ull);

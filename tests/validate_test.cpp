@@ -41,7 +41,14 @@ struct EngineTestPeer {
   static std::vector<std::uint8_t>& tx_pending_flag(Engine& e) {
     return e.tx_pending_flag_;
   }
-  static std::vector<PacketState>& packets(Engine& e) { return e.packets_; }
+  static std::vector<PacketRecord>& packets(Engine& e) { return e.packets_; }
+  static PacketId free_head(const Engine& e) { return e.free_head_; }
+  static std::vector<std::uint32_t>& queue_length(Engine& e) {
+    return e.queue_length_;
+  }
+  static std::uint64_t& delivered_flits_total(Engine& e) {
+    return e.delivered_flits_total_;
+  }
   static std::int64_t& occupied(Engine& e) { return e.occupied_; }
   static std::int64_t& worms_in_flight(Engine& e) {
     return e.worms_in_flight_;
@@ -457,16 +464,55 @@ TEST_F(EngineCorruption, FlitsOnDeadChannelTripFaultQuiescence) {
       "invariant 'fault-quiescence'.*still buffers");
 }
 
-TEST_F(EngineCorruption, TerminatedButBufferedTripsFaultTermination) {
+// ---- Packet records --------------------------------------------------------
+
+TEST_F(EngineCorruption, FreedIdInFifoSlotTripsLiveRecord) {
+  // A one-flit message delivered long before the 8-flit worm frees its
+  // record; that worm's buffered flit then names the freed record, as if
+  // a delivery or a kill had left a flit behind.
+  engine_.inject_message(2, 5, 1);
+  step_until([&] {
+    return EngineTestPeer::free_head(engine_) != kNoPacket &&
+           buffered_lane() != kInvalidId;
+  });
+  EXPECT_DEATH(
+      {
+        FlowControlState& fc = EngineTestPeer::fc(engine_);
+        fc.slot_packet[fc.slot(buffered_lane(), 0)] =
+            EngineTestPeer::free_head(engine_);
+        EngineTestPeer::validator(engine_).check_cycle_end();
+      },
+      "invariant 'live-record'.*fifo slot 0 holds freed record");
+}
+
+TEST_F(EngineCorruption, UnheldRecordTripsLiveRecord) {
   step_until([&] { return buffered_lane() != kInvalidId; });
   EXPECT_DEATH(
       {
-        // Stamp the in-flight worm terminated while its flits stay
-        // buffered — a kill that forgot the truncate-and-drain half.
-        EngineTestPeer::packets(engine_)[pid_].terminate_cycle = 1;
+        // A record in use that no queue, transmit register or fifo holds
+        // is never freed: the table would grow with run length again.
+        PacketRecord leaked;
+        leaked.length = 4;
+        EngineTestPeer::packets(engine_).push_back(leaked);
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
-      "invariant 'fault-termination'.*still buffered");
+      "invariant 'live-record'.*no source queue, transmit register or "
+      "fifo holds it");
+}
+
+TEST_F(EngineCorruption, SourceQueueBooksTripLiveRecord) {
+  // Node 0 transmits the fixture's worm; these two wait behind it.
+  engine_.inject_message(0, 3, 4);
+  engine_.inject_message(0, 5, 4);
+  step_until([&] { return buffered_lane() != kInvalidId; });
+  ASSERT_EQ(engine_.source_queue_length(0), 2u);
+  EXPECT_DEATH(
+      {
+        --EngineTestPeer::queue_length(engine_)[0];
+        EngineTestPeer::validator(engine_).check_cycle_end();
+      },
+      "invariant 'live-record'.*node 0's source queue holds 2 records "
+      "ending at [0-9]+ but its books say 1");
 }
 
 TEST_F(EngineCorruption, StarvedHeaderTripsFaultRoutability) {
@@ -479,8 +525,8 @@ TEST_F(EngineCorruption, StarvedHeaderTripsFaultRoutability) {
         // to terminate fault-starved worms, never stall them.
         const std::size_t pos = header_pos();
         const LaneId lane = EngineTestPeer::switch_input_lanes(engine_)[pos];
-        const PacketState& pkt =
-            EngineTestPeer::packets(engine_)[engine_.buffered_packet(lane)];
+        const PacketState& pkt = EngineTestPeer::packets(
+            engine_)[EngineTestPeer::fc(engine_).front(lane)];
         routing::RouteQuery query;
         query.src = pkt.src;
         query.dst = pkt.dst;
@@ -651,6 +697,29 @@ TEST_F(FinalCorruption, DeliveryCountTripsResultReconcile) {
       "says 3");
 }
 
+TEST_F(FinalCorruption, DroppedCountTripsResultReconcile) {
+  EXPECT_DEATH(
+      {
+        SimResult doctored = result_;
+        ++doctored.dropped_messages;
+        EngineTestPeer::validator(engine_).check_final(doctored);
+      },
+      "invariant 'result-reconcile'.*0 packets dropped but the result says "
+      "1");
+}
+
+// The flit recount is built from the records and the retirement tallies,
+// so a wrong engine total cannot vouch for itself.
+TEST_F(FinalCorruption, FlitTotalTripsFlitConservation) {
+  EXPECT_DEATH(
+      {
+        ++EngineTestPeer::delivered_flits_total(engine_);
+        EngineTestPeer::validator(engine_).check_final(result_);
+      },
+      "invariant 'flit-conservation'.*recount delivers 16 flits but the "
+      "engine counted 17");
+}
+
 TEST_F(FinalCorruption, EjectionCounterTripsTelemetryReconcile) {
   ASSERT_EQ(result_.delivered_flits_in_window, 16u);
   EXPECT_DEATH(
@@ -799,6 +868,10 @@ TEST(Validation, ValidatedRunMatchesUnvalidatedRun) {
 
   Engine a(net, *router, nullptr, plain);
   Engine b(net, *router, nullptr, checked);
+  RecordingTraceSink sink_a;
+  RecordingTraceSink sink_b;
+  a.set_trace_sink(&sink_a);
+  b.set_trace_sink(&sink_b);
   for (Engine* e : {&a, &b}) {
     e->inject_message(0, 7, 16);
     e->inject_message(3, 4, 16);
@@ -806,8 +879,9 @@ TEST(Validation, ValidatedRunMatchesUnvalidatedRun) {
     EXPECT_TRUE(e->run_until_idle(10'000));
   }
   ASSERT_EQ(a.packet_count(), b.packet_count());
-  for (PacketId id = 0; id < a.packet_count(); ++id) {
-    EXPECT_EQ(a.packet(id).deliver_cycle, b.packet(id).deliver_cycle);
+  for (PacketId id = 0; id < 3; ++id) {
+    EXPECT_TRUE(sink_a.timeline(id).was_delivered());
+    EXPECT_EQ(sink_a.timeline(id).delivered, sink_b.timeline(id).delivered);
   }
   EXPECT_GT(EngineTestPeer::validator(b).sweeps_run(), 0u);
 }
