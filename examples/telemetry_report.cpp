@@ -9,6 +9,7 @@
 //   telemetry_report --dir=results/json
 //       Summarizes a directory of schema-versioned JSON results (one row
 //       per file: id, seed, git revision, points, peak throughput).
+//       Exit 1 when any .json file in DIR does not parse.
 //   telemetry_report --chrome=trace.json [--messages=N]
 //       Replays a small manually injected DMIN run and writes a
 //       chrome://tracing / Perfetto JSON file of worm lane occupancy.
@@ -53,7 +54,7 @@
 #include "sim/engine.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/heatmap.hpp"
-#include "telemetry/result_writer.hpp"
+#include "telemetry/manifest.hpp"
 #include "telemetry/worm_trace.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -371,7 +372,9 @@ int report_directory(const std::string& dir) {
     return 1;
   }
   table.print(std::cout);
-  return 0;
+  // A result that does not parse is a writer bug: print what did parse,
+  // then fail, so a CI step over a results directory catches it.
+  return summarized == files.size() ? 0 : 1;
 }
 
 bool ends_with(const std::string& text, const std::string& suffix) {

@@ -6,9 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
-
-#include <unistd.h>
 
 #include "experiment/results_json.hpp"
 #include "telemetry/json.hpp"
@@ -282,29 +279,7 @@ void ResultCache::store(const std::string& fingerprint,
   document.set("key", fingerprint);
   document.set("point", sweep_point_to_json(point));
 
-  // tmp + rename: concurrent shards sharing a directory and interrupted
-  // runs leave either a complete entry or none.  The tmp name carries the
-  // writer's identity so two processes never collide mid-write.
-  const std::string path = entry_path(fingerprint);
-  std::ostringstream tmp_name;
-  tmp_name << path << '.' << static_cast<unsigned long>(::getpid()) << '.'
-           << std::hash<std::thread::id>{}(std::this_thread::get_id())
-           << ".tmp";
-  const std::string tmp = tmp_name.str();
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    WORMSIM_CHECK_MSG(out.good(), "cannot open cache tmp file for writing");
-    document.dump(out, 2);
-    out << "\n";
-    out.close();
-    WORMSIM_CHECK_MSG(out.good(), "cache tmp file write failed");
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    WORMSIM_CHECK_MSG(false, "cache entry rename failed");
-  }
+  telemetry::write_json_file(entry_path(fingerprint), document);
   stores_.fetch_add(1, std::memory_order_relaxed);
 }
 

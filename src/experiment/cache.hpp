@@ -16,9 +16,10 @@
 // an unintentional one fails the golden tests before any cache is
 // consulted.
 //
-// Concurrency and crash safety: entries are written to a temporary file
-// and renamed into place (atomic on POSIX), so concurrent shards sharing
-// a directory and interrupted runs leave either a complete entry or none.
+// Concurrency and crash safety: entries are written with
+// telemetry::write_json_file, a temporary file renamed into place (atomic
+// on POSIX), so concurrent shards sharing a directory and interrupted runs
+// leave either a complete entry or none.
 // A truncated or otherwise corrupt entry is treated as a miss and
 // recomputed, never trusted and never fatal.
 #pragma once
@@ -63,7 +64,7 @@ class ResultCache {
   /// layouts read as misses).
   std::optional<SweepPoint> load(const std::string& fingerprint) const;
 
-  /// Persists a point under its fingerprint (tmp file + rename).
+  /// Persists a point under its fingerprint (telemetry::write_json_file).
   void store(const std::string& fingerprint, const SweepPoint& point) const;
 
   /// Path of the entry file a fingerprint maps to.

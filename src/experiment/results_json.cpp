@@ -1,6 +1,7 @@
 #include "experiment/results_json.hpp"
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
 
 #include "util/check.hpp"
@@ -134,8 +135,13 @@ FigureResult figure_from_json(const JsonValue& document) {
 std::string write_figure_json(const FigureResult& result,
                               const telemetry::RunManifest& manifest,
                               const std::string& dir) {
-  const telemetry::ResultWriter writer(dir);
-  return writer.write(result.id, figure_to_json(result, manifest));
+  WORMSIM_CHECK_MSG(!dir.empty(), "empty result directory");
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  WORMSIM_CHECK_MSG(!ec, "cannot create result directory");
+  const std::string path = dir + "/" + result.id + ".json";
+  telemetry::write_json_file(path, figure_to_json(result, manifest));
+  return path;
 }
 
 }  // namespace wormsim::experiment

@@ -1,16 +1,16 @@
 // Versioned JSON emission for figure/ablation results.
 //
-// Bridges the experiment layer to telemetry's ResultWriter: a FigureResult
-// plus a RunManifest becomes one schema-versioned JSON document with the
-// run's provenance (seed, git revision, wall time, cycles/sec) and every
-// (series, point) of the latency/throughput curves.  This is the producer
-// behind figures_cli's --json-dir (WORMSIM_JSON_DIR).
+// Bridges the experiment layer to telemetry's result documents: a
+// FigureResult plus a RunManifest becomes one schema-versioned JSON
+// document with the run's provenance (seed, git revision, wall time,
+// cycles/sec) and every (series, point) of the latency/throughput curves.
+// This is the producer behind figures_cli's --json-dir (WORMSIM_JSON_DIR).
 #pragma once
 
 #include <string>
 
 #include "experiment/figures.hpp"
-#include "telemetry/result_writer.hpp"
+#include "telemetry/manifest.hpp"
 
 namespace wormsim::experiment {
 
@@ -36,7 +36,8 @@ telemetry::JsonValue figure_to_json(const FigureResult& result,
 /// the round-trip tests.
 FigureResult figure_from_json(const telemetry::JsonValue& document);
 
-/// Writes `<dir>/<result.id>.json`; returns the path written.
+/// Writes `<dir>/<result.id>.json` (creating `dir` if needed) with
+/// telemetry::write_json_file; returns the path written.
 std::string write_figure_json(const FigureResult& result,
                               const telemetry::RunManifest& manifest,
                               const std::string& dir);

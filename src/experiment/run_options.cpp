@@ -184,12 +184,6 @@ void apply_env(const Knob& knob, RunOptions& options) {
 
 }  // namespace
 
-RunOptions RunOptions::from_env() {
-  RunOptions options;
-  for (const Knob& knob : kKnobs) apply_env(knob, options);
-  return options;
-}
-
 void bind_run_knobs(util::CliParser& cli, RunOptions* options,
                     std::uint32_t knobs) {
   for (const Knob& knob : kKnobs) {

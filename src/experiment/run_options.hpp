@@ -54,10 +54,6 @@ struct RunOptions {
   sim::SimConfig sim_config() const;
   std::vector<double> loads() const;
   SweepOptions sweep_options() const;
-
-  /// Reads every shared knob from its WORMSIM_* variable.  A malformed
-  /// value aborts with a diagnostic naming the variable.
-  static RunOptions from_env();
 };
 
 /// Groups of shared knobs, for bind_run_knobs.

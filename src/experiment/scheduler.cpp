@@ -178,27 +178,22 @@ std::vector<Series> run_series_pool(const std::vector<SeriesSpec>& specs,
   }
   const auto pool_end = std::chrono::steady_clock::now();
 
-  // Assemble each Series by replaying the sequential rule over the grid —
-  // the same loop run_series runs, just over precomputed points.
+  // Assemble from the resolvers, which replayed the sequential rule as
+  // verdicts arrived: a stopped series keeps loads [0, next), any other
+  // series every load.  Points computed past the cut were speculation.
   std::uint64_t speculated = 0;
   for (std::size_t s = 0; s < series_count; ++s) {
-    unsigned streak = 0;
-    std::size_t taken = 0;
+    const std::size_t kept =
+        resolver[s].stopped ? resolver[s].next : load_count;
     for (std::size_t l = 0; l < load_count; ++l) {
+      if (l >= kept) {
+        if (grid[s][l].has_value()) ++speculated;
+        continue;
+      }
       WORMSIM_CHECK_MSG(grid[s][l].has_value(),
                         "scheduler dropped a point the sequential "
                         "contract requires");
-      results[s].points.push_back(*grid[s][l]);
-      taken = l + 1;
-      if (!grid[s][l]->sustainable) {
-        ++streak;
-        if (stop_after != 0 && streak >= stop_after) break;
-      } else {
-        streak = 0;
-      }
-    }
-    for (std::size_t l = taken; l < load_count; ++l) {
-      if (grid[s][l].has_value()) ++speculated;
+      results[s].points.push_back(std::move(*grid[s][l]));
     }
   }
 

@@ -13,10 +13,11 @@
 // the still-unknown stop index.  As verdicts arrive, a per-series
 // resolver replays them in load order; once the sequential rule fires,
 // the series' cutoff drops and not-yet-started points past it are
-// discarded.  Speculated points that already ran are dropped from the
-// returned Series (their results still reach the cache — they are valid
-// answers to valid questions).  The assembled output is bitwise identical
-// to the sequential path for every field of every point.
+// discarded.  Each returned Series is cut where its resolver stopped;
+// speculated points that already ran past the cut are dropped (their
+// results still reach the cache — they are valid answers to valid
+// questions).  The assembled output is bitwise identical to the
+// sequential path for every field of every point.
 //
 // With a ResultCache attached, each point is looked up by content
 // fingerprint before simulating and stored after; see cache.hpp.

@@ -28,9 +28,7 @@ class CubeCluster {
 
   const util::RadixSpec& spec() const { return spec_; }
 
-  /// m: the number of free digit positions.
-  unsigned free_digits() const { return free_count_; }
-  /// The cluster population k^m.
+  /// The cluster population k^m, m the number of free digit positions.
   std::uint64_t size() const;
 
   bool contains(std::uint64_t node) const;
@@ -76,8 +74,6 @@ class BinaryCubeCluster {
   std::vector<topology::NodeId> members() const;
   bool disjoint_with(const BinaryCubeCluster& other) const;
   std::string describe() const;
-
-  unsigned address_bits() const { return bits_; }
 
  private:
   util::RadixSpec spec_;

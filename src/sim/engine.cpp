@@ -1022,23 +1022,11 @@ void Engine::step() {
   advance_flits();
   observers_.lap(EnginePhase::kAdvance);
 
-  bool telemetry = false;
-  if (observers_.sample_due(cycle_)) {
-    telemetry = true;
-    telemetry::Sample sample;
-    sample.cycle = cycle_;
-    sample.delivered_flits = delivered_flits_total_;
-    sample.flits_in_flight = occupied_;
-    sample.worms_in_flight = worms_in_flight_;
-    sample.mean_queue_depth = static_cast<double>(queued_messages_) /
-                              static_cast<double>(queue_length_.size());
-    observers_.sample(sample);
+  if (observers_.tick(cycle_, [this](std::uint64_t label) {
+        return heartbeat_snapshot(label);
+      })) {
+    observers_.lap(EnginePhase::kTelemetry);
   }
-  // `cycle_ + 1` cycles are complete once this step ends.
-  telemetry |= observers_.heartbeat(cycle_ + 1, [this](std::uint64_t cycle) {
-    return heartbeat_snapshot(cycle);
-  });
-  if (telemetry) observers_.lap(EnginePhase::kTelemetry);
 
   if (validator_ != nullptr) {
     validator_->on_cycle_end();

@@ -113,7 +113,6 @@ class Engine {
   /// A delivered or fault-terminated message's record is reused, so its
   /// outcome is read from trace events (RecordingTraceSink::timeline).
   std::size_t packet_count() const { return packets_.size(); }
-  const topology::NetView& network() const { return network_; }
 
   /// Lane occupancy introspection for tests: the serial of the packet of
   /// the lane FIFO's oldest flit, or kNoPacket.
@@ -157,11 +156,6 @@ class Engine {
   /// before any flit moves.  Must be called before the first step();
   /// replaces any config-built plan.
   void set_fault_plan(fault_injection::FaultPlan plan);
-
-  /// The active fault plan (empty when fault injection is off).
-  const fault_injection::FaultPlan& fault_plan() const {
-    return fault_state_.plan;
-  }
 
   /// Non-null when invariant checking is on (SimConfig::validate); the
   /// validator sweeps at the end of every step().
@@ -256,8 +250,9 @@ class Engine {
     return cycle_ >= config_.warmup_cycles &&
            cycle_ < config_.warmup_cycles + config_.measure_cycles;
   }
-  /// Builds the deterministic heartbeat snapshot for `cycle` completed
-  /// cycles (telemetry/run_monitor.hpp); read-only over engine state.
+  /// Builds the deterministic snapshot labelled `cycle` that interval
+  /// samples and heartbeats read (Observers::tick); read-only over engine
+  /// state.
   telemetry::HeartbeatSnapshot heartbeat_snapshot(std::uint64_t cycle) const;
   [[noreturn]] void report_deadlock() const;
 

@@ -21,6 +21,7 @@ Observers::Observers(const topology::NetView& network,
   if (counters != nullptr && tel.sampling) {
     WORMSIM_CHECK(tel.sample_interval_cycles > 0);
     sample_interval_ = tel.sample_interval_cycles;
+    sample_nodes_ = network.node_count();
     sampler_ = telemetry::IntervalSampler(tel.sample_capacity);
   }
   if (tel.worm_trace) {

@@ -70,20 +70,33 @@ class Observers {
   void lap(telemetry::EnginePhase phase) {
     if (profiler_) profiler_->lap(phase);
   }
-  /// A sample is due after the phases of every cycle that is a multiple
-  /// of the sample interval, and is labelled with that cycle.
-  bool sample_due(std::uint64_t cycle) const {
-    return sample_interval_ != 0 && cycle % sample_interval_ == 0;
+  /// Ends wormhole cycle `cycle` with both cadences: a sample labelled
+  /// `cycle` when it is a multiple of the sample interval, and a
+  /// heartbeat once `cycle + 1` completed cycles reach the next boundary.
+  /// `snapshot(label)` builds the state at either label, and each sample
+  /// is read from one.  Returns true when either fired.
+  template <typename Snapshot>
+  bool tick(std::uint64_t cycle, Snapshot&& snapshot) {
+    bool sampled = false;
+    if (sample_interval_ != 0 && cycle % sample_interval_ == 0) {
+      const telemetry::HeartbeatSnapshot snap = snapshot(cycle);
+      sampler_.record(telemetry::Sample{
+          snap.cycle, snap.flits_delivered, snap.flits_in_flight,
+          snap.worms_in_flight,
+          static_cast<double>(snap.queued_messages) /
+              static_cast<double>(sample_nodes_)});
+      sampled = true;
+    }
+    return heartbeat(cycle + 1, snapshot) || sampled;
   }
-  void sample(const telemetry::Sample& sample) { sampler_.record(sample); }
 
   // ---- Heartbeats (both engines) ---------------------------------------
   /// The cadence rule: once `completed` cycles reach the next boundary,
   /// emits one line at the latest boundary crossed.  Called after every
-  /// cycle this emits at exact multiples of the interval; called at the
-  /// store-and-forward engine's event times it merges the windows no
-  /// event landed in.  `snapshot(boundary)` builds the line.  Returns
-  /// true when a line was emitted.
+  /// cycle (through tick) this emits at exact multiples of the interval;
+  /// called at the store-and-forward engine's event times it merges the
+  /// windows no event landed in.  `snapshot(boundary)` builds the line.
+  /// Returns true when a line was emitted.
   template <typename Snapshot>
   bool heartbeat(std::uint64_t completed, Snapshot&& snapshot) {
     if (!monitor_ || completed < heartbeat_next_) return false;
@@ -214,6 +227,7 @@ class Observers {
   std::uint64_t window_begin_ = 0;
   std::uint64_t window_end_ = 0;
   std::uint64_t sample_interval_ = 0;  // 0 = sampling off
+  std::uint64_t sample_nodes_ = 0;     // divides the queued messages
   telemetry::IntervalSampler sampler_{0};
   // Shared into SimResult::worm_trace so the trace outlives the engine.
   std::shared_ptr<telemetry::WormTracer> tracer_;

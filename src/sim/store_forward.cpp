@@ -141,8 +141,15 @@ bool StoreForwardEngine::start_transfer(PacketId pkt, LaneId from,
   const std::uint32_t length = packets_[pkt].length;
   channel_free_at_[ch.id] = now_ + length;
   free_calendar_.emplace(now_ + length, ch.id);
-  transfers_.push_back(Transfer{pkt, from, to});
-  schedule(now_ + length, Event::Kind::kTransferDone, transfers_.size() - 1);
+  std::uint64_t slot = transfers_.size();
+  if (free_transfers_.empty()) {
+    transfers_.push_back(Transfer{pkt, from, to});
+  } else {
+    slot = free_transfers_.back();
+    free_transfers_.pop_back();
+    transfers_[slot] = Transfer{pkt, from, to};
+  }
+  schedule(now_ + length, Event::Kind::kTransferDone, slot);
   ++in_flight_;
   return true;
 }
@@ -403,9 +410,12 @@ void StoreForwardEngine::process(const Event& event) {
                Event::Kind::kArrivalGen, node);
       break;
     }
-    case Event::Kind::kTransferDone:
-      finish_transfer(transfers_[event.payload]);
+    case Event::Kind::kTransferDone: {
+      const Transfer transfer = transfers_[event.payload];
+      free_transfers_.push_back(static_cast<std::uint32_t>(event.payload));
+      finish_transfer(transfer);
       break;
+    }
     case Event::Kind::kInject: {
       Packet& pkt = packets_[event.payload];
       pkt.measured = in_measure_window();

@@ -90,9 +90,6 @@ class StoreForwardEngine {
   /// (tests / callers that need an exact channel set rather than a
   /// seeded fraction).  Must be called at time 0 with no faults applied.
   void set_fault_plan(fault_injection::FaultPlan plan);
-  const fault_injection::FaultPlan& fault_plan() const {
-    return fault_state_.plan;
-  }
 
  private:
   /// Read-only invariant checker (src/sim/validate.hpp); fault-injection
@@ -197,7 +194,13 @@ class StoreForwardEngine {
                                             topology::ChannelId>>,
                       std::greater<>>
       free_calendar_;
-  std::vector<Transfer> transfers_;  // indexed by payload of kTransferDone
+  // Indexed by payload of kTransferDone.  A finished transfer's slot goes
+  // on free_transfers_ and the next transfer started takes it, so the
+  // table holds the most transfers ever in flight at once, not one entry
+  // per hop of the run.  The heap orders events by time alone, so which
+  // slot a transfer gets changes no event order.
+  std::vector<Transfer> transfers_;
+  std::vector<std::uint32_t> free_transfers_;
 
   std::vector<Packet> packets_;
   std::vector<NodeState> nodes_;

@@ -32,8 +32,7 @@ struct Occupancy {
 
 std::size_t write_chrome_trace(const std::vector<TraceEvent>& events,
                                const topology::Network& network,
-                               std::ostream& os,
-                               const ChromeTraceOptions& options) {
+                               std::ostream& os) {
   // Pass 1: collapse flit moves into per-(packet, lane) occupancy spans.
   // A worm occupies a lane from its header crossing to its tail crossing;
   // map key order (packet, lane, first cycle) keeps output deterministic.
@@ -78,26 +77,24 @@ std::size_t write_chrome_trace(const std::vector<TraceEvent>& events,
   }
   const std::size_t slices = trace_events.items().size();
 
-  if (options.metadata) {
-    for (std::int64_t pid : pids_seen) {
-      JsonValue meta = JsonValue::object();
-      meta.set("name", "process_name");
-      meta.set("ph", "M");
-      meta.set("pid", pid);
-      JsonValue args = JsonValue::object();
-      const auto switch_count =
-          static_cast<std::int64_t>(network.switches().size());
-      if (pid < switch_count) {
-        const topology::Switch& sw =
-            network.switch_ref(static_cast<topology::SwitchId>(pid));
-        args.set("name", "switch " + std::to_string(sw.id) + " (stage " +
-                             std::to_string(sw.stage) + ")");
-      } else {
-        args.set("name", "node " + std::to_string(pid - switch_count));
-      }
-      meta.set("args", std::move(args));
-      trace_events.push_back(std::move(meta));
+  for (std::int64_t pid : pids_seen) {
+    JsonValue meta = JsonValue::object();
+    meta.set("name", "process_name");
+    meta.set("ph", "M");
+    meta.set("pid", pid);
+    JsonValue args = JsonValue::object();
+    const auto switch_count =
+        static_cast<std::int64_t>(network.switches().size());
+    if (pid < switch_count) {
+      const topology::Switch& sw =
+          network.switch_ref(static_cast<topology::SwitchId>(pid));
+      args.set("name", "switch " + std::to_string(sw.id) + " (stage " +
+                           std::to_string(sw.stage) + ")");
+    } else {
+      args.set("name", "node " + std::to_string(pid - switch_count));
     }
+    meta.set("args", std::move(args));
+    trace_events.push_back(std::move(meta));
   }
 
   JsonValue document = JsonValue::object();

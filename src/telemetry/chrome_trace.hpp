@@ -20,17 +20,11 @@
 
 namespace wormsim::telemetry {
 
-struct ChromeTraceOptions {
-  /// Also emit process/thread name metadata events (nice in the viewer,
-  /// noise in tests).
-  bool metadata = true;
-};
-
-/// Writes the trace JSON document; returns the number of occupancy slices
-/// emitted (0 for an event stream with no flit movement).
+/// Writes the trace JSON document, with a process-name metadata event per
+/// switch or node that has a slice; returns the number of occupancy
+/// slices emitted (0 for an event stream with no flit movement).
 std::size_t write_chrome_trace(const std::vector<sim::TraceEvent>& events,
                                const topology::Network& network,
-                               std::ostream& os,
-                               const ChromeTraceOptions& options = {});
+                               std::ostream& os);
 
 }  // namespace wormsim::telemetry

@@ -1,11 +1,19 @@
 #include "telemetry/json.hpp"
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <ostream>
 #include <sstream>
+#include <thread>
+
+#include "util/check.hpp"
 
 namespace wormsim::telemetry {
 
@@ -354,6 +362,39 @@ class Parser {
 JsonValue JsonValue::parse(const std::string& text, std::string* error) {
   Parser parser(text, error);
   return parser.run();
+}
+
+void write_json_file(const std::string& path, const JsonValue& document) {
+  std::ostringstream tmp_name;
+  tmp_name << path << '.' << static_cast<unsigned long>(::getpid()) << '.'
+           << std::hash<std::thread::id>{}(std::this_thread::get_id())
+           << ".tmp";
+  const std::string tmp = tmp_name.str();
+  std::ofstream out(tmp, std::ios::trunc);
+  if (out.good()) {
+    document.dump(out, 2);
+    out << '\n';
+    out.close();
+  }
+  std::error_code ec;
+  if (!out.fail()) std::filesystem::rename(tmp, path, ec);
+  if (out.fail() || ec) {
+    std::filesystem::remove(tmp, ec);
+    std::fprintf(stderr, "wormsim: cannot write JSON file %s\n",
+                 path.c_str());
+    std::abort();
+  }
+}
+
+JsonValue read_json_file(const std::string& path) {
+  std::ifstream in(path);
+  WORMSIM_CHECK_MSG(in.good(), "cannot open JSON file");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  std::string error;
+  JsonValue document = JsonValue::parse(buffer.str(), &error);
+  WORMSIM_CHECK_MSG(error.empty(), "JSON file failed to parse");
+  return document;
 }
 
 }  // namespace wormsim::telemetry

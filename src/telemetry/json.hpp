@@ -2,7 +2,9 @@
 //
 // Just enough JSON for the telemetry subsystem — versioned result files,
 // the run manifest, Chrome-trace export, and the round-trip reader the
-// tests and telemetry_report use.  Objects preserve insertion order so
+// tests and telemetry_report use — plus the one function that writes a
+// JSON file (figure results, cache entries and heartbeat status all go
+// through write_json_file).  Objects preserve insertion order so
 // emitted files diff cleanly.  Not a general-purpose library: no \uXXXX
 // escape *emission* (parse accepts and folds BMP escapes to UTF-8), and
 // numbers are doubles (53-bit integer precision, plenty for counters).
@@ -92,5 +94,18 @@ class JsonValue {
 
 /// Writes `text` with JSON string escaping (quotes included).
 void write_json_string(std::ostream& os, const std::string& text);
+
+/// Writes `document` (dump(2) plus a newline) to `path` in an existing
+/// directory: into `<path>.<pid>.<thread>.tmp`, closed and checked, then
+/// renamed over `path`, so a concurrent reader sees the old document or
+/// the new one, never a torn one, and concurrent writers never share a
+/// temp file.  The temp name ends in neither ".json" nor ".status.json",
+/// so a scan for finished documents skips it.  On any failure the temp
+/// file is removed and the process aborts naming `path`.
+void write_json_file(const std::string& path, const JsonValue& document);
+
+/// Reads and parses one JSON file; aborts on I/O or parse errors (these
+/// files are machine-produced, so a malformed one is a bug).
+JsonValue read_json_file(const std::string& path);
 
 }  // namespace wormsim::telemetry

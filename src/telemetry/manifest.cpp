@@ -1,10 +1,4 @@
-#include "telemetry/result_writer.hpp"
-
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include "util/check.hpp"
+#include "telemetry/manifest.hpp"
 
 #ifndef WORMSIM_GIT_REVISION
 #define WORMSIM_GIT_REVISION "unknown"
@@ -59,37 +53,6 @@ JsonValue manifest_to_json(const RunManifest& manifest) {
     json.set("cache", std::move(cache));
   }
   return json;
-}
-
-ResultWriter::ResultWriter(std::string directory)
-    : directory_(std::move(directory)) {
-  WORMSIM_CHECK_MSG(!directory_.empty(), "empty result directory");
-  std::error_code ec;
-  std::filesystem::create_directories(directory_, ec);
-  WORMSIM_CHECK_MSG(!ec, "cannot create result directory");
-}
-
-std::string ResultWriter::write(const std::string& name,
-                                const JsonValue& document) const {
-  const std::string path = directory_ + "/" + name + ".json";
-  std::ofstream out(path, std::ios::trunc);
-  WORMSIM_CHECK_MSG(out.good(), "cannot open result file for writing");
-  document.dump(out, 2);
-  out << "\n";
-  out.close();
-  WORMSIM_CHECK_MSG(out.good(), "result file write failed");
-  return path;
-}
-
-JsonValue read_json_file(const std::string& path) {
-  std::ifstream in(path);
-  WORMSIM_CHECK_MSG(in.good(), "cannot open JSON result file");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string error;
-  JsonValue document = JsonValue::parse(buffer.str(), &error);
-  WORMSIM_CHECK_MSG(error.empty(), "JSON result file failed to parse");
-  return document;
 }
 
 }  // namespace wormsim::telemetry

@@ -1,15 +1,14 @@
-// Versioned JSON result files with run provenance.
+// Versioned JSON result documents with run provenance.
 //
 // Every figure, ablation, and bench run can emit a machine-readable JSON
 // document next to its text output: schema version, the run's config
 // (seed, quick mode, simulated cycles), the builder's git revision, wall
 // time, and simulation speed (cycles/sec).  Consumers key on
 // `schema_version` — bump kResultSchemaVersion on any breaking layout
-// change and keep readers tolerant of additive fields.
-//
-// The output directory comes from the --json-dir flag or the
-// WORMSIM_JSON_DIR environment variable, both read through the knob table
-// in experiment/run_options.cpp.
+// change and keep readers tolerant of additive fields.  The documents are
+// written with write_json_file (telemetry/json.hpp) into the --json-dir
+// directory (default WORMSIM_JSON_DIR), a knob declared in
+// experiment/run_options.cpp.
 #pragma once
 
 #include <string>
@@ -80,24 +79,5 @@ struct RunManifest {
 /// revision; embed under the document's "manifest" key or splice at the
 /// top level.
 JsonValue manifest_to_json(const RunManifest& manifest);
-
-/// Writes JSON documents into a directory (created on first use).
-class ResultWriter {
- public:
-  explicit ResultWriter(std::string directory);
-
-  /// Writes `<directory>/<name>.json` (pretty-printed, trailing newline)
-  /// and returns the path.  Aborts if the file cannot be written.
-  std::string write(const std::string& name, const JsonValue& document) const;
-
-  const std::string& directory() const { return directory_; }
-
- private:
-  std::string directory_;
-};
-
-/// Reads and parses one JSON result file; aborts on I/O or parse errors
-/// (results are machine-produced; a malformed file is a bug).
-JsonValue read_json_file(const std::string& path);
 
 }  // namespace wormsim::telemetry

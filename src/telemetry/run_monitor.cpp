@@ -1,26 +1,11 @@
 #include "telemetry/run_monitor.hpp"
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <utility>
 
 #include "util/check.hpp"
 
 namespace wormsim::telemetry {
-
-void write_json_atomic(const std::string& path, const JsonValue& doc) {
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    WORMSIM_CHECK_MSG(out.good(), "cannot open temp status file");
-    doc.dump(out, 2);
-    out << "\n";
-    WORMSIM_CHECK_MSG(out.good(), "short write to temp status file");
-  }
-  std::filesystem::rename(tmp, path);
-}
 
 std::vector<std::vector<std::pair<topology::LaneId, topology::LaneId>>>
 build_stage_lane_intervals(const topology::NetView& network) {
@@ -191,7 +176,7 @@ void RunMonitor::write_status(const HeartbeatSnapshot& snap, bool finished) {
   doc.set("wall_seconds", wall);
   doc.set("cycles_per_second",
           wall > 0.0 ? static_cast<double>(snap.cycle) / wall : 0.0);
-  write_json_atomic(status_path_, doc);
+  write_json_file(status_path_, doc);
 }
 
 void RunMonitor::on_heartbeat(const HeartbeatSnapshot& snap) {

@@ -4,10 +4,10 @@
 // both engines tick it on a configurable cycle cadence
 // (TelemetryConfig::heartbeat_cycles, default WORMSIM_HEARTBEAT), and every
 // tick appends one NDJSON snapshot line to
-// `<heartbeat_dir>/<heartbeat_tag>.ndjson` and atomically rewrites
-// `<heartbeat_dir>/<heartbeat_tag>.status.json` (write-to-temp +
-// rename, so a poller — `telemetry_report --watch` — never reads a
-// torn file).
+// `<heartbeat_dir>/<heartbeat_tag>.ndjson` and rewrites
+// `<heartbeat_dir>/<heartbeat_tag>.status.json` with write_json_file
+// (telemetry/json.hpp: temp file + rename, so a poller —
+// `telemetry_report --watch` — never reads a torn file).
 //
 // Stream schema (one JSON object per line):
 //   {"type":"start", ...run identity, cadence, cycle budget...}
@@ -132,12 +132,6 @@ class RunMonitor {
   std::uint64_t fault_onset_ = kNoOnset;
   bool finalized_ = false;
 };
-
-/// Atomic JSON rewrite: dump to `<path>.tmp.<pid>` then rename over
-/// `path`, so concurrent readers see either the old or the new document,
-/// never a torn one.  Shared by the monitor and any caller with the same
-/// polling contract.
-void write_json_atomic(const std::string& path, const JsonValue& doc);
 
 /// Per-stage [lane_begin, lane_end) interval lists for the heartbeat
 /// occupancy summary, built once when a monitor attaches: slot s < stages

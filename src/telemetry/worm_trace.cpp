@@ -315,8 +315,7 @@ WormTraceSummary summarize_worm_trace(const WormTracer& tracer,
 }
 
 std::size_t write_worm_trace_chrome(const WormTracer& tracer,
-                                    std::ostream& os,
-                                    const WormChromeOptions& options) {
+                                    std::ostream& os) {
   const double scale = 1.0 / topology::kFlitsPerMicrosecond;
   JsonValue trace_events = JsonValue::array();
   std::size_t slices = 0;
@@ -336,7 +335,6 @@ std::size_t write_worm_trace_chrome(const WormTracer& tracer,
   std::vector<WormId> shown;
   for (const WormRecord& r : tracer.records()) {
     if (!r.delivered()) continue;
-    if (r.total_cycles() < options.min_total_cycles) continue;
     shown.push_back(r.id);
 
     // Lifetime slice [create, deliver]; children nest inside it.
@@ -394,26 +392,24 @@ std::size_t write_worm_trace_chrome(const WormTracer& tracer,
     }
   }
 
-  if (options.metadata) {
-    JsonValue process = JsonValue::object();
-    process.set("name", "process_name");
-    process.set("ph", "M");
-    process.set("pid", 0);
-    JsonValue pargs = JsonValue::object();
-    pargs.set("name", "worms");
-    process.set("args", std::move(pargs));
-    trace_events.push_back(std::move(process));
-    for (WormId id : shown) {
-      JsonValue thread = JsonValue::object();
-      thread.set("name", "thread_name");
-      thread.set("ph", "M");
-      thread.set("pid", 0);
-      thread.set("tid", static_cast<std::int64_t>(id));
-      JsonValue targs = JsonValue::object();
-      targs.set("name", "worm " + std::to_string(id));
-      thread.set("args", std::move(targs));
-      trace_events.push_back(std::move(thread));
-    }
+  JsonValue process = JsonValue::object();
+  process.set("name", "process_name");
+  process.set("ph", "M");
+  process.set("pid", 0);
+  JsonValue pargs = JsonValue::object();
+  pargs.set("name", "worms");
+  process.set("args", std::move(pargs));
+  trace_events.push_back(std::move(process));
+  for (WormId id : shown) {
+    JsonValue thread = JsonValue::object();
+    thread.set("name", "thread_name");
+    thread.set("ph", "M");
+    thread.set("pid", 0);
+    thread.set("tid", static_cast<std::int64_t>(id));
+    JsonValue targs = JsonValue::object();
+    targs.set("name", "worm " + std::to_string(id));
+    thread.set("args", std::move(targs));
+    trace_events.push_back(std::move(thread));
   }
 
   JsonValue document = JsonValue::object();

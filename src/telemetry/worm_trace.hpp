@@ -263,19 +263,12 @@ class WormTracer {
 WormTraceSummary summarize_worm_trace(const WormTracer& tracer,
                                       std::size_t top_n = 8);
 
-struct WormChromeOptions {
-  bool metadata = true;
-  /// Worms spanning fewer cycles than this are dropped (keeps figure-point
-  /// traces loadable in the Perfetto UI); 0 keeps everything.
-  std::uint64_t min_total_cycles = 0;
-};
-
-/// Chrome-trace (Perfetto) export: one thread track per worm under a
-/// single "worms" process, with a lifetime slice, a queue slice, per-stage
-/// routing-wait slices, and one slice per blocked interval named after its
-/// culprit ("blocked on worm W @ lane L").  Returns slices emitted.
+/// Chrome-trace (Perfetto) export: one thread track per delivered worm
+/// under a single "worms" process, with a lifetime slice, a queue slice,
+/// per-stage routing-wait slices, and one slice per blocked interval named
+/// after its culprit ("blocked on worm W @ lane L"), plus the process and
+/// thread name metadata events.  Returns slices emitted.
 std::size_t write_worm_trace_chrome(const WormTracer& tracer,
-                                    std::ostream& os,
-                                    const WormChromeOptions& options = {});
+                                    std::ostream& os);
 
 }  // namespace wormsim::telemetry

@@ -38,14 +38,6 @@ class NetView {
     WORMSIM_CHECK(implicit_ != nullptr);
   }
 
-  /// The underlying graph; only for materialized-only consumers (heatmap
-  /// grouping, partition analyses, multicast) — aborts on the implicit
-  /// backend.
-  const Network& network() const {
-    WORMSIM_CHECK_MSG(net_ != nullptr,
-                      "this consumer needs a materialized Network");
-    return *net_;
-  }
   const ImplicitTopology* implicit() const { return implicit_.get(); }
 
   const NetworkConfig& config() const {

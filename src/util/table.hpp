@@ -24,8 +24,6 @@ class Table {
   Table& cell(std::int64_t value);
   Table& cell(int value) { return cell(static_cast<std::int64_t>(value)); }
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Aligned, boxless ASCII rendering.
   void print(std::ostream& os) const;
 

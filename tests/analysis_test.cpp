@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "analysis/deadlock.hpp"
 #include "analysis/path_enum.hpp"
@@ -206,6 +208,20 @@ struct DeadlockParam {
   unsigned k, n, d, m;
 };
 
+// Names the case by its shape (e.g. TMIN_cube_k2_n3), for the test name
+// and for the GetParam() value ctest lists, so both are the same in every
+// build rather than the parameter's bytes.
+std::string shape_name(const DeadlockParam& p) {
+  std::string name = topology::to_string(p.kind) + "_" + p.topology + "_k" +
+                     std::to_string(p.k) + "_n" + std::to_string(p.n);
+  if (p.d > 1) name += "_d" + std::to_string(p.d);
+  if (p.m > 1) name += "_m" + std::to_string(p.m);
+  return name;
+}
+void PrintTo(const DeadlockParam& p, std::ostream* os) {
+  *os << shape_name(p);
+}
+
 class DeadlockFreedom : public ::testing::TestWithParam<DeadlockParam> {};
 
 TEST_P(DeadlockFreedom, CdgIsAcyclic) {
@@ -229,7 +245,10 @@ INSTANTIATE_TEST_SUITE_P(
                       DeadlockParam{NetworkKind::kBMIN, "butterfly", 2, 4, 1, 1},
                       DeadlockParam{NetworkKind::kBMIN, "butterfly", 4, 3, 1, 1},
                       DeadlockParam{NetworkKind::kBMIN, "butterfly", 4, 2, 1,
-                                    2}));
+                                    2}),
+    [](const ::testing::TestParamInfo<DeadlockParam>& info) {
+      return shape_name(info.param);
+    });
 
 }  // namespace
 }  // namespace wormsim::analysis

@@ -215,4 +215,19 @@ TEST(CliExitStatus, ReportDirAllUnparseableFails) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CliExitStatus, ReportDirOneUnparseableFails) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "wormsim_cli_mixed_dir";
+  std::filesystem::create_directories(dir);
+  const std::string report = std::string(WORMSIM_TELEMETRY_REPORT_PATH) +
+                             " --dir=" + dir.string() + " > /dev/null 2>&1";
+  std::ofstream(dir / "good.json")
+      << R"({"id":"probe","schema_version":2,"seed":1,"git_revision":"x",)"
+      << R"("series":[],"cycles_per_second":0})";
+  EXPECT_EQ(run(report), 0);
+  std::ofstream(dir / "broken.json") << "{ not json";
+  EXPECT_EQ(run(report), 1);
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace

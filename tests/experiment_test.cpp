@@ -7,6 +7,7 @@
 #include "experiment/figures.hpp"
 #include "experiment/sweep.hpp"
 #include "partition/cluster.hpp"
+#include "util/cli.hpp"
 
 namespace wormsim::experiment {
 namespace {
@@ -95,18 +96,30 @@ TEST(Figures, RegistryIsComplete) {
   EXPECT_FALSE(figure_exists("fig99"));
 }
 
+/// The options a binary given no flags runs with: bind_run_knobs reads
+/// each knob from its WORMSIM_* variable.
+RunOptions options_without_flags() {
+  RunOptions options;
+  util::CliParser cli("test");
+  bind_run_knobs(cli, &options, knob::kAll);
+  const char* argv[] = {"prog"};
+  EXPECT_EQ(cli.parse(1, const_cast<char**>(argv)),
+            util::CliParser::Status::kOk);
+  return options;
+}
+
 TEST(Figures, RunOptionsFromEnv) {
   setenv("WORMSIM_QUICK", "1", 1);
   setenv("WORMSIM_SEED", "321", 1);
   setenv("WORMSIM_BUFFER_DEPTH", "4", 1);
-  const RunOptions options = RunOptions::from_env();
+  const RunOptions options = options_without_flags();
   EXPECT_TRUE(options.quick);
   EXPECT_EQ(options.seed, 321u);
   EXPECT_EQ(options.sim_config().buffer_depth, 4u);
   unsetenv("WORMSIM_QUICK");
   unsetenv("WORMSIM_SEED");
   unsetenv("WORMSIM_BUFFER_DEPTH");
-  const RunOptions defaults = RunOptions::from_env();
+  const RunOptions defaults = options_without_flags();
   EXPECT_FALSE(defaults.quick);
   EXPECT_EQ(defaults.sim_config().buffer_depth, 1u);
 }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <string>
 
 #include "topology/network.hpp"
 
@@ -239,6 +241,15 @@ struct ShapeParam {
   unsigned k, n;
 };
 
+// Names the case by its shape (e.g. TMIN_cube_k2_n3), for the test name
+// and for the GetParam() value ctest lists, so both are the same in every
+// build rather than the parameter's bytes.
+std::string shape_name(const ShapeParam& p) {
+  return to_string(p.kind) + "_" + p.topology + "_k" + std::to_string(p.k) +
+         "_n" + std::to_string(p.n);
+}
+void PrintTo(const ShapeParam& p, std::ostream* os) { *os << shape_name(p); }
+
 class NetworkShapes : public ::testing::TestWithParam<ShapeParam> {};
 
 TEST_P(NetworkShapes, ValidatesAndBalances) {
@@ -272,7 +283,10 @@ INSTANTIATE_TEST_SUITE_P(
         ShapeParam{NetworkKind::kBMIN, "butterfly", 4, 3},
         ShapeParam{NetworkKind::kBMIN, "butterfly", 8, 2},
         ShapeParam{NetworkKind::kTMIN, "cube", 8, 2},
-        ShapeParam{NetworkKind::kTMIN, "cube", 4, 4}));
+        ShapeParam{NetworkKind::kTMIN, "cube", 4, 4}),
+    [](const ::testing::TestParamInfo<ShapeParam>& info) {
+      return shape_name(info.param);
+    });
 
 }  // namespace
 }  // namespace wormsim::topology

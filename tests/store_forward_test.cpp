@@ -10,6 +10,14 @@
 #include "util/rng.hpp"
 
 namespace wormsim::sim {
+
+// Friend of StoreForwardEngine: reads the transfer slot table's size.
+struct StoreForwardTestPeer {
+  static std::size_t transfer_slots(const StoreForwardEngine& e) {
+    return e.transfers_.size();
+  }
+};
+
 namespace {
 
 using topology::Network;
@@ -175,6 +183,48 @@ TEST(StoreForward, PoissonTrafficMatchesOfferedLoad) {
   EXPECT_TRUE(result.sustainable());
   // Latency at least hops * mean length, far above the wormhole floor.
   EXPECT_GT(result.latency_cycles.mean(), 4 * 30.0);
+}
+
+struct SlotRun {
+  SimResult result;
+  std::size_t slots = 0;
+};
+
+SlotRun run_for_transfer_slots(std::uint64_t measure) {
+  const Network net =
+      topology::build_network(make_config(NetworkKind::kTMIN, 4, 3));
+  const auto router = routing::make_router(net);
+  traffic::WorkloadSpec workload;
+  workload.offered = 0.15;
+  workload.length = traffic::LengthSpec::fixed(16);
+  traffic::StandardTraffic traffic(net, workload);
+  SimConfig config;
+  config.seed = 5;
+  config.warmup_cycles = 200;
+  config.measure_cycles = measure;
+  config.drain_cycles = 200;
+  StoreForwardEngine engine(net, *router, &traffic, config);
+  SlotRun run;
+  run.result = engine.run();
+  run.slots = StoreForwardTestPeer::transfer_slots(engine);
+  return run;
+}
+
+// A finished transfer's slot is reused, so at a sustainable load the slot
+// table holds the most transfers in flight at once however long the run: a
+// 4x longer window, about 4x the hops, not 4x the slots (a longer run may
+// see a slightly higher peak, as PacketRecords allows for records).
+TEST(TransferSlots, FlatInRunLengthAtSustainableLoad) {
+  const SlotRun short_run = run_for_transfer_slots(2'000);
+  const SlotRun long_run = run_for_transfer_slots(8'000);
+  ASSERT_TRUE(long_run.result.sustainable());
+  ASSERT_GT(short_run.result.delivered_messages_total, 0u);
+  EXPECT_GT(long_run.result.delivered_messages_total,
+            3 * short_run.result.delivered_messages_total);
+  EXPECT_LE(long_run.slots, short_run.slots + short_run.slots / 4);
+  // Each message makes four transfers (injection, two switch hops,
+  // ejection); the table holds a small fraction of them.
+  EXPECT_LT(20 * long_run.slots, 4 * long_run.result.delivered_messages_total);
 }
 
 TEST(StoreForward, DelayedInjectionHonorsTimestamp) {

@@ -4,12 +4,17 @@
 // versioned result files, and the sweep tweak-ordering regression.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <limits>
 #include <sstream>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "experiment/figures.hpp"
 #include "experiment/results_json.hpp"
@@ -21,8 +26,9 @@
 #include "sim/engine.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/heatmap.hpp"
-#include "telemetry/result_writer.hpp"
+#include "telemetry/manifest.hpp"
 #include "traffic/workload.hpp"
+#include "util/cli.hpp"
 
 namespace wormsim::telemetry {
 namespace {
@@ -526,10 +532,7 @@ TEST(ChromeTrace, TwoMessageRunProducesParsableSlices) {
 TEST(ChromeTrace, EmptyEventStreamYieldsEmptyTrace) {
   const topology::Network net = topology::build_network(small_tmin());
   std::ostringstream os;
-  ChromeTraceOptions options;
-  options.metadata = false;
-  const std::size_t slices =
-      write_chrome_trace({}, net, os, options);
+  const std::size_t slices = write_chrome_trace({}, net, os);
   EXPECT_EQ(slices, 0u);
   std::string error;
   const JsonValue doc = JsonValue::parse(os.str(), &error);
@@ -599,21 +602,91 @@ TEST(ResultWriter, ManifestEmbedsPoolAndCacheInstrumentation) {
 
 TEST(ResultWriter, WritesAndReadsBackThroughTheFilesystem) {
   const std::string dir = testing::TempDir() + "wormsim_result_writer";
-  const ResultWriter writer(dir);
+  std::filesystem::create_directories(dir);
   JsonValue doc = JsonValue::object();
   doc.set("schema_version", kResultSchemaVersion);
   doc.set("value", 7);
-  const std::string path = writer.write("probe", doc);
-  EXPECT_NE(path.find("probe.json"), std::string::npos);
+  const std::string path = dir + "/probe.json";
+  write_json_file(path, doc);
   const JsonValue back = read_json_file(path);
   EXPECT_EQ(back.at("value").as_uint(), 7u);
 }
 
+// Threads that each write their own file and all rewrite one shared file,
+// while a reader polls the shared file: every read and every file left
+// behind is a complete document, and no temp file remains.
+TEST(JsonFile, ConcurrentWritersLeaveCompleteDocuments) {
+  namespace fs = std::filesystem;
+  const std::string dir = testing::TempDir() + "wormsim_json_file";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string shared = dir + "/shared.json";
+  constexpr int kWriters = 4;
+  constexpr int kRewrites = 100;
+  constexpr std::size_t kPayload = 500;
+  const auto parses_whole = [](const std::string& path) {
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string error;
+    const JsonValue doc = JsonValue::parse(text.str(), &error);
+    return error.empty() && doc.at("payload").items().size() == kPayload;
+  };
+
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      JsonValue doc = JsonValue::object();
+      doc.set("writer", t);
+      JsonValue payload = JsonValue::array();
+      for (std::size_t i = 0; i < kPayload; ++i) payload.push_back(0.5 + i);
+      doc.set("payload", std::move(payload));
+      write_json_file(dir + "/own" + std::to_string(t) + ".json", doc);
+      for (int round = 0; round < kRewrites; ++round) {
+        doc.set("round", round);
+        write_json_file(shared, doc);
+      }
+      --running;
+    });
+  }
+  std::size_t reads = 0;
+  std::size_t torn = 0;
+  while (running.load() > 0) {
+    if (!fs::exists(shared)) continue;
+    ++reads;
+    if (!parses_whole(shared)) ++torn;
+  }
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_EQ(torn, 0u) << "of " << reads << " reads";
+
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    ++files;
+    EXPECT_EQ(entry.path().extension(), ".json")
+        << entry.path() << " left behind";
+    EXPECT_TRUE(parses_whole(entry.path().string())) << entry.path();
+  }
+  EXPECT_EQ(files, kWriters + 1u);
+}
+
+/// The json_dir a binary given no flags runs with: bind_run_knobs reads
+/// each knob from its WORMSIM_* variable.
+std::string json_dir_without_flags() {
+  experiment::RunOptions options;
+  util::CliParser cli("test");
+  experiment::bind_run_knobs(cli, &options, experiment::knob::kFigureRun);
+  const char* argv[] = {"prog"};
+  EXPECT_EQ(cli.parse(1, const_cast<char**>(argv)),
+            util::CliParser::Status::kOk);
+  return options.json_dir;
+}
+
 TEST(ResultWriter, JsonDirComesFromEnvironment) {
   unsetenv("WORMSIM_JSON_DIR");
-  EXPECT_TRUE(experiment::RunOptions::from_env().json_dir.empty());
+  EXPECT_TRUE(json_dir_without_flags().empty());
   setenv("WORMSIM_JSON_DIR", "/tmp/worm-results", 1);
-  EXPECT_EQ(experiment::RunOptions::from_env().json_dir, "/tmp/worm-results");
+  EXPECT_EQ(json_dir_without_flags(), "/tmp/worm-results");
   unsetenv("WORMSIM_JSON_DIR");
 }
 

@@ -437,15 +437,6 @@ TEST(WormTrace, ChromeExportIsValidJsonWithCulpritSlices) {
   }
   EXPECT_TRUE(saw_blocked) << "contention must produce a culprit slice";
   EXPECT_TRUE(saw_lifetime);
-
-  // min_total_cycles filters short worms out of the export.
-  std::ostringstream filtered;
-  telemetry::WormChromeOptions options;
-  options.min_total_cycles = 1u << 30;
-  options.metadata = false;
-  EXPECT_EQ(telemetry::write_worm_trace_chrome(*engine.worm_tracer(),
-                                               filtered, options),
-            0u);
 }
 
 }  // namespace
