@@ -105,18 +105,17 @@ int main(int argc, char** argv) {
     const experiment::FigureResult result =
         experiment::run_figure(id, options);
     totals.computed += result.pool_stats.computed;
-    totals.cache_hits += result.pool_stats.cache_hits;
     totals.speculated += result.pool_stats.speculated;
     totals.threads = std::max(totals.threads, result.pool_stats.threads);
     totals.busy_seconds += result.pool_stats.busy_seconds;
     totals.wall_seconds += result.pool_stats.wall_seconds;
     wall_total += result.wall_seconds;
-    if (result.cache_used) {
+    if (result.cache_stats) {
       any_cache = true;
-      cache_totals.hits += result.cache_stats.hits;
-      cache_totals.misses += result.cache_stats.misses;
-      cache_totals.rejected += result.cache_stats.rejected;
-      cache_totals.stores += result.cache_stats.stores;
+      cache_totals.hits += result.cache_stats->hits;
+      cache_totals.misses += result.cache_stats->misses;
+      cache_totals.rejected += result.cache_stats->rejected;
+      cache_totals.stores += result.cache_stats->stores;
     }
     std::ofstream file;
     if (!out_dir.empty()) {
@@ -142,7 +141,7 @@ int main(int argc, char** argv) {
   std::cerr << "run summary: " << to_run.size() << " figure(s) in "
             << std::fixed << std::setprecision(2) << wall_total << "s; "
             << totals.computed << " point(s) simulated, "
-            << totals.cache_hits << " from cache, " << totals.speculated
+            << cache_totals.hits << " from cache, " << totals.speculated
             << " speculated; " << totals.threads << " worker(s), "
             << std::setprecision(0) << totals.utilization() * 100.0
             << "% utilized\n";

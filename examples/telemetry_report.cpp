@@ -3,9 +3,11 @@
 //
 // Modes:
 //   telemetry_report --figure=fig18a --load=0.5 [--quick] [--seed=N]
-//       Runs every series of a figure at one offered load with telemetry
-//       counters + sampling enabled and prints, per series, the per-stage
-//       channel heatmap, arbitration totals, and a saturation timeline.
+//       Runs every series of a figure at one offered load, each point
+//       resolved as a sweep resolves it (experiment::resolve_point), with
+//       telemetry counters + sampling enabled and prints, per series, the
+//       per-stage channel heatmap of the run's own network view,
+//       arbitration totals, and a saturation timeline.
 //   telemetry_report --dir=results/json
 //       Summarizes a directory of schema-versioned JSON results (one row
 //       per file: id, seed, git revision, points, peak throughput).
@@ -34,9 +36,10 @@
 //       iterations elapse).  Status files are rewritten atomically, so
 //       polling never observes a torn document.
 //   telemetry_report --check-stream=FILE
-//       Schema-checks one NDJSON heartbeat stream: every line parses,
-//       line types and required keys are right, cycles are monotonic,
-//       and the stream is start...final complete.  Exit 1 on violation.
+//       Schema-checks one NDJSON heartbeat stream
+//       (telemetry::check_heartbeat_stream): every line parses, line
+//       types and required keys are right, cycles are monotonic, and the
+//       stream is start...final complete.  Exit 1 on violation.
 
 #include <algorithm>
 #include <chrono>
@@ -55,6 +58,7 @@
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/heatmap.hpp"
 #include "telemetry/manifest.hpp"
+#include "telemetry/run_monitor.hpp"
 #include "telemetry/worm_trace.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -107,55 +111,6 @@ void print_phase_profile(const telemetry::PhaseProfile& profile,
      << util::format_double(profile.coverage() * 100.0, 1) << "%)\n";
 }
 
-int report_figure(const std::string& figure, double load,
-                  const experiment::RunOptions& options) {
-  if (!experiment::figure_exists(figure)) {
-    std::cerr << "unknown figure '" << figure << "'\n";
-    return 1;
-  }
-  const experiment::FigureSpec spec = experiment::figure_spec(figure);
-  std::cout << "== telemetry report: " << spec.title << " @ load "
-            << util::format_double(load * 100.0, 0) << "% ==\n";
-  for (const experiment::SeriesSpec& series : spec.series) {
-    experiment::SeriesSpec tweaked = series;
-    auto base_tweak = series.tweak_sim;
-    tweaked.tweak_sim = [base_tweak](sim::SimConfig& config) {
-      if (base_tweak) base_tweak(config);
-      config.telemetry.counters = true;
-      config.telemetry.sampling = true;
-    };
-    sim::SimResult result;
-    const experiment::SweepPoint point = experiment::run_point(
-        tweaked, load, options.sim_config(), &result);
-
-    std::cout << "\n-- " << series.label << " --\n";
-    std::cout << "accepted "
-              << util::format_double(point.throughput * 100.0, 1)
-              << "%  latency " << util::format_double(point.latency_us, 1)
-              << " us  " << (point.sustainable ? "sustainable" : "SATURATED")
-              << "\n";
-    if (result.telemetry_counters.enabled()) {
-      const topology::Network network = topology::build_network(series.net);
-      const telemetry::ChannelHeatmap heatmap = telemetry::build_heatmap(
-          network, result.telemetry_counters, result.measure_cycles);
-      telemetry::print_heatmap(heatmap, std::cout);
-      std::cout << "  arbitration: "
-                << result.telemetry_counters.total_grants() << " grants, "
-                << result.telemetry_counters.total_denials()
-                << " denials; blocked header-cycles "
-                << result.telemetry_counters.total_blocked_cycles() << "\n";
-    } else {
-      std::cout << "  (no channel heatmap: the store-and-forward engine "
-                   "keeps no per-lane counters)\n";
-    }
-    print_samples(result.telemetry_samples, std::cout);
-    if (result.phase_profile.enabled) {
-      print_phase_profile(result.phase_profile, std::cout);
-    }
-  }
-  return 0;
-}
-
 std::string sanitize_for_filename(const std::string& label) {
   std::string out;
   for (char c : label) {
@@ -174,8 +129,117 @@ void p95_cell(util::Table& table, double p95_cycles) {
   }
 }
 
-int report_stalls(const std::string& figure, double load,
-                  const experiment::RunOptions& options,
+/// The --figure report of one run: channel heatmap (from the run's own
+/// view), arbitration totals, saturation timeline, phase profile.
+void print_telemetry(const topology::NetView& view,
+                     const sim::SimResult& result) {
+  if (result.telemetry_counters.enabled()) {
+    const telemetry::ChannelHeatmap heatmap = telemetry::build_heatmap(
+        view, result.telemetry_counters, result.measure_cycles);
+    telemetry::print_heatmap(heatmap, std::cout);
+    std::cout << "  arbitration: "
+              << result.telemetry_counters.total_grants() << " grants, "
+              << result.telemetry_counters.total_denials()
+              << " denials; blocked header-cycles "
+              << result.telemetry_counters.total_blocked_cycles() << "\n";
+  } else {
+    std::cout << "  (no channel heatmap: the store-and-forward engine "
+                 "keeps no per-lane counters)\n";
+  }
+  print_samples(result.telemetry_samples, std::cout);
+  if (result.phase_profile.enabled) {
+    print_phase_profile(result.phase_profile, std::cout);
+  }
+}
+
+/// The --stalls report of one run, starting with the worm counts that end
+/// the caller's summary line: latency decomposition, blocking-chain
+/// depths, culprit lanes and worms; when `trace_path` is set, also writes
+/// the run's Perfetto per-worm trace there.  Returns false when that
+/// write fails.
+bool print_stalls(const telemetry::WormTracer& tracer,
+                  const std::string& trace_path) {
+  const telemetry::WormTraceSummary summary =
+      telemetry::summarize_worm_trace(tracer);
+  std::cout << "  (" << summary.delivered << " worms, " << summary.unfinished
+            << " unfinished)\n";
+  util::Table table({"component", "mean_cycles", "mean_us", "p95_cycles"});
+  const auto component = [&table](const char* name,
+                                  const util::OnlineStats& cycles)
+      -> util::Table& {
+    return table.row()
+        .cell(std::string(name))
+        .cell(cycles.mean(), 1)
+        .cell(cycles.mean() / topology::kFlitsPerMicrosecond, 2);
+  };
+  component("queue", summary.queue_cycles);
+  p95_cell(table, summary.queue_p95_cycles);
+  component("routing", summary.routing_cycles);
+  p95_cell(table, summary.routing_p95_cycles);
+  component("blocked", summary.blocked_cycles);
+  p95_cell(table, summary.blocked_p95_cycles);
+  component("streaming", summary.streaming_cycles);
+  p95_cell(table, summary.streaming_p95_cycles);
+  component("total", summary.total_cycles).cell(std::string("-"));
+  table.print(std::cout);
+
+  std::cout << "  blocked intervals " << summary.blocked_intervals
+            << "; chain depth";
+  if (summary.blocked_intervals == 0) std::cout << " (none)";
+  for (std::size_t depth = 1; depth < summary.chain_depth_histogram.size();
+       ++depth) {
+    if (summary.chain_depth_histogram[depth] == 0) continue;
+    std::cout << "  " << depth << ":" << summary.chain_depth_histogram[depth];
+  }
+  std::cout << "\n";
+  if (!summary.top_lanes.empty()) {
+    std::cout << "  top culprit lanes:";
+    for (const telemetry::WormTraceSummary::CulpritLane& lane :
+         summary.top_lanes) {
+      std::cout << "  " << lane.lane << " (" << lane.cycles << "cyc/"
+                << lane.intervals << "int)";
+    }
+    std::cout << "\n";
+  }
+  if (!summary.top_worms.empty()) {
+    std::cout << "  top culprit worms:";
+    for (const telemetry::WormTraceSummary::CulpritWorm& worm :
+         summary.top_worms) {
+      std::cout << "  " << worm.worm << " (" << worm.cycles << "cyc/"
+                << worm.intervals << "int)";
+    }
+    std::cout << "\n";
+  }
+  // Sub-attribution of blocked/streaming time where the downstream FIFO
+  // had space but credits lagged.  Structurally zero at depth 1 /
+  // delay 0, so legacy reports keep their exact bytes.
+  if (summary.starved_cycles_total > 0) {
+    std::cout << "  credit starvation: " << summary.starved_cycles_total
+              << " starved cycles across " << summary.starved_worms
+              << " worms; top starving lanes:";
+    for (const telemetry::WormTraceSummary::StarvedLane& lane :
+         summary.top_starved_lanes) {
+      std::cout << "  " << lane.lane << " (" << lane.cycles << "cyc)";
+    }
+    std::cout << "\n";
+  }
+
+  if (trace_path.empty()) return true;
+  std::ofstream out(trace_path, std::ios::trunc);
+  if (!out.good()) {
+    std::cerr << "cannot write '" << trace_path << "'\n";
+    return false;
+  }
+  const std::size_t slices = telemetry::write_worm_trace_chrome(tracer, out);
+  std::cout << "  wrote " << slices << " slices to " << trace_path << "\n";
+  return true;
+}
+
+/// Runs every series of `figure` at `load` and prints one report per
+/// series: the --figure report, or with `stalls` the --stalls report
+/// (per-worm traces into `trace_dir` when it is set).
+int report_series(const std::string& figure, double load,
+                  const experiment::RunOptions& options, bool stalls,
                   const std::string& trace_dir) {
   if (!experiment::figure_exists(figure)) {
     std::cerr << "unknown figure '" << figure << "'\n";
@@ -191,109 +255,46 @@ int report_stalls(const std::string& figure, double load,
     }
   }
   const experiment::FigureSpec spec = experiment::figure_spec(figure);
-  std::cout << "== stall attribution: " << spec.title << " @ load "
+  std::cout << (stalls ? "== stall attribution: " : "== telemetry report: ")
+            << spec.title << " @ load "
             << util::format_double(load * 100.0, 0) << "% ==\n";
   for (const experiment::SeriesSpec& series : spec.series) {
-    experiment::SeriesSpec tweaked = series;
-    auto base_tweak = series.tweak_sim;
-    tweaked.tweak_sim = [base_tweak](sim::SimConfig& config) {
-      if (base_tweak) base_tweak(config);
-      config.telemetry.worm_trace = true;
-    };
+    experiment::ResolvedPoint point =
+        experiment::resolve_point(series, load, options.sim_config());
+    telemetry::TelemetryConfig& observe = point.sim.telemetry;
+    if (stalls) {
+      observe.worm_trace = true;
+    } else {
+      observe.counters = true;
+      observe.sampling = true;
+    }
     sim::SimResult result;
-    const experiment::SweepPoint point = experiment::run_point(
-        tweaked, load, options.sim_config(), &result);
-    if (result.worm_trace == nullptr) {
+    const experiment::SweepPoint summary =
+        experiment::run_point(point, &result);
+    if (stalls && result.worm_trace == nullptr) {
       std::cerr << "tracer missing for '" << series.label << "'\n";
       return 1;
     }
-    const telemetry::WormTraceSummary summary =
-        telemetry::summarize_worm_trace(*result.worm_trace);
 
     std::cout << "\n-- " << series.label << " --\n";
     std::cout << "accepted "
-              << util::format_double(point.throughput * 100.0, 1)
-              << "%  latency " << util::format_double(point.latency_us, 1)
-              << " us  " << (point.sustainable ? "sustainable" : "SATURATED")
-              << "  (" << summary.delivered << " worms, "
-              << summary.unfinished << " unfinished)\n";
-    util::Table table({"component", "mean_cycles", "mean_us", "p95_cycles"});
-    const auto component = [&table](const char* name,
-                                    const util::OnlineStats& cycles)
-        -> util::Table& {
-      return table.row()
-          .cell(std::string(name))
-          .cell(cycles.mean(), 1)
-          .cell(cycles.mean() / topology::kFlitsPerMicrosecond, 2);
-    };
-    component("queue", summary.queue_cycles);
-    p95_cell(table, summary.queue_p95_cycles);
-    component("routing", summary.routing_cycles);
-    p95_cell(table, summary.routing_p95_cycles);
-    component("blocked", summary.blocked_cycles);
-    p95_cell(table, summary.blocked_p95_cycles);
-    component("streaming", summary.streaming_cycles);
-    p95_cell(table, summary.streaming_p95_cycles);
-    component("total", summary.total_cycles).cell(std::string("-"));
-    table.print(std::cout);
-
-    std::cout << "  blocked intervals " << summary.blocked_intervals
-              << "; chain depth";
-    if (summary.blocked_intervals == 0) std::cout << " (none)";
-    for (std::size_t depth = 1;
-         depth < summary.chain_depth_histogram.size(); ++depth) {
-      if (summary.chain_depth_histogram[depth] == 0) continue;
-      std::cout << "  " << depth << ":"
-                << summary.chain_depth_histogram[depth];
-    }
-    std::cout << "\n";
-    if (!summary.top_lanes.empty()) {
-      std::cout << "  top culprit lanes:";
-      for (const telemetry::WormTraceSummary::CulpritLane& lane :
-           summary.top_lanes) {
-        std::cout << "  " << lane.lane << " (" << lane.cycles << "cyc/"
-                  << lane.intervals << "int)";
-      }
+              << util::format_double(summary.throughput * 100.0, 1)
+              << "%  latency " << util::format_double(summary.latency_us, 1)
+              << " us  "
+              << (summary.sustainable ? "sustainable" : "SATURATED");
+    if (!stalls) {
       std::cout << "\n";
+      print_telemetry(point.net.view, result);
+      continue;
     }
-    if (!summary.top_worms.empty()) {
-      std::cout << "  top culprit worms:";
-      for (const telemetry::WormTraceSummary::CulpritWorm& worm :
-           summary.top_worms) {
-        std::cout << "  " << worm.worm << " (" << worm.cycles << "cyc/"
-                  << worm.intervals << "int)";
-      }
-      std::cout << "\n";
-    }
-    // Sub-attribution of blocked/streaming time where the downstream FIFO
-    // had space but credits lagged.  Structurally zero at depth 1 /
-    // delay 0, so legacy reports keep their exact bytes.
-    if (summary.starved_cycles_total > 0) {
-      std::cout << "  credit starvation: " << summary.starved_cycles_total
-                << " starved cycles across " << summary.starved_worms
-                << " worms; top starving lanes:";
-      for (const telemetry::WormTraceSummary::StarvedLane& lane :
-           summary.top_starved_lanes) {
-        std::cout << "  " << lane.lane << " (" << lane.cycles << "cyc)";
-      }
-      std::cout << "\n";
-    }
-
+    std::string trace_path;
     if (!trace_dir.empty()) {
-      const std::filesystem::path path =
-          std::filesystem::path(trace_dir) /
-          (figure + "_" + sanitize_for_filename(series.label) +
-           ".trace.json");
-      std::ofstream out(path, std::ios::trunc);
-      if (!out.good()) {
-        std::cerr << "cannot write '" << path.string() << "'\n";
-        return 1;
-      }
-      const std::size_t slices =
-          telemetry::write_worm_trace_chrome(*result.worm_trace, out);
-      std::cout << "  wrote " << slices << " slices to " << path.string()
-                << "\n";
+      trace_path = (std::filesystem::path(trace_dir) /
+                    (figure + "_" + sanitize_for_filename(series.label) +
+                     ".trace.json"))
+                       .string();
     }
+    if (!print_stalls(*result.worm_trace, trace_path)) return 1;
   }
   return 0;
 }
@@ -465,107 +466,20 @@ int watch_directory(const std::string& dir, std::int64_t iterations,
   }
 }
 
-/// Key set every heartbeat line must carry (telemetry/run_monitor.hpp
-/// stream schema); the three wall-clock keys are required too — they are
-/// nondeterministic but always present.
-const char* const kHeartbeatKeys[] = {
-    "cycle",           "phase",
-    "messages_created", "messages_delivered",
-    "messages_terminated", "flits_delivered",
-    "flits_terminated", "flits_in_flight",
-    "worms_in_flight", "queued_messages",
-    "dropped_messages", "faulty_channels",
-    "window_messages_created", "window_messages_delivered",
-    "window_flits_delivered", "stage_occupancy",
-    "wall_seconds",    "cycles_per_second",
-    "window_cycles_per_second"};
-
 int check_stream(const std::string& path) {
   std::ifstream in(path);
   if (!in.good()) {
     std::cerr << "cannot open stream '" << path << "'\n";
     return 1;
   }
-  std::string line;
-  std::size_t line_no = 0;
-  std::size_t heartbeats = 0;
-  std::size_t faults = 0;
-  bool saw_start = false;
-  bool saw_final = false;
-  std::uint64_t last_cycle = 0;
-  auto fail = [&](const std::string& what) {
-    std::cerr << path << ":" << line_no << ": " << what << "\n";
+  const telemetry::StreamCheck check = telemetry::check_heartbeat_stream(in);
+  if (!check.ok()) {
+    std::cerr << path << ":" << check.line << ": " << check.error << "\n";
     return 1;
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) return fail("empty line in NDJSON stream");
-    std::string error;
-    const telemetry::JsonValue doc = telemetry::JsonValue::parse(line, &error);
-    if (!error.empty()) return fail("parse error: " + error);
-    if (!doc.is_object()) return fail("line is not a JSON object");
-    const telemetry::JsonValue* type = doc.find("type");
-    if (type == nullptr) return fail("missing \"type\"");
-    const std::string kind = type->as_string();
-    if (line_no == 1 && kind != "start") {
-      return fail("stream must begin with a \"start\" line");
-    }
-    if (saw_final) return fail("line after \"final\"");
-    if (kind == "start") {
-      if (saw_start) return fail("duplicate \"start\" line");
-      saw_start = true;
-      for (const char* key : {"tag", "engine", "heartbeat_cycles",
-                              "warmup_cycles", "measure_cycles",
-                              "drain_cycles", "node_count"}) {
-        if (doc.find(key) == nullptr) {
-          return fail(std::string("start line missing \"") + key + "\"");
-        }
-      }
-    } else if (kind == "heartbeat") {
-      ++heartbeats;
-      for (const char* key : kHeartbeatKeys) {
-        if (doc.find(key) == nullptr) {
-          return fail(std::string("heartbeat missing \"") + key + "\"");
-        }
-      }
-      if (!doc.at("stage_occupancy").is_array()) {
-        return fail("stage_occupancy is not an array");
-      }
-      const std::uint64_t cycle = doc.at("cycle").as_uint();
-      if (cycle <= last_cycle) {
-        return fail("heartbeat cycles not strictly increasing");
-      }
-      last_cycle = cycle;
-    } else if (kind == "fault") {
-      ++faults;
-      for (const char* key : {"cycle", "transition", "channels",
-                              "wall_seconds"}) {
-        if (doc.find(key) == nullptr) {
-          return fail(std::string("fault line missing \"") + key + "\"");
-        }
-      }
-    } else if (kind == "final") {
-      saw_final = true;
-      for (const char* key : {"cycle", "drained", "messages_created",
-                              "messages_delivered", "wall_seconds"}) {
-        if (doc.find(key) == nullptr) {
-          return fail(std::string("final line missing \"") + key + "\"");
-        }
-      }
-      if (doc.at("cycle").as_uint() < last_cycle) {
-        return fail("final cycle behind last heartbeat");
-      }
-    } else {
-      return fail("unknown line type \"" + kind + "\"");
-    }
   }
-  ++line_no;
-  if (!saw_start) return fail("empty stream");
-  if (heartbeats == 0) return fail("stream has no heartbeat lines");
-  if (!saw_final) return fail("stream has no \"final\" line");
-  std::cout << "ok: " << path << " (" << heartbeats << " heartbeat(s), "
-            << faults << " fault event(s), last cycle " << last_cycle
-            << ")\n";
+  std::cout << "ok: " << path << " (" << check.heartbeats << " heartbeat(s), "
+            << check.faults << " fault event(s), last cycle "
+            << check.last_cycle << ")\n";
   return 0;
 }
 
@@ -662,8 +576,6 @@ int main(int argc, char** argv) {
   }
   if (!dir.empty()) return report_directory(dir);
   if (!chrome.empty()) return export_chrome(chrome, messages, options.seed);
-  if (stalls || !worm_trace_dir.empty()) {
-    return report_stalls(figure, load, options, worm_trace_dir);
-  }
-  return report_figure(figure, load, options);
+  return report_series(figure, load, options,
+                       stalls || !worm_trace_dir.empty(), worm_trace_dir);
 }

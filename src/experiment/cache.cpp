@@ -9,7 +9,6 @@
 
 #include "experiment/results_json.hpp"
 #include "telemetry/json.hpp"
-#include "topology/net_view.hpp"
 #include "util/check.hpp"
 
 namespace wormsim::experiment {
@@ -128,18 +127,13 @@ const std::string& ResultCache::engine_semantics_version() {
   return version;
 }
 
-std::string ResultCache::fingerprint(const SeriesSpec& spec, double load,
-                                     const sim::SimConfig& base_config) {
-  // Base config first, per-series tweak last — the exact composition
-  // run_point applies, so the fingerprint sees what the engine sees.
-  sim::SimConfig sim_config = base_config;
-  if (spec.tweak_sim) spec.tweak_sim(sim_config);
-
+std::string ResultCache::fingerprint(const ResolvedPoint& point) {
+  const sim::SimConfig& sim_config = point.sim;
   KeyBuilder key;
   key.field("cache_schema", static_cast<unsigned>(kCacheSchemaVersion));
   key.field("engine", engine_semantics_version());
 
-  const topology::NetworkConfig& net = spec.net;
+  const topology::NetworkConfig& net = point.net.view.config();
   key.field("net.kind", topology::to_string(net.kind));
   key.field("net.topology", net.topology);
   key.field("net.radix", net.radix);
@@ -152,7 +146,7 @@ std::string ResultCache::fingerprint(const SeriesSpec& spec, double load,
   key.field("net.wiring_seed", net.wiring_seed);
 
   key.field("switching",
-            spec.switching == SeriesSpec::Switching::kStoreForward
+            point.switching == SeriesSpec::Switching::kStoreForward
                 ? std::string("store_forward")
                 : std::string("wormhole"));
 
@@ -180,15 +174,10 @@ std::string ResultCache::fingerprint(const SeriesSpec& spec, double load,
   // bitwise-identical results (tests/implicit_test.cpp pins it), so a
   // point computed on either backend answers for both.
 
-  // Resolve the workload exactly as run_point will: the factory may
-  // depend on the built network (clusterings need its address space).
-  // Fingerprinting must not materialize the graph when run_point would
-  // not — at 2M nodes that allocation is the whole point of the
-  // implicit backend.
-  const topology::OwnedNetView built =
-      topology::build_net_view(spec.net, sim_config.implicit_topology);
-  const traffic::WorkloadSpec workload = spec.workload(built.view, load);
-  key.field("load", load);
+  const traffic::WorkloadSpec& workload = point.workload;
+  // The load is the workload's offered fraction: resolve_point checks
+  // that the factory honored it.
+  key.field("load", workload.offered);
   key.field("wl.pattern", static_cast<unsigned>(workload.pattern));
   key.field("wl.hotspot_extra", workload.hotspot_extra);
   key.field("wl.butterfly_index", workload.butterfly_index);

@@ -1,13 +1,13 @@
 // Content-addressed on-disk cache of sweep-point results.
 //
 // Every (series, load) point of a figure is a pure function of its inputs:
-// the network configuration, the materialized workload, the (tweaked)
-// simulator configuration, and the engine's semantics.  The cache
-// fingerprints that tuple with a canonical serialization (see
-// ResultCache::fingerprint) and persists the resulting SweepPoint as a
-// schema-versioned JSON file under a cache directory, so re-running a
-// figure suite — or running 1/n of it per CI shard — recomputes only what
-// the inputs changed.
+// the network configuration, the materialized workload, the effective
+// simulator configuration (all three composed by resolve_point), and the
+// engine's semantics.  The cache fingerprints that tuple with a canonical
+// serialization (see ResultCache::fingerprint) and persists the resulting
+// SweepPoint as a schema-versioned JSON file under a cache directory, so
+// re-running a figure suite — or running 1/n of it per CI shard —
+// recomputes only what the inputs changed.
 //
 // Engine semantics are part of the address: the fingerprint folds in a
 // version derived from the golden digests in tests/engine_golden.inc, the
@@ -43,15 +43,13 @@ class ResultCache {
   /// Opens (and creates if needed) a cache directory.
   explicit ResultCache(std::string directory);
 
-  /// Canonical fingerprint of one sweep point.  Applies the series'
-  /// tweak_sim on top of `base_config` (tweak-last, matching run_point)
-  /// and materializes the workload for the built network, then serializes
-  /// every result-affecting field.  Observability toggles (telemetry,
-  /// validate) are excluded: the telemetry and validation layers are
-  /// pinned bitwise-neutral by the golden tests, so they must not split
-  /// the cache address space.
-  static std::string fingerprint(const SeriesSpec& spec, double load,
-                                 const sim::SimConfig& base_config);
+  /// Canonical fingerprint of one resolved sweep point (resolve_point):
+  /// serializes every result-affecting field of the network, the
+  /// effective config and the workload run_point simulates.  Observability
+  /// toggles (telemetry, validate) are excluded: the telemetry and
+  /// validation layers are pinned bitwise-neutral by the golden tests, so
+  /// they must not split the cache address space.
+  static std::string fingerprint(const ResolvedPoint& point);
 
   /// The engine-semantics version folded into every fingerprint: an FNV
   /// hash of the golden digest table (tests/engine_golden.inc), as a

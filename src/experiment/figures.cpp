@@ -683,7 +683,7 @@ FigureResult run_figure(const std::string& id, const RunOptions& options) {
   SweepOptions sweep = options.sweep_options();
   if (sweep.sim.telemetry.heartbeat_cycles > 0) {
     // One subdirectory per figure so concurrent figures (and the shard
-    // runner) never interleave streams; run_point tags each point inside.
+    // runner) never interleave streams; resolve_point tags each point.
     std::string& dir = sweep.sim.telemetry.heartbeat_dir;
     dir = (dir.empty() ? std::string(".") : dir) + "/" + id;
   }
@@ -692,36 +692,29 @@ FigureResult run_figure(const std::string& id, const RunOptions& options) {
   // exact fault plan the engines applied (deterministic in the network,
   // fraction, and fault seed — DESIGN.md §14) and compute the fraction of
   // ordered pairs that still have a live route.  The degraded-SLO tables
-  // print it beside the measured delivery fraction.
-  {
-    const sim::SimConfig base_config = options.sim_config();
-    for (std::size_t i = 0; i < def.series.size(); ++i) {
-      sim::SimConfig effective = base_config;
-      if (def.series[i].tweak_sim) def.series[i].tweak_sim(effective);
-      if (effective.fault_fraction <= 0.0) continue;
-      const topology::Network network =
-          topology::build_network(def.series[i].net);
-      const topology::NetView view(network);
-      const auto router = routing::make_router(view);
-      const sim::fault_injection::FaultPlan plan =
-          sim::fault_injection::build_fault_plan(view,
-                                                 effective.fault_fraction,
-                                                 effective.fault_seed,
-                                                 effective.fault_at_cycle);
-      const analysis::FaultSet faults(plan.channels.begin(),
-                                      plan.channels.end());
-      result.series[i].static_coverage =
-          analysis::fault_coverage(view, *router, faults).fraction();
-    }
+  // print it beside the measured delivery fraction.  The plan does not
+  // depend on the load, so the series' first point answers for all.
+  for (std::size_t i = 0; i < def.series.size(); ++i) {
+    const ResolvedPoint point =
+        resolve_point(def.series[i], sweep.loads.front(), sweep.sim);
+    const sim::SimConfig& config = point.sim;
+    if (config.fault_fraction <= 0.0) continue;
+    const topology::NetView& view = point.net.view;
+    const auto router = routing::make_router(view);
+    const sim::fault_injection::FaultPlan plan =
+        sim::fault_injection::build_fault_plan(view, config.fault_fraction,
+                                               config.fault_seed,
+                                               config.fault_at_cycle);
+    const analysis::FaultSet faults(plan.channels.begin(),
+                                    plan.channels.end());
+    result.series[i].static_coverage =
+        analysis::fault_coverage(view, *router, faults).fraction();
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  if (cache) {
-    result.cache_used = true;
-    result.cache_stats = cache->stats();
-  }
+  if (cache) result.cache_stats = cache->stats();
   if (!options.json_dir.empty()) {
     const PoolStats& pool_stats = result.pool_stats;
     telemetry::RunManifest manifest;
@@ -738,15 +731,16 @@ FigureResult run_figure(const std::string& id, const RunOptions& options) {
     manifest.pool_threads = pool_stats.threads;
     manifest.pool_busy_seconds = pool_stats.busy_seconds;
     manifest.points_computed = pool_stats.computed;
-    manifest.points_cached = pool_stats.cache_hits;
     manifest.points_speculated = pool_stats.speculated;
     manifest.peak_rss_mib = util::peak_rss_mib();
     manifest.profile = pool_stats.engine_profile;
-    manifest.cache_used = result.cache_used;
-    manifest.cache_hits = result.cache_stats.hits;
-    manifest.cache_misses = result.cache_stats.misses;
-    manifest.cache_rejected = result.cache_stats.rejected;
-    manifest.cache_stores = result.cache_stats.stores;
+    if (result.cache_stats) {
+      manifest.cache_used = true;
+      manifest.cache_hits = result.cache_stats->hits;
+      manifest.cache_misses = result.cache_stats->misses;
+      manifest.cache_rejected = result.cache_stats->rejected;
+      manifest.cache_stores = result.cache_stats->stores;
+    }
     write_figure_json(result, manifest, options.json_dir);
   }
   return result;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,13 +21,12 @@ struct FigureResult {
   std::string title;
   std::vector<Series> series;
   /// Execution stats: pool worker/timing counters and, when a cache was
-  /// attached, this run's hit/miss/rejected/store deltas.  Also embedded
-  /// in the JSON manifest; figures_cli prints an end-of-run summary from
-  /// them (to stderr — stdout is the byte-pinned table).
+  /// attached, its hit/miss/rejected/store counts (one cache per figure).
+  /// Also embedded in the JSON manifest; figures_cli prints an end-of-run
+  /// summary from them (to stderr — stdout is the byte-pinned table).
   PoolStats pool_stats;
   double wall_seconds = 0.0;
-  bool cache_used = false;
-  ResultCache::Stats cache_stats;
+  std::optional<ResultCache::Stats> cache_stats;
 };
 
 /// A figure's definition before running: its title and the series

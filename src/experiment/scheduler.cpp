@@ -81,7 +81,6 @@ std::vector<Series> run_series_pool(const std::vector<SeriesSpec>& specs,
   std::mutex resolve_mutex;
 
   std::atomic<std::uint64_t> computed{0};
-  std::atomic<std::uint64_t> cache_hits{0};
   std::atomic<std::uint64_t> busy_ns{0};
   // Phase profile summed across computed points (cache hits replay stored
   // points without running an engine, so they contribute nothing).  Low
@@ -135,20 +134,18 @@ std::vector<Series> run_series_pool(const std::vector<SeriesSpec>& specs,
           cutoff[item->series].load(std::memory_order_acquire)) {
         continue;  // discarded: past this series' early stop
       }
-      const SeriesSpec& spec = specs[item->series];
-      const double load = options.loads[item->load];
+      const auto start = std::chrono::steady_clock::now();
+      const ResolvedPoint resolved = resolve_point(
+          specs[item->series], options.loads[item->load], options.sim);
       std::optional<SweepPoint> point;
       std::string key;
       if (pool.cache != nullptr) {
-        key = ResultCache::fingerprint(spec, load, options.sim);
+        key = ResultCache::fingerprint(resolved);
         point = pool.cache->load(key);
       }
-      if (point) {
-        cache_hits.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        const auto start = std::chrono::steady_clock::now();
+      if (!point) {
         sim::SimResult full;
-        point = run_point(spec, load, options.sim, &full);
+        point = run_point(resolved, &full);
         busy_ns.fetch_add(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - start)
@@ -199,7 +196,6 @@ std::vector<Series> run_series_pool(const std::vector<SeriesSpec>& specs,
 
   if (stats != nullptr) {
     stats->computed = computed.load(std::memory_order_relaxed);
-    stats->cache_hits = cache_hits.load(std::memory_order_relaxed);
     stats->speculated = speculated;
     stats->threads = threads;
     stats->busy_seconds =

@@ -19,7 +19,8 @@
 // questions).  The assembled output is bitwise identical to the
 // sequential path for every field of every point.
 //
-// With a ResultCache attached, each point is looked up by content
+// A worker resolves each point it draws once (resolve_point).  With a
+// ResultCache attached, the resolved point is looked up by its content
 // fingerprint before simulating and stored after; see cache.hpp.
 #pragma once
 
@@ -44,11 +45,12 @@ struct PoolOptions {
 
 struct PoolStats {
   std::uint64_t computed = 0;     ///< points simulated this run
-  std::uint64_t cache_hits = 0;   ///< points replayed from the cache
   std::uint64_t speculated = 0;   ///< computed points discarded by early-stop
   unsigned threads = 0;           ///< workers the pool actually ran with
-  /// Summed wall time spent inside run_point across all workers; divided
-  /// by `computed` this is the mean per-point simulate time.
+  /// Summed wall time of the computed points across all workers, each
+  /// from resolve_point to the end of run_point; divided by `computed`
+  /// this is the mean per-point simulate time.  Points replayed from the
+  /// cache (ResultCache::stats counts them) add nothing.
   double busy_seconds = 0.0;
   double wall_seconds = 0.0;      ///< pool start to last worker joined
   /// Fraction of worker capacity spent simulating (1.0 = no idle/steal

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
@@ -34,31 +35,31 @@ std::string heartbeat_tag_for(const std::string& label, double load) {
 
 }  // namespace
 
-SweepPoint run_point(const SeriesSpec& spec, double load,
-                     const sim::SimConfig& base_sim_config,
-                     sim::SimResult* full_result) {
-  // Base config first, per-series tweak last: a tweak_sim that enables
-  // telemetry (or changes the seed, arbitration, ...) must win over
-  // whatever SweepOptions::sim carries.
-  sim::SimConfig sim_config = base_sim_config;
-  if (spec.tweak_sim) spec.tweak_sim(sim_config);
-  // Every point of a sweep streams into its own heartbeat file: derive a
-  // per-point tag unless the caller pinned one (standalone runs), so
-  // concurrent pool workers never collide on one "run" tag.
-  if (sim_config.telemetry.heartbeat_cycles > 0 &&
-      sim_config.telemetry.heartbeat_tag.empty()) {
-    sim_config.telemetry.heartbeat_tag = heartbeat_tag_for(spec.label, load);
+ResolvedPoint resolve_point(const SeriesSpec& spec, double load,
+                            const sim::SimConfig& base) {
+  sim::SimConfig sim = base;
+  if (spec.tweak_sim) spec.tweak_sim(sim);
+  if (sim.telemetry.heartbeat_cycles > 0 &&
+      sim.telemetry.heartbeat_tag.empty()) {
+    sim.telemetry.heartbeat_tag = heartbeat_tag_for(spec.label, load);
   }
-  const topology::OwnedNetView built =
-      topology::build_net_view(spec.net, sim_config.implicit_topology);
-  const topology::NetView& network = built.view;
-  const auto router = routing::make_router(network);
-  traffic::WorkloadSpec workload = spec.workload(network, load);
+  topology::OwnedNetView net =
+      topology::build_net_view(spec.net, sim.implicit_topology);
+  traffic::WorkloadSpec workload = spec.workload(net.view, load);
   WORMSIM_CHECK_MSG(workload.offered == load,
                     "workload factory must honor the requested load");
-  traffic::StandardTraffic traffic(network, std::move(workload));
+  return {spec.switching, std::move(sim), std::move(net),
+          std::move(workload)};
+}
+
+SweepPoint run_point(const ResolvedPoint& resolved,
+                     sim::SimResult* full_result) {
+  const topology::NetView& network = resolved.net.view;
+  const sim::SimConfig& sim_config = resolved.sim;
+  const auto router = routing::make_router(network);
+  traffic::StandardTraffic traffic(network, resolved.workload);
   sim::SimResult result;
-  if (spec.switching == SeriesSpec::Switching::kStoreForward) {
+  if (resolved.switching == SeriesSpec::Switching::kStoreForward) {
     sim::StoreForwardEngine engine(network, *router, &traffic, sim_config);
     result = engine.run();
   } else {
@@ -67,7 +68,7 @@ SweepPoint run_point(const SeriesSpec& spec, double load,
   }
 
   SweepPoint point;
-  point.offered_requested = load;
+  point.offered_requested = resolved.workload.offered;
   point.offered_measured = result.offered_fraction();
   point.throughput = result.throughput_fraction();
   point.latency_us = result.mean_latency_us();
@@ -94,7 +95,7 @@ Series run_series(const SeriesSpec& spec, const SweepOptions& options) {
   series.label = spec.label;
   unsigned unsustainable_streak = 0;
   for (double load : options.loads) {
-    const SweepPoint point = run_point(spec, load, options.sim);
+    const SweepPoint point = run_point(resolve_point(spec, load, options.sim));
     series.points.push_back(point);
     if (!point.sustainable) {
       ++unsustainable_streak;

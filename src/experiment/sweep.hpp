@@ -79,12 +79,35 @@ struct SeriesSpec {
 
   /// Optional per-series simulator-config override (e.g. arbitration
   /// policy ablations, or enabling SimConfig::telemetry for one series).
-  /// Ordering contract: run_point copies the sweep's base config FIRST
-  /// and applies this tweak LAST, so nothing a tweak sets can be
+  /// Ordering contract: resolve_point copies the sweep's base config
+  /// FIRST and applies this tweak LAST, so nothing a tweak sets can be
   /// clobbered by SweepOptions::sim (regression-tested in
   /// telemetry_test.cpp).
   std::function<void(sim::SimConfig&)> tweak_sim = {};
 };
+
+/// One (series, load) point as the engine sees it: everything run_point
+/// simulates and ResultCache::fingerprint keys, composed once by
+/// resolve_point.
+struct ResolvedPoint {
+  SeriesSpec::Switching switching = SeriesSpec::Switching::kWormhole;
+  /// The effective config: the sweep's base, then the series' tweak_sim,
+  /// then a heartbeat tag derived from the series label and the load.
+  sim::SimConfig sim;
+  /// The network, built by topology::build_net_view's backend rule.
+  topology::OwnedNetView net;
+  /// The series' workload for `net` at the point's load (`offered`).
+  traffic::WorkloadSpec workload;
+};
+
+/// Composes one point: base config first, `spec.tweak_sim` last; when
+/// heartbeats are on and the config pins no tag, a per-point tag, so
+/// concurrent pool workers never share a stream; the network by the
+/// backend rule; the workload for that network.  Aborts when the
+/// workload factory does not honor `load`.  The only code that applies a
+/// tweak_sim or builds a sweep point's network.
+ResolvedPoint resolve_point(const SeriesSpec& spec, double load,
+                            const sim::SimConfig& base);
 
 struct SweepOptions {
   std::vector<double> loads;
@@ -98,13 +121,11 @@ struct SweepOptions {
   unsigned stop_after_unsustainable = 2;
 };
 
-/// Runs one (series, load) point.  `sim_config` is the base configuration;
-/// the series' tweak_sim (if any) is applied on top of it, last.  When
-/// `full_result` is non-null the complete SimResult — including telemetry
-/// counters and samples when the (possibly tweaked) config enables them —
-/// is copied out alongside the summary point.
-SweepPoint run_point(const SeriesSpec& spec, double load,
-                     const sim::SimConfig& sim_config,
+/// Simulates a resolved point.  When `full_result` is non-null the
+/// complete SimResult — including telemetry counters and samples when
+/// the point's config enables them — is copied out alongside the summary
+/// point.
+SweepPoint run_point(const ResolvedPoint& point,
                      sim::SimResult* full_result = nullptr);
 
 Series run_series(const SeriesSpec& spec, const SweepOptions& options);

@@ -12,7 +12,7 @@ namespace wormsim::telemetry {
 using topology::ChannelRole;
 using topology::PhysChannel;
 
-ChannelHeatmap build_heatmap(const topology::Network& network,
+ChannelHeatmap build_heatmap(const topology::NetView& network,
                              const Counters& counters, std::uint64_t cycles) {
   WORMSIM_CHECK_MSG(counters.enabled(), "heatmap needs collected counters");
   ChannelHeatmap heatmap;
@@ -22,10 +22,10 @@ ChannelHeatmap build_heatmap(const topology::Network& network,
   std::map<std::pair<std::uint32_t, std::uint8_t>,
            std::vector<topology::ChannelId>>
       groups;
-  for (const PhysChannel& ch : network.channels()) {
+  network.for_each_channel([&groups](const PhysChannel& ch) {
     groups[{ch.conn_index, static_cast<std::uint8_t>(ch.role)}].push_back(
         ch.id);
-  }
+  });
 
   for (auto& [key, channels] : groups) {
     StageRow row;

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "telemetry/counters.hpp"
-#include "topology/network.hpp"
+#include "topology/net_view.hpp"
 
 namespace wormsim::telemetry {
 
@@ -50,7 +50,7 @@ struct ChannelHeatmap {
 /// Aggregates lane counters into the per-stage heatmap.  `cycles` must be
 /// the number of cycles the counters were collected over (the engine's
 /// measurement window).
-ChannelHeatmap build_heatmap(const topology::Network& network,
+ChannelHeatmap build_heatmap(const topology::NetView& network,
                              const Counters& counters, std::uint64_t cycles);
 
 /// Renders one glyph row per stage (intensity ramp " .:-=+*#%@") plus a

@@ -27,7 +27,7 @@ JsonValue manifest_to_json(const RunManifest& manifest) {
     pool.set("busy_seconds", manifest.pool_busy_seconds);
     pool.set("utilization", manifest.pool_utilization());
     pool.set("points_computed", manifest.points_computed);
-    pool.set("points_cached", manifest.points_cached);
+    pool.set("points_cached", manifest.cache_hits);
     pool.set("points_speculated", manifest.points_speculated);
     json.set("pool", std::move(pool));
   }

@@ -50,10 +50,11 @@ struct RunManifest {
   // Point-pool execution stats (experiment/scheduler.hpp).  pool_threads
   // == 0 means the run didn't go through the pool; the "pool" object is
   // then omitted from the JSON (additive schema change, no version bump).
+  // Its "points_cached" is `cache_hits` below: the pool replays a point
+  // only on a cache hit.
   unsigned pool_threads = 0;
   double pool_busy_seconds = 0.0;  ///< summed per-point simulate time
   std::uint64_t points_computed = 0;
-  std::uint64_t points_cached = 0;
   std::uint64_t points_speculated = 0;
   double pool_utilization() const {
     return pool_threads > 0 && wall_seconds > 0.0

@@ -237,4 +237,98 @@ void RunMonitor::finalize(const HeartbeatSnapshot& snap, bool drained,
   write_status(snap, /*finished=*/true);
 }
 
+namespace {
+
+/// The keys each line type must carry, and the name a missing key is
+/// reported under.  The wall-clock keys are required too:
+/// nondeterministic, but always written.
+struct LineSchema {
+  const char* type;
+  const char* name;
+  std::vector<const char*> keys;
+};
+
+const LineSchema kLineSchemas[] = {
+    {"start", "start line",
+     {"tag", "engine", "heartbeat_cycles", "warmup_cycles", "measure_cycles",
+      "drain_cycles", "node_count"}},
+    {"heartbeat", "heartbeat",
+     {"cycle", "phase", "messages_created", "messages_delivered",
+      "messages_terminated", "flits_delivered", "flits_terminated",
+      "flits_in_flight", "worms_in_flight", "queued_messages",
+      "dropped_messages", "faulty_channels", "window_messages_created",
+      "window_messages_delivered", "window_flits_delivered",
+      "stage_occupancy", "wall_seconds", "cycles_per_second",
+      "window_cycles_per_second"}},
+    {"fault", "fault line",
+     {"cycle", "transition", "channels", "wall_seconds"}},
+    {"final", "final line",
+     {"cycle", "drained", "messages_created", "messages_delivered",
+      "wall_seconds"}},
+};
+
+}  // namespace
+
+StreamCheck check_heartbeat_stream(std::istream& in) {
+  StreamCheck check;
+  bool saw_start = false;
+  bool saw_final = false;
+  const auto fail = [&check](const std::string& what) {
+    check.error = what;
+    return check;
+  };
+  std::string line;
+  while (std::getline(in, line)) {
+    ++check.line;
+    if (line.empty()) return fail("empty line in NDJSON stream");
+    std::string error;
+    const JsonValue doc = JsonValue::parse(line, &error);
+    if (!error.empty()) return fail("parse error: " + error);
+    if (!doc.is_object()) return fail("line is not a JSON object");
+    const JsonValue* type = doc.find("type");
+    if (type == nullptr) return fail("missing \"type\"");
+    const std::string kind = type->as_string();
+    if (check.line == 1 && kind != "start") {
+      return fail("stream must begin with a \"start\" line");
+    }
+    if (saw_final) return fail("line after \"final\"");
+    const LineSchema* schema = nullptr;
+    for (const LineSchema& candidate : kLineSchemas) {
+      if (kind == candidate.type) schema = &candidate;
+    }
+    if (schema == nullptr) return fail("unknown line type \"" + kind + "\"");
+    if (kind == "start" && saw_start) return fail("duplicate \"start\" line");
+    for (const char* key : schema->keys) {
+      if (doc.find(key) == nullptr) {
+        return fail(std::string(schema->name) + " missing \"" + key + "\"");
+      }
+    }
+    if (kind == "start") {
+      saw_start = true;
+    } else if (kind == "heartbeat") {
+      ++check.heartbeats;
+      if (!doc.at("stage_occupancy").is_array()) {
+        return fail("stage_occupancy is not an array");
+      }
+      const std::uint64_t cycle = doc.at("cycle").as_uint();
+      if (cycle <= check.last_cycle) {
+        return fail("heartbeat cycles not strictly increasing");
+      }
+      check.last_cycle = cycle;
+    } else if (kind == "fault") {
+      ++check.faults;
+    } else {
+      saw_final = true;
+      if (doc.at("cycle").as_uint() < check.last_cycle) {
+        return fail("final cycle behind last heartbeat");
+      }
+    }
+  }
+  ++check.line;
+  if (!saw_start) return fail("empty stream");
+  if (check.heartbeats == 0) return fail("stream has no heartbeat lines");
+  if (!saw_final) return fail("stream has no \"final\" line");
+  return check;
+}
+
 }  // namespace wormsim::telemetry

@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <istream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -132,6 +133,23 @@ class RunMonitor {
   std::uint64_t fault_onset_ = kNoOnset;
   bool finalized_ = false;
 };
+
+/// Outcome of check_heartbeat_stream.
+struct StreamCheck {
+  std::string error;       ///< empty when the stream is valid
+  std::size_t line = 0;    ///< 1-based line `error` refers to
+  std::size_t heartbeats = 0;
+  std::size_t faults = 0;
+  std::uint64_t last_cycle = 0;  ///< cycle of the last heartbeat line
+  bool ok() const { return error.empty(); }
+};
+
+/// Checks one NDJSON stream against the schema above: every line parses
+/// to an object of a known type carrying that type's keys, the stream
+/// opens with its one "start" line and ends with a "final" line, and
+/// heartbeat cycles rise strictly with at least one heartbeat present.
+/// Stops at the first violation.
+StreamCheck check_heartbeat_stream(std::istream& in);
 
 /// Per-stage [lane_begin, lane_end) interval lists for the heartbeat
 /// occupancy summary, built once when a monitor attaches: slot s < stages

@@ -38,6 +38,12 @@ SeriesSpec tiny_spec() {
   return spec;
 }
 
+/// The cache key of `spec` at `load` over `base`, as the pool forms it.
+std::string key_of(const SeriesSpec& spec, double load,
+                   const sim::SimConfig& base) {
+  return ResultCache::fingerprint(resolve_point(spec, load, base));
+}
+
 SweepOptions tiny_options() {
   SweepOptions options;
   options.loads = {0.1, 0.3};
@@ -87,43 +93,43 @@ void expect_point_eq(const SweepPoint& a, const SweepPoint& b) {
 TEST(CacheFingerprint, StableAcrossCalls) {
   const SeriesSpec spec = tiny_spec();
   const sim::SimConfig config = tiny_options().sim;
-  EXPECT_EQ(ResultCache::fingerprint(spec, 0.3, config),
-            ResultCache::fingerprint(spec, 0.3, config));
+  EXPECT_EQ(key_of(spec, 0.3, config),
+            key_of(spec, 0.3, config));
 }
 
 TEST(CacheFingerprint, SensitiveToEveryInput) {
   const SeriesSpec base = tiny_spec();
   const sim::SimConfig config = tiny_options().sim;
-  const std::string fp = ResultCache::fingerprint(base, 0.3, config);
+  const std::string fp = key_of(base, 0.3, config);
 
-  EXPECT_NE(fp, ResultCache::fingerprint(base, 0.30001, config));
+  EXPECT_NE(fp, key_of(base, 0.30001, config));
 
   sim::SimConfig other_seed = config;
   other_seed.seed = config.seed + 1;
-  EXPECT_NE(fp, ResultCache::fingerprint(base, 0.3, other_seed));
+  EXPECT_NE(fp, key_of(base, 0.3, other_seed));
 
   sim::SimConfig other_cycles = config;
   other_cycles.measure_cycles += 1;
-  EXPECT_NE(fp, ResultCache::fingerprint(base, 0.3, other_cycles));
+  EXPECT_NE(fp, key_of(base, 0.3, other_cycles));
 
   SeriesSpec other_net = base;
   other_net.net = dmin_config("cube", 2, 3);
-  EXPECT_NE(fp, ResultCache::fingerprint(other_net, 0.3, config));
+  EXPECT_NE(fp, key_of(other_net, 0.3, config));
 
   SeriesSpec other_switching = base;
   other_switching.switching = SeriesSpec::Switching::kStoreForward;
-  EXPECT_NE(fp, ResultCache::fingerprint(other_switching, 0.3, config));
+  EXPECT_NE(fp, key_of(other_switching, 0.3, config));
 
   // tweak_sim is applied before serializing, so a tweak that changes a
   // result-affecting field changes the address...
   SeriesSpec tweaked = base;
   tweaked.tweak_sim = [](sim::SimConfig& c) { c.seed += 99; };
-  EXPECT_NE(fp, ResultCache::fingerprint(tweaked, 0.3, config));
+  EXPECT_NE(fp, key_of(tweaked, 0.3, config));
 
   // ...and the label (presentation only) does not.
   SeriesSpec relabeled = base;
   relabeled.label = "same physics, different name";
-  EXPECT_EQ(fp, ResultCache::fingerprint(relabeled, 0.3, config));
+  EXPECT_EQ(fp, key_of(relabeled, 0.3, config));
 }
 
 TEST(CacheFingerprint, SensitiveToFlowControlKnobs) {
@@ -132,39 +138,39 @@ TEST(CacheFingerprint, SensitiveToFlowControlKnobs) {
   // — each knob must move the address.
   const SeriesSpec spec = tiny_spec();
   const sim::SimConfig config = tiny_options().sim;
-  const std::string fp = ResultCache::fingerprint(spec, 0.3, config);
+  const std::string fp = key_of(spec, 0.3, config);
 
   sim::SimConfig deeper = config;
   deeper.buffer_depth = 4;
-  EXPECT_NE(fp, ResultCache::fingerprint(spec, 0.3, deeper));
+  EXPECT_NE(fp, key_of(spec, 0.3, deeper));
 
   sim::SimConfig onoff = config;
   onoff.flow_control = sim::FlowControlScheme::kOnOff;
-  EXPECT_NE(fp, ResultCache::fingerprint(spec, 0.3, onoff));
+  EXPECT_NE(fp, key_of(spec, 0.3, onoff));
 
   sim::SimConfig vct = config;
   vct.flow_control = sim::FlowControlScheme::kVirtualCutThrough;
-  EXPECT_NE(fp, ResultCache::fingerprint(spec, 0.3, vct));
+  EXPECT_NE(fp, key_of(spec, 0.3, vct));
 
   sim::SimConfig delayed = config;
   delayed.credit_delay = 2;
-  EXPECT_NE(fp, ResultCache::fingerprint(spec, 0.3, delayed));
+  EXPECT_NE(fp, key_of(spec, 0.3, delayed));
 
   // All three knobs are distinct axes, not aliases of one another.
   sim::SimConfig deep_delayed = deeper;
   deep_delayed.credit_delay = 2;
-  EXPECT_NE(ResultCache::fingerprint(spec, 0.3, deeper),
-            ResultCache::fingerprint(spec, 0.3, deep_delayed));
+  EXPECT_NE(key_of(spec, 0.3, deeper),
+            key_of(spec, 0.3, deep_delayed));
 }
 
 TEST(CacheFingerprint, ObservabilityTogglesDoNotSplitTheAddressSpace) {
   const SeriesSpec spec = tiny_spec();
   sim::SimConfig config = tiny_options().sim;
-  const std::string fp = ResultCache::fingerprint(spec, 0.3, config);
+  const std::string fp = key_of(spec, 0.3, config);
   config.telemetry.counters = true;
   config.telemetry.sampling = true;
   config.validate = true;
-  EXPECT_EQ(fp, ResultCache::fingerprint(spec, 0.3, config));
+  EXPECT_EQ(fp, key_of(spec, 0.3, config));
 }
 
 TEST(CacheFingerprint, EngineSemanticsVersionLooksLikeAHash) {
@@ -174,15 +180,48 @@ TEST(CacheFingerprint, EngineSemanticsVersionLooksLikeAHash) {
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << c;
   }
   // ...and is folded into every fingerprint.
-  EXPECT_NE(ResultCache::fingerprint(tiny_spec(), 0.3, tiny_options().sim)
+  EXPECT_NE(key_of(tiny_spec(), 0.3, tiny_options().sim)
                 .find(version),
             std::string::npos);
+}
+
+// The whole key of one point, committed: a field dropped from the key or
+// moved within it fails here instead of silently merging or splitting
+// cache addresses (SensitiveToEveryInput covers only the fields it
+// varies).  fig18a's TMIN at 30% load in quick mode; the engine-semantics
+// version is substituted, so regenerated golden digests do not fail it.
+TEST(CacheFingerprint, PinnedForFig18aTminQuick) {
+  RunOptions options;
+  options.quick = true;
+  const FigureSpec fig18a = figure_spec("fig18a");
+  ASSERT_EQ(fig18a.series.front().label, "TMIN(cube)");
+  const std::string expected =
+      "cache_schema=3;engine=" + ResultCache::engine_semantics_version() +
+      ";net.kind=TMIN;net.topology=cube;net.radix=4;net.stages=3;"
+      "net.dilation=1;net.vcs=1;net.vc_node_links=0;net.extra_stages=0;"
+      "net.splitter_dilation=0;net.wiring_seed=24301;switching=wormhole;"
+      "sim.seed=20250707;sim.arbitration=0;sim.lane_selection=0;"
+      "sim.warmup_cycles=5000;sim.measure_cycles=15000;"
+      "sim.drain_cycles=5000;sim.sustainable_queue_limit=100;"
+      "sim.queue_capacity=1500;sim.deadlock_watchdog_cycles=50000;"
+      "sim.buffer_depth=1;sim.flow_control=credit;sim.credit_delay=0;"
+      "sim.fault_fraction=0;sim.fault_seed=1;sim.fault_at_cycle=0;"
+      "load=0.29999999999999999;wl.pattern=0;"
+      "wl.hotspot_extra=0.050000000000000003;wl.butterfly_index=2;"
+      "wl.offered=0.29999999999999999;wl.len.kind=0;wl.len.min=8;"
+      "wl.len.max=1024;wl.len.long_min=512;wl.len.long_max=1024;"
+      "wl.len.short_fraction=0.5;wl.cluster_of="
+      "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+      "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+      ";wl.cluster_weights=;";
+  EXPECT_EQ(key_of(fig18a.series.front(), 0.3, options.sim_config()),
+            expected);
 }
 
 TEST(Cache, StoreThenLoadRoundTripsBitwise) {
   const ResultCache cache(fresh_cache_dir("roundtrip"));
   const std::string fp =
-      ResultCache::fingerprint(tiny_spec(), 0.3, tiny_options().sim);
+      key_of(tiny_spec(), 0.3, tiny_options().sim);
   EXPECT_FALSE(cache.load(fp).has_value());
   const SweepPoint point = sample_point();
   cache.store(fp, point);
@@ -203,7 +242,7 @@ TEST(Cache, InfinitePercentileRoundTrips) {
   point.latency_p99_us = std::numeric_limits<double>::infinity();
   point.sustainable = false;
   const std::string fp =
-      ResultCache::fingerprint(tiny_spec(), 0.95, tiny_options().sim);
+      key_of(tiny_spec(), 0.95, tiny_options().sim);
   cache.store(fp, point);
   const auto loaded = cache.load(fp);
   ASSERT_TRUE(loaded.has_value());
@@ -215,7 +254,7 @@ TEST(Cache, InfinitePercentileRoundTrips) {
 TEST(Cache, TruncatedEntryIsRejectedNotFatal) {
   const ResultCache cache(fresh_cache_dir("truncated"));
   const std::string fp =
-      ResultCache::fingerprint(tiny_spec(), 0.3, tiny_options().sim);
+      key_of(tiny_spec(), 0.3, tiny_options().sim);
   cache.store(fp, sample_point());
   // Simulate a crash mid-write from a pre-atomic-rename world: chop the
   // entry in half.
@@ -240,7 +279,7 @@ TEST(Cache, TruncatedEntryIsRejectedNotFatal) {
 TEST(Cache, GarbageEntryIsRejectedNotFatal) {
   const ResultCache cache(fresh_cache_dir("garbage"));
   const std::string fp =
-      ResultCache::fingerprint(tiny_spec(), 0.3, tiny_options().sim);
+      key_of(tiny_spec(), 0.3, tiny_options().sim);
   {
     std::ofstream out(cache.entry_path(fp), std::ios::trunc);
     out << "not json at all {{{";
@@ -252,9 +291,9 @@ TEST(Cache, GarbageEntryIsRejectedNotFatal) {
 TEST(Cache, KeyMismatchReadsAsMiss) {
   const ResultCache cache(fresh_cache_dir("collision"));
   const std::string fp_a =
-      ResultCache::fingerprint(tiny_spec(), 0.1, tiny_options().sim);
+      key_of(tiny_spec(), 0.1, tiny_options().sim);
   const std::string fp_b =
-      ResultCache::fingerprint(tiny_spec(), 0.3, tiny_options().sim);
+      key_of(tiny_spec(), 0.3, tiny_options().sim);
   cache.store(fp_a, sample_point());
   // Force the hash-collision path: copy A's entry file to B's path.  The
   // embedded key no longer matches the probe, so it must not be trusted.
@@ -277,14 +316,13 @@ TEST(Cache, SchedulerWarmRunIsAllHitsAndBitwiseEqual) {
   PoolStats cold_stats;
   const auto first = run_series_pool(specs, options, pool, &cold_stats);
   EXPECT_EQ(cold_stats.computed, options.loads.size());
-  EXPECT_EQ(cold_stats.cache_hits, 0u);
+  EXPECT_EQ(cold.stats().hits, 0u);
 
   ResultCache warm(dir);
   pool.cache = &warm;
   PoolStats warm_stats;
   const auto second = run_series_pool(specs, options, pool, &warm_stats);
   EXPECT_EQ(warm_stats.computed, 0u);
-  EXPECT_EQ(warm_stats.cache_hits, options.loads.size());
   // Busy time counts simulate time only; an all-hits run does none.
   EXPECT_EQ(warm_stats.busy_seconds, 0.0);
   EXPECT_EQ(warm.stats().hits, options.loads.size());
@@ -311,7 +349,7 @@ TEST(Cache, NoTemporaryFilesLeftBehind) {
   const std::string dir = fresh_cache_dir("tmpfiles");
   const ResultCache cache(dir);
   for (double load : {0.1, 0.2, 0.3}) {
-    cache.store(ResultCache::fingerprint(tiny_spec(), load,
+    cache.store(key_of(tiny_spec(), load,
                                          tiny_options().sim),
                 sample_point());
   }

@@ -35,8 +35,38 @@ sim::SimConfig tiny_sim() {
   return config;
 }
 
+// resolve_point composes what the engine runs: base config, then the
+// tweak, then a per-point heartbeat tag unless one is pinned; the network
+// by the backend rule; the workload at the point's load.
+TEST(Sweep, ResolvePointComposesTheEngineInput) {
+  SeriesSpec spec = tiny_tmin_spec();
+  spec.label = "VMIN l=2";
+  spec.switching = SeriesSpec::Switching::kStoreForward;
+  spec.tweak_sim = [](sim::SimConfig& config) { config.seed = 4242; };
+  sim::SimConfig base = tiny_sim();
+  base.telemetry.heartbeat_cycles = 100;
+  const ResolvedPoint point = resolve_point(spec, 0.52, base);
+  EXPECT_EQ(point.switching, SeriesSpec::Switching::kStoreForward);
+  EXPECT_EQ(point.sim.seed, 4242u);
+  EXPECT_EQ(point.sim.measure_cycles, base.measure_cycles);
+  EXPECT_EQ(point.sim.telemetry.heartbeat_tag, "VMIN_l_2_load0p52");
+  EXPECT_EQ(point.workload.offered, 0.52);
+  ASSERT_NE(point.net.network, nullptr);
+  EXPECT_EQ(point.net.view.implicit(), nullptr);
+  EXPECT_EQ(point.net.view.node_count(), 8u);
+
+  base.telemetry.heartbeat_tag = "pinned";
+  base.implicit_topology = true;
+  const ResolvedPoint implicit = resolve_point(spec, 0.52, base);
+  EXPECT_EQ(implicit.sim.telemetry.heartbeat_tag, "pinned");
+  EXPECT_EQ(implicit.net.network, nullptr);
+  EXPECT_NE(implicit.net.view.implicit(), nullptr);
+  EXPECT_EQ(implicit.net.view.node_count(), 8u);
+}
+
 TEST(Sweep, PointReportsConsistentMetrics) {
-  const SweepPoint point = run_point(tiny_tmin_spec(), 0.2, tiny_sim());
+  const SweepPoint point =
+      run_point(resolve_point(tiny_tmin_spec(), 0.2, tiny_sim()));
   EXPECT_DOUBLE_EQ(point.offered_requested, 0.2);
   EXPECT_NEAR(point.offered_measured, 0.2, 0.05);
   EXPECT_GT(point.throughput, 0.1);
@@ -57,7 +87,7 @@ TEST(Sweep, SaturatedPointReportsOverflowedP95) {
   sim.measure_cycles = 200'000;
   sim.drain_cycles = 100'000;
   sim.queue_capacity = 20'000;
-  const SweepPoint point = run_point(tiny_tmin_spec(), 1.0, sim);
+  const SweepPoint point = run_point(resolve_point(tiny_tmin_spec(), 1.0, sim));
   EXPECT_FALSE(point.sustainable);
   EXPECT_TRUE(std::isinf(point.latency_p95_us));
   EXPECT_FALSE(std::isinf(point.latency_us));  // the mean stays finite
@@ -66,8 +96,8 @@ TEST(Sweep, SaturatedPointReportsOverflowedP95) {
 TEST(Sweep, LatencyRisesWithLoad) {
   const SeriesSpec spec = tiny_tmin_spec();
   const sim::SimConfig sim = tiny_sim();
-  const SweepPoint low = run_point(spec, 0.05, sim);
-  const SweepPoint high = run_point(spec, 0.4, sim);
+  const SweepPoint low = run_point(resolve_point(spec, 0.05, sim));
+  const SweepPoint high = run_point(resolve_point(spec, 0.4, sim));
   EXPECT_GT(high.latency_us, low.latency_us);
   EXPECT_GT(high.throughput, low.throughput);
 }

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -194,6 +195,7 @@ TEST(Heartbeat, StatusFileReachesTerminalState) {
   config.telemetry.heartbeat_cycles = 1'000;
   config.telemetry.heartbeat_dir = testing::TempDir() + "hb_status";
   config.telemetry.heartbeat_tag = "case";
+  std::filesystem::remove_all(config.telemetry.heartbeat_dir);
   const SimResult result = run_wormhole(config);
   std::ifstream in(config.telemetry.heartbeat_dir + "/case.status.json");
   ASSERT_TRUE(in.good());
@@ -206,10 +208,13 @@ TEST(Heartbeat, StatusFileReachesTerminalState) {
   EXPECT_EQ(doc.at("engine").as_string(), "wormhole");
   EXPECT_EQ(doc.at("messages_delivered").as_uint(),
             result.delivered_messages_total);
-  // No temp file left behind by the atomic rewrite.
-  EXPECT_FALSE(std::ifstream(config.telemetry.heartbeat_dir +
-                             "/case.status.json.tmp")
-                   .good());
+  // No temp file left behind by the atomic rewrites (write_json_file
+  // names its temp files <path>.<pid>.<thread>.tmp).
+  for (const auto& entry : std::filesystem::directory_iterator(
+           config.telemetry.heartbeat_dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp")
+        << entry.path() << " left behind";
+  }
 }
 
 // ---- Onset detection -----------------------------------------------------
@@ -303,6 +308,63 @@ TEST(Heartbeat, StoreForwardEmitsStream) {
   EXPECT_EQ(final_line.at("type").as_string(), "final");
   EXPECT_EQ(final_line.at("messages_delivered").as_uint(),
             result.delivered_messages_total);
+}
+
+// ---- Stream schema -------------------------------------------------------
+
+telemetry::StreamCheck check_stream_file(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  return telemetry::check_heartbeat_stream(in);
+}
+
+// Both engines' streams pass the schema check behind telemetry_report
+// --check-stream: a wormhole stream with a fault line, and the
+// store-and-forward stream.  The same wormhole stream cut before its
+// final line fails it.
+TEST(Heartbeat, StreamsPassTheSchemaCheck) {
+  SimConfig config = base_config();
+  config.telemetry.heartbeat_cycles = 256;
+  config.telemetry.heartbeat_dir = testing::TempDir() + "hb_schema_fault";
+  config.telemetry.heartbeat_tag = "case";
+  config.fault_fraction = 0.25;
+  config.fault_seed = 3;
+  config.fault_at_cycle = 2'000;
+  run_wormhole(config);
+  const std::string wormhole_path =
+      config.telemetry.heartbeat_dir + "/case.ndjson";
+  const telemetry::StreamCheck wormhole = check_stream_file(wormhole_path);
+  EXPECT_TRUE(wormhole.ok()) << wormhole.line << ": " << wormhole.error;
+  EXPECT_EQ(wormhole.faults, 1u);
+  EXPECT_EQ(wormhole.heartbeats, 24u);  // 23 full windows + 1 partial
+  EXPECT_EQ(wormhole.last_cycle, 6'000u);
+
+  const topology::Network net = topology::build_network(small_network());
+  const auto router = routing::make_router(net);
+  traffic::StandardTraffic traffic(net, workload_at(0.45));
+  SimConfig sf_config = base_config();
+  sf_config.buffer_depth = 2;
+  sf_config.telemetry.heartbeat_cycles = 701;
+  sf_config.telemetry.heartbeat_dir = testing::TempDir() + "hb_schema_sf";
+  sf_config.telemetry.heartbeat_tag = "sf";
+  StoreForwardEngine(net, *router, &traffic, sf_config).run();
+  const telemetry::StreamCheck store_forward = check_stream_file(
+      sf_config.telemetry.heartbeat_dir + "/sf.ndjson");
+  EXPECT_TRUE(store_forward.ok())
+      << store_forward.line << ": " << store_forward.error;
+  EXPECT_GE(store_forward.heartbeats, 1u);
+  EXPECT_EQ(store_forward.faults, 0u);
+
+  std::vector<std::string> lines = read_lines(wormhole_path);
+  ASSERT_EQ(parse_line(lines.back()).at("type").as_string(), "final");
+  lines.pop_back();
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  std::istringstream cut(text);
+  const telemetry::StreamCheck unfinished =
+      telemetry::check_heartbeat_stream(cut);
+  EXPECT_EQ(unfinished.error, "stream has no \"final\" line");
+  EXPECT_EQ(unfinished.line, lines.size() + 1);
 }
 
 // ---- Phase profiler ------------------------------------------------------

@@ -47,7 +47,7 @@ SweepPoint run(const topology::NetworkConfig& net,
     }
     return workload;
   };
-  return run_point(spec, load, short_sim());
+  return run_point(resolve_point(spec, load, short_sim()));
 }
 
 using Pattern = traffic::WorkloadSpec::Pattern;

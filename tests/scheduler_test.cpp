@@ -157,11 +157,11 @@ TEST(Scheduler, EarlyStopContractWithSpeculation) {
     PoolStats stats;
     const auto pooled = run_series_pool(specs, options, pool, &stats);
     expect_series_eq(sequential, pooled);
-    // Every emitted point was either computed or replayed; speculated
-    // points are extra work, never extra output.
+    // No cache is attached, so every emitted point was computed;
+    // speculated points are extra work, never extra output.
     std::size_t emitted = 0;
     for (const Series& series : pooled) emitted += series.points.size();
-    EXPECT_GE(stats.computed + stats.cache_hits, emitted);
+    EXPECT_GE(stats.computed, emitted);
     // Instrumentation: the pool reports its actual worker count (clamped
     // to the point count), summed simulate time, and its own wall time.
     EXPECT_GT(stats.threads, 0u);

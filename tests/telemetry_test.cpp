@@ -576,7 +576,6 @@ TEST(ResultWriter, ManifestEmbedsPoolAndCacheInstrumentation) {
   manifest.pool_threads = 4;
   manifest.pool_busy_seconds = 6.0;
   manifest.points_computed = 10;
-  manifest.points_cached = 3;
   manifest.points_speculated = 1;
   manifest.cache_used = true;
   manifest.cache_hits = 3;
@@ -832,8 +831,8 @@ experiment::SeriesSpec tiny_spec() {
 }
 
 TEST(Sweep, TweakSimAppliesAfterBaseConfig) {
-  // Regression: run_point must copy the base config FIRST and apply the
-  // series tweak LAST, so a tweak enabling telemetry (or re-seeding)
+  // Regression: resolve_point must copy the base config FIRST and apply
+  // the series tweak LAST, so a tweak enabling telemetry (or re-seeding)
   // cannot be clobbered by SweepOptions::sim.
   experiment::SeriesSpec spec = tiny_spec();
   spec.tweak_sim = [](sim::SimConfig& config) {
@@ -850,7 +849,7 @@ TEST(Sweep, TweakSimAppliesAfterBaseConfig) {
 
   sim::SimResult full;
   const experiment::SweepPoint point =
-      experiment::run_point(spec, 0.2, base, &full);
+      experiment::run_point(experiment::resolve_point(spec, 0.2, base), &full);
   EXPECT_GT(point.delivered_messages, 0u);
   ASSERT_TRUE(full.telemetry_counters.enabled());
   EXPECT_GT(full.telemetry_counters.total_flit_crossings(), 0u);
@@ -862,8 +861,8 @@ TEST(Sweep, TweakSimAppliesAfterBaseConfig) {
   reseeded.tweak_sim = [](sim::SimConfig& config) { config.seed = 777; };
   sim::SimResult a;
   sim::SimResult b;
-  experiment::run_point(spec, 0.2, base, &a);
-  experiment::run_point(reseeded, 0.2, base, &b);
+  experiment::run_point(experiment::resolve_point(spec, 0.2, base), &a);
+  experiment::run_point(experiment::resolve_point(reseeded, 0.2, base), &b);
   EXPECT_NE(a.delivered_flits_in_window, b.delivered_flits_in_window);
 }
 
@@ -875,7 +874,7 @@ TEST(Sweep, FullResultMatchesSummaryPoint) {
   base.drain_cycles = 500;
   sim::SimResult full;
   const experiment::SweepPoint point =
-      experiment::run_point(spec, 0.25, base, &full);
+      experiment::run_point(experiment::resolve_point(spec, 0.25, base), &full);
   EXPECT_DOUBLE_EQ(point.throughput, full.throughput_fraction());
   EXPECT_EQ(point.delivered_messages, full.delivered_messages_total);
   EXPECT_EQ(point.max_source_queue, full.max_source_queue);

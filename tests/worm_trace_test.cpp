@@ -282,7 +282,8 @@ TEST(WormTrace, Fig18aPointReconcilesAndAttributesEverything) {
   for (std::size_t si : {std::size_t{0}, std::size_t{3}}) {
     SCOPED_TRACE(spec.series[si].label);
     SimResult full;
-    experiment::run_point(spec.series[si], 0.5, config, &full);
+    experiment::run_point(
+        experiment::resolve_point(spec.series[si], 0.5, config), &full);
     ASSERT_NE(full.worm_trace, nullptr);
     const WormTracer& tracer = *full.worm_trace;
 
