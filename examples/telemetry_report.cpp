@@ -27,7 +27,8 @@
 //       Profiles the runs and adds the engine phase-attribution table
 //       (DESIGN.md §15) to the per-series report: wall seconds per engine
 //       phase and the coverage of the attribution against total engine
-//       wall time.
+//       wall time.  With --stalls the table follows each series' stall
+//       report.
 //   telemetry_report --watch=DIR [--watch-iterations=N]
 //                    [--watch-interval-ms=M]
 //       Live view of a heartbeat directory (--heartbeat-cycles /
@@ -295,6 +296,9 @@ int report_series(const std::string& figure, double load,
                        .string();
     }
     if (!print_stalls(*result.worm_trace, trace_path)) return 1;
+    if (result.phase_profile.enabled) {
+      print_phase_profile(result.phase_profile, std::cout);
+    }
   }
   return 0;
 }

@@ -181,7 +181,6 @@ std::string ResultCache::fingerprint(const ResolvedPoint& point) {
   key.field("wl.pattern", static_cast<unsigned>(workload.pattern));
   key.field("wl.hotspot_extra", workload.hotspot_extra);
   key.field("wl.butterfly_index", workload.butterfly_index);
-  key.field("wl.offered", workload.offered);
   key.field("wl.len.kind", static_cast<unsigned>(workload.length.kind));
   key.field("wl.len.min", workload.length.min);
   key.field("wl.len.max", workload.length.max);

@@ -36,7 +36,8 @@ namespace wormsim::experiment {
 /// Layout version of cache entry files; bump on any breaking change.
 /// v3: fault-injection knobs entered the fingerprint and points gained
 /// the degraded-mode SLO fields (p99, delivery_fraction, ...).
-inline constexpr int kCacheSchemaVersion = 3;
+/// v4: the load is keyed once (`load`), no longer also as `wl.offered`.
+inline constexpr int kCacheSchemaVersion = 4;
 
 class ResultCache {
  public:

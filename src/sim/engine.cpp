@@ -129,6 +129,7 @@ Engine::Engine(const topology::NetView& network,
         config_.fault_at_cycle);
     fault_injection::validate_plan(network_, fault_state_.plan);
   }
+  starve_clocks_ = observers_.reads_starvation();
   if (config_.validate) validator_ = std::make_unique<EngineValidator>(*this);
 }
 
@@ -624,9 +625,8 @@ int Engine::decide_channel(ChannelId ch_id) {
   }
   if (ready_mask == 0) return -1;
 
-  unsigned pick = vc_rr_[ch_id] % num;
-  while ((ready_mask & (1u << pick)) == 0) pick = (pick + 1) % num;
-  vc_rr_[ch_id] = static_cast<std::uint8_t>((pick + 1) % num);
+  const unsigned pick = round_robin_pick(ready_mask, vc_rr_[ch_id]);
+  vc_rr_[ch_id] = static_cast<std::uint8_t>(pick + 1 == num ? 0 : pick + 1);
   return static_cast<int>(pick);
 }
 
@@ -832,7 +832,8 @@ void Engine::fc_return_slots(LaneId lane, std::uint32_t freed) {
       fc_.events.push_back({cycle_ + fc_.delay, lane, /*go=*/false});
     }
   }
-  if (fc_.scheme != FlowControlScheme::kCredit || fc_.delay > 0) {
+  if (starve_clocks_ &&
+      (fc_.scheme != FlowControlScheme::kCredit || fc_.delay > 0)) {
     // The freed slot may leave the sender gated with space downstream
     // (credit in flight, or an on/off pause): starvation begins now, and
     // no try_channel attempt will observe it — the sender is not seeded
@@ -879,7 +880,7 @@ void Engine::drain_flow_control_events() {
 }
 
 void Engine::fc_close_starve(LaneId lane) {
-  if (fc_.starve_since[lane] == kNoCycle) return;
+  if (!starve_clocks_ || fc_.starve_since[lane] == kNoCycle) return;
   const std::uint64_t cycles = cycle_ - fc_.starve_since[lane];
   fc_.starve_since[lane] = kNoCycle;
   if (cycles == 0) return;

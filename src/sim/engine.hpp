@@ -50,6 +50,7 @@
 // their parallelism from the point pool (experiment/scheduler.hpp).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -72,6 +73,17 @@ namespace wormsim::sim {
 
 class EngineValidator;
 struct EngineTestPeer;
+
+/// A channel's round-robin pick among its ready lanes: the first lane at
+/// or after `from` whose bit is set in `ready`, wrapping to the lowest
+/// ready lane when none is.  `ready` must be nonzero and `from` below 32.
+/// For every `from` below the lane count this is the lane that stepping
+/// `(pick + 1) % lanes` from `from` stops at, without the divisions.
+inline unsigned round_robin_pick(std::uint32_t ready, unsigned from) {
+  const std::uint32_t at_or_after = ready & (~std::uint32_t{0} << from);
+  return static_cast<unsigned>(
+      std::countr_zero(at_or_after != 0 ? at_or_after : ready));
+}
 
 class Engine {
  public:
@@ -207,7 +219,8 @@ class Engine {
   }
   /// Transmit decision for one channel against current state: gathers the
   /// ready lanes, advances the round-robin pointer, opens starvation
-  /// intervals on gated lanes.  Returns the picked lane index or -1.
+  /// intervals on gated lanes (when observed).  Returns the picked lane
+  /// index or -1.
   int decide_channel(topology::ChannelId ch);
   /// Applies a granted decision: moves the flit and stamps the channel
   /// used.
@@ -315,9 +328,11 @@ class Engine {
   /// flow control even though the FIFO has space (free slots whose
   /// credits are still in flight, or an on/off pause).  A full buffer is
   /// ordinary backpressure, never starvation — which also makes this a
-  /// no-op in the legacy depth-1 / delay-0 configuration.
+  /// no-op in the legacy depth-1 / delay-0 configuration.  A no-op too
+  /// when nothing reads the clocks (starve_clocks_).
   void fc_open_starve(topology::LaneId lane) {
-    if (fc_.count[lane] < fc_.depth && fc_.starve_since[lane] == kNoCycle) {
+    if (starve_clocks_ && fc_.count[lane] < fc_.depth &&
+        fc_.starve_since[lane] == kNoCycle) {
       fc_.starve_since[lane] = cycle_;
     }
   }
@@ -429,6 +444,11 @@ class Engine {
   // construction; multi-lane networks and other buffers keep the
   // multi-pass scan.
   bool chase_ = false;
+  // The window counters or the worm tracer is on, the only readers of the
+  // credit-starvation clocks: without them no interval opens, closes or
+  // probes its sender (fc_open_starve, fc_close_starve, fc_return_slots).
+  // Fixed at construction; it sits in chase_'s padding.
+  bool starve_clocks_ = false;
 
   // Runtime fault plan and its kill bookkeeping; applied stays true once
   // the kill has fired, so the zero-fault hot paths and validator sweeps

@@ -51,6 +51,14 @@ void FlowControlState::configure(std::size_t lane_count, FlowControlScheme s,
   starve_since.assign(lane_count, kNoCycle);
 }
 
+void EventCalendar::grow() {
+  std::vector<FlowControlEvent> wider(ring_.empty() ? 16 : 2 * ring_.size());
+  for (std::size_t i = 0; i < size_; ++i) wider[i] = (*this)[i];
+  ring_.swap(wider);
+  mask_ = ring_.size() - 1;
+  head_ = 0;
+}
+
 std::uint32_t FlowControlState::erase(topology::LaneId lane, PacketId pkt) {
   const std::uint32_t held = count[lane];
   std::uint32_t kept = 0;

@@ -16,9 +16,12 @@
 //     kVirtualCutThrough) or stop bits (kOnOff);
 //   * the in-flight backpressure events — credit returns or on/off
 //     signals travelling upstream for `delay` cycles.  Events are pushed
-//     with nondecreasing due cycles, so a plain deque is the calendar;
+//     with nondecreasing due cycles, so a FIFO is the calendar: a flat
+//     power-of-two ring (EventCalendar) that grows when full;
 //   * per-lane credit-starvation interval clocks (engine.cpp opens and
-//     closes them; telemetry/worm_trace.hpp consumes the attribution).
+//     closes them, only when a reader is on: the window counters or the
+//     worm tracer, telemetry/worm_trace.hpp, which consume the
+//     attribution).
 //
 // The engine does the sender-side accounting around push and pop (it
 // needs the cycle, the calendar and the observers); this struct only
@@ -30,8 +33,8 @@
 // LaneId, and the slot store indexed by slot().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/flow_control/scheme.hpp"
@@ -48,6 +51,47 @@ struct FlowControlEvent {
   std::uint64_t due = 0;  ///< first cycle the sender can act on it
   topology::LaneId lane = topology::kInvalidId;
   bool go = false;  ///< on/off only; ignored by credit returns
+};
+
+/// The backpressure calendar: in-flight events in push order, which is
+/// due order.  A flat power-of-two ring, so a push or a pop is one store
+/// or load and a mask; a push that finds it full doubles it, keeping the
+/// order, and a run stops growing it once it holds the run's peak.
+class EventCalendar {
+ public:
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  /// Slots allocated; size() never exceeds it.
+  std::size_t capacity() const { return ring_.size(); }
+  /// The earliest due event; the calendar must not be empty.
+  const FlowControlEvent& front() const { return ring_[head_]; }
+  /// The `i`-th earliest event, i < size().
+  const FlowControlEvent& operator[](std::size_t i) const {
+    return ring_[(head_ + i) & mask_];
+  }
+  void push_back(const FlowControlEvent& ev) {
+    if (size_ == ring_.size()) grow();
+    ring_[(head_ + size_) & mask_] = ev;
+    ++size_;
+  }
+  void pop_front() {
+    WORMSIM_DCHECK(size_ > 0);
+    head_ = (head_ + 1) & mask_;
+    --size_;
+  }
+  void clear() {
+    head_ = 0;
+    size_ = 0;
+  }
+
+ private:
+  /// Doubles the ring, moving the events to its start in order.
+  void grow();
+
+  std::vector<FlowControlEvent> ring_;
+  std::size_t mask_ = 0;  ///< capacity() - 1 once allocated
+  std::size_t head_ = 0;  ///< slot of front()
+  std::size_t size_ = 0;
 };
 
 struct FlowControlState {
@@ -79,14 +123,15 @@ struct FlowControlState {
   std::vector<std::uint32_t> slot_seq;
 
   /// Backpressure calendar; front() is always the earliest due event.
-  std::deque<FlowControlEvent> events;
+  EventCalendar events;
 
   /// Cycle each lane's open credit-starvation interval began, kNoCycle
   /// when closed.  Starvation = a sender gated by flow control while the
   /// downstream FIFO has space (credits still in flight, or an on/off
   /// GO pending / hysteresis pause) — distinct from a full buffer, which
   /// is ordinary wormhole backpressure.  Always zero for the legacy
-  /// depth-1 / delay-0 credit configuration.
+  /// depth-1 / delay-0 credit configuration, and in a run whose window
+  /// counters and worm tracer are both off (no interval ever opens).
   std::vector<std::uint64_t> starve_since;
 
   void configure(std::size_t lane_count, FlowControlScheme s,

@@ -59,6 +59,11 @@ class Observers {
     return profiler_ ? &*profiler_ : nullptr;
   }
   const telemetry::IntervalSampler& sampler() const { return sampler_; }
+  /// True when an observer reads credit starvation (credit_starved): the
+  /// window counters or the worm tracer.
+  bool reads_starvation() const {
+    return counters_ != nullptr || tracer_ != nullptr;
+  }
 
   // ---- Cycle structure (wormhole engine) -------------------------------
   /// Opens a cycle: gates the counters on the measurement window and

@@ -411,7 +411,8 @@ void EngineValidator::check_flow_control() {
   std::fill(pending_returns_.begin(), pending_returns_.end(), 0u);
   std::fill(last_signal_.begin(), last_signal_.end(), std::int8_t{-1});
   std::uint64_t prev_due = 0;
-  for (const FlowControlEvent& ev : fc.events) {
+  for (std::size_t i = 0; i < fc.events.size(); ++i) {
+    const FlowControlEvent& ev = fc.events[i];
     if (ev.lane >= fc.count.size()) {
       engine_fail("credit-conservation", cycle, kInvalidId,
                   "backpressure event carries bad lane id %u", ev.lane);

@@ -196,7 +196,7 @@ TEST(CacheFingerprint, PinnedForFig18aTminQuick) {
   const FigureSpec fig18a = figure_spec("fig18a");
   ASSERT_EQ(fig18a.series.front().label, "TMIN(cube)");
   const std::string expected =
-      "cache_schema=3;engine=" + ResultCache::engine_semantics_version() +
+      "cache_schema=4;engine=" + ResultCache::engine_semantics_version() +
       ";net.kind=TMIN;net.topology=cube;net.radix=4;net.stages=3;"
       "net.dilation=1;net.vcs=1;net.vc_node_links=0;net.extra_stages=0;"
       "net.splitter_dilation=0;net.wiring_seed=24301;switching=wormhole;"
@@ -208,7 +208,7 @@ TEST(CacheFingerprint, PinnedForFig18aTminQuick) {
       "sim.fault_fraction=0;sim.fault_seed=1;sim.fault_at_cycle=0;"
       "load=0.29999999999999999;wl.pattern=0;"
       "wl.hotspot_extra=0.050000000000000003;wl.butterfly_index=2;"
-      "wl.offered=0.29999999999999999;wl.len.kind=0;wl.len.min=8;"
+      "wl.len.kind=0;wl.len.min=8;"
       "wl.len.max=1024;wl.len.long_min=512;wl.len.long_max=1024;"
       "wl.len.short_fraction=0.5;wl.cluster_of="
       "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"

@@ -165,6 +165,19 @@ TEST(CliExitStatus, ProfileFlagFalseBeatsEnv) {
   EXPECT_NE(run("grep -q engine_phase " + off), 0);
 }
 
+// Regression: --stalls --profile ran every series with the phase
+// profiler on and dropped the profile; its table now follows each
+// series' stall report.
+TEST(CliExitStatus, StallsWithProfilePrintThePhaseTable) {
+  const std::string out = testing::TempDir() + "stalls_profile.txt";
+  ASSERT_EQ(run(std::string(WORMSIM_TELEMETRY_REPORT_PATH) +
+                " --quick --figure=ablation_credit_delay --stalls --profile"
+                " > " + out + " 2> /dev/null"),
+            0);
+  EXPECT_EQ(run("grep -q 'credit starvation' " + out), 0);
+  EXPECT_EQ(run("grep -q engine_phase " + out), 0);
+}
+
 // Regression: the engines' own reader took any value but "0" as on, so a
 // mistyped WORMSIM_VALIDATE ran validated and exited 0.  It now aborts
 // naming the variable, like every other knob.

@@ -262,6 +262,40 @@ TEST(Engine, VminChannelBandwidthIsConserved) {
   EXPECT_GE(std::max(a, b), 2ull * len - 10);
 }
 
+/// The round robin as it was written: step from the pointer, modulo the
+/// lane count, until a ready lane.
+unsigned modulo_pick(std::uint32_t ready, unsigned from, unsigned lanes) {
+  unsigned pick = from % lanes;
+  while ((ready & (1u << pick)) == 0) pick = (pick + 1) % lanes;
+  return pick;
+}
+
+TEST(RoundRobinPick, MatchesTheModuloLoopOnEveryMaskAndPointer) {
+  for (unsigned lanes = 1; lanes <= 8; ++lanes) {
+    for (std::uint32_t ready = 1; ready < (1u << lanes); ++ready) {
+      for (unsigned from = 0; from < lanes; ++from) {
+        ASSERT_EQ(round_robin_pick(ready, from),
+                  modulo_pick(ready, from, lanes))
+            << lanes << " lanes, ready " << ready << ", from " << from;
+      }
+    }
+  }
+}
+
+TEST(RoundRobinPick, MatchesTheModuloLoopOnRandomMasksAt32Lanes) {
+  util::Rng rng(32);
+  for (int i = 0; i < 100'000; ++i) {
+    // Sparse masks too, so the pick often has to wrap.
+    std::uint32_t ready = static_cast<std::uint32_t>(rng());
+    if (i % 2 == 1) ready &= static_cast<std::uint32_t>(rng());
+    if (i % 4 == 3) ready &= static_cast<std::uint32_t>(rng());
+    if (ready == 0) continue;
+    const auto from = static_cast<unsigned>(rng.below(32));
+    ASSERT_EQ(round_robin_pick(ready, from), modulo_pick(ready, from, 32))
+        << "ready " << ready << ", from " << from;
+  }
+}
+
 // ---- Ordering and conservation ---------------------------------------------
 
 TEST(Engine, SameSourceDestinationPairStaysFifo) {

@@ -12,15 +12,19 @@
 // change cannot silently move the legacy point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <vector>
 
+#include "golden_digest.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
 #include "sim/store_forward.hpp"
 #include "telemetry/worm_trace.hpp"
 #include "topology/network.hpp"
+#include "traffic/workload.hpp"
 
 namespace wormsim::sim {
 namespace {
@@ -333,6 +337,80 @@ TEST_F(FlowControl, LegacyContentionIsNeverCalledStarvation) {
   EXPECT_EQ(summary.starved_cycles_total, 0u);
 }
 
+/// A workload-driven run on `net` whose starvation clocks are watched:
+/// after every step, whether any lane had an interval open.
+struct WatchedRun {
+  SimResult result;
+  bool clock_opened = false;
+};
+
+WatchedRun run_watching_clocks(const Network& net,
+                               const routing::Router& router,
+                               const SimConfig& config) {
+  traffic::StandardTraffic traffic(net, golden_workload());
+  Engine engine(net, router, &traffic, config);
+  WatchedRun run;
+  while (engine.cycle() < config.total_cycles()) {
+    engine.step();
+    for (const std::uint64_t since : engine.flow_control().starve_since) {
+      run.clock_opened = run.clock_opened || since != kNoCycle;
+    }
+  }
+  run.result = engine.run();
+  return run;
+}
+
+SimConfig workload_config(FlowControlScheme scheme, std::uint32_t depth,
+                          std::uint32_t delay) {
+  SimConfig config;
+  config.seed = 11;
+  config.warmup_cycles = 300;
+  config.measure_cycles = 2'000;
+  config.drain_cycles = 500;
+  config.validate = true;
+  config.flow_control = scheme;
+  config.buffer_depth = depth;
+  config.credit_delay = delay;
+  return config;
+}
+
+// Only the window counters and the worm tracer read the starvation
+// clocks, so a run with both off opens none, and its result is the
+// counters-on run's.  The starvation totals were emitted before the
+// clocks were gated on their readers.
+TEST_F(FlowControl, StarvationClocksOnlyWhenObserved) {
+  struct Case {
+    FlowControlScheme scheme;
+    std::uint32_t depth;
+    std::uint64_t counted;  ///< total_credit_starved_cycles, counters on
+    std::uint64_t traced;   ///< starved_cycles_total, tracer on
+  };
+  for (const Case& c : {Case{FlowControlScheme::kCredit, 4, 12'737, 16'437},
+                        Case{FlowControlScheme::kOnOff, 8, 8'193, 10'950}}) {
+    SCOPED_TRACE(to_string(c.scheme));
+    const SimConfig quiet = workload_config(c.scheme, c.depth, 2);
+    SimConfig counted = quiet;
+    counted.telemetry.counters = true;
+    SimConfig traced = quiet;
+    traced.telemetry.worm_trace = true;
+
+    const WatchedRun off = run_watching_clocks(net_, *router_, quiet);
+    WatchedRun on = run_watching_clocks(net_, *router_, counted);
+    const WatchedRun tracer = run_watching_clocks(net_, *router_, traced);
+    EXPECT_FALSE(off.clock_opened);
+    EXPECT_TRUE(on.clock_opened);
+    EXPECT_TRUE(tracer.clock_opened);
+    EXPECT_EQ(on.result.telemetry_counters.total_credit_starved_cycles(),
+              c.counted);
+    EXPECT_EQ(summarize_worm_trace(*tracer.result.worm_trace, 4)
+                  .starved_cycles_total,
+              c.traced);
+    on.result.telemetry_counters = {};
+    EXPECT_EQ(digest(off.result, net_), digest(on.result, net_));
+    EXPECT_EQ(digest(off.result, net_), digest(tracer.result, net_));
+  }
+}
+
 TEST_F(FlowControl, StarvedWormStillReconciles) {
   // starved_cycles is a sub-attribution: the four latency components must
   // still sum exactly even when starvation stretched the streaming phase.
@@ -352,6 +430,80 @@ TEST_F(FlowControl, StarvedWormStillReconciles) {
               r.total_cycles());
     EXPECT_LE(r.starved_cycles, r.total_cycles());
   }
+}
+
+// ---- The backpressure calendar --------------------------------------------
+
+// A push into a full calendar grows it while its events wrap the end of
+// the storage; the order must survive, as in a deque.
+TEST(FlowControlCalendar, GrowsWhileWrappedInOrder) {
+  EventCalendar calendar;
+  std::deque<FlowControlEvent> reference;
+  std::uint64_t due = 0;
+  const auto push = [&] {
+    const FlowControlEvent ev{++due, static_cast<LaneId>(due % 7),
+                              due % 2 == 0};
+    calendar.push_back(ev);
+    reference.push_back(ev);
+  };
+  const auto expect_same = [&] {
+    ASSERT_EQ(calendar.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(calendar[i].due, reference[i].due);
+      EXPECT_EQ(calendar[i].lane, reference[i].lane);
+      EXPECT_EQ(calendar[i].go, reference[i].go);
+    }
+  };
+  for (int round = 0; round < 4; ++round) {
+    // Fill to capacity, drain half, then push past the end of the storage
+    // and on until the calendar grows.
+    while (calendar.size() < std::max<std::size_t>(calendar.capacity(), 1)) {
+      push();
+    }
+    const std::size_t capacity = calendar.capacity();
+    for (std::size_t i = 0; i < capacity / 2; ++i) {
+      EXPECT_EQ(calendar.front().due, reference.front().due);
+      calendar.pop_front();
+      reference.pop_front();
+    }
+    while (calendar.capacity() == capacity) push();
+    EXPECT_EQ(calendar.capacity(), 2 * capacity);
+    expect_same();
+  }
+  while (!reference.empty()) {
+    EXPECT_EQ(calendar.front().due, reference.front().due);
+    calendar.pop_front();
+    reference.pop_front();
+  }
+  EXPECT_TRUE(calendar.empty());
+}
+
+// 2-VC lanes with 4-flit FIFOs and an 8-cycle credit loop hold more
+// credits in flight than the calendar starts with, so it grows after
+// credits have already come home, while its events wrap the end of its
+// storage.  The validator walks it every cycle, and the digest was
+// emitted before the calendar was a ring.
+TEST(FlowControlCalendar, WrapsAndGrowsMidRun) {
+  const Network net =
+      topology::build_network(golden_network(NetworkKind::kBMIN));
+  const auto router = routing::make_router(net);
+  traffic::StandardTraffic traffic(net, golden_workload());
+  const SimConfig config =
+      workload_config(FlowControlScheme::kCredit, 4, 8);
+  Engine engine(net, *router, &traffic, config);
+  std::size_t capacity = 0;
+  int grown_after_returns = 0;
+  while (engine.cycle() < config.total_cycles()) {
+    engine.step();
+    const std::size_t now = engine.flow_control().events.capacity();
+    // The first credits come home at cycle delay.
+    if (now > capacity && engine.cycle() > config.credit_delay) {
+      ++grown_after_returns;
+    }
+    capacity = now;
+  }
+  EXPECT_GT(grown_after_returns, 0);
+  EXPECT_EQ(digest(engine.run(), net), 0xab8e9f8cf2614499u);
 }
 
 }  // namespace
